@@ -36,9 +36,6 @@ from .named import (
     star_graph,
 )
 from .spectra import (
-    CERTIFIED_GT_ONE,
-    CERTIFIED_LE_ONE,
-    FLOAT_ONLY,
     SQRT2,
     HLIndex,
     InertiaCount,

@@ -51,13 +51,16 @@ def _iter_lines(paths: Sequence[str]) -> Iterator[tuple[str, int, str]]:
     if not paths:
         paths = ["-"]
     for path in paths:
+        # undecodable bytes become surrogate escapes, which parse_graph6 rejects
         if path == "-":
+            if hasattr(sys.stdin, "reconfigure"):
+                sys.stdin.reconfigure(errors="surrogateescape")
             for i, raw in enumerate(sys.stdin, start=1):
                 text = raw.strip()
                 if text:
                     yield "<stdin>", i, text
         else:
-            with open(path, "r", encoding="ascii") as fh:
+            with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
                 for i, raw in enumerate(fh, start=1):
                     text = raw.strip()
                     if text:
@@ -127,7 +130,7 @@ def _hl_report(task: tuple[int, str]) -> dict:
     if g.n == 0:
         rep.update(r=None, h=None, l=None, certified_le_one=None, certified_le_sqrt2=None)
         return rep
-    idx = hl_index(g, exact=False)
+    idx = hl_index(g)
     rep.update(
         r=idx.value,
         h=idx.h,
@@ -189,7 +192,7 @@ def _verify_report(task: tuple[int, str, str, bool, bool]) -> dict:
             rep["skipped"] = rec.skipped
     else:
         trace = _VERIFIERS[theorem](g)
-        idx = hl_index(g, exact=False)
+        idx = hl_index(g)
         rep.update(
             case=trace.case,
             verdict=trace.verdict,

@@ -147,9 +147,10 @@ def parse_graph6(text: str) -> Graph:
     remaining bytes pack the upper triangle of the adjacency matrix in
     column-major order, 6 bits per byte, zero-padded.  Raises Graph6Error
     (with a byte offset) for the long form, bad bytes, wrong length, or
-    nonzero padding bits.
+    nonzero padding bits.  Non-ASCII text is checked as its UTF-8 bytes
+    (surrogate escapes as the bytes they stand for), so it cannot pass.
     """
-    data = text.strip().encode("ascii", errors="replace")
+    data = text.encode("utf-8", errors="surrogateescape").strip()
     if not data:
         raise Graph6Error("empty graph6 string", 0)
     for off, byte in enumerate(data):

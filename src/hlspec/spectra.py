@@ -1,16 +1,27 @@
 """Adjacency spectra: floating eigenvalues and exact eigenvalue counting.
 
 Two independent routes coexist on purpose.  The floating route diagonalizes
-with numpy and backs slack-checked inequalities; the exact route computes
-the inertia of A - t*I by symmetric elimination over exact number types
-(rationals, and rationals extended by sqrt(2)) and is what certificates rest
-on.  Neither route consults the other.
+with numpy and backs slack-checked inequalities.  The exact route is what
+certificates rest on, and it never touches a float:
+
+- The characteristic polynomial p(x) = det(xI - A) comes from the power
+  traces tr(A^k), k = 1..n, by Newton's identities.  Entries of A^k count
+  walks, so they are at most D^k for max degree D; the powers are taken in
+  numpy int64 when n * D^n < 2^62 and in Python ints (dtype object)
+  otherwise.  The Newton sums and their exact divisions run in Python ints.
+- A is symmetric, so p has only real roots, and for a real-rooted polynomial
+  Descartes' rule of signs is exact: the sign changes in the coefficients of
+  p(x + t) count the eigenvalues above t, and the index of the lowest
+  nonzero coefficient is the multiplicity of t.  A threshold
+  t = (a + b*sqrt2) / d is shifted in by Horner's rule over integer pairs,
+  so every coefficient stays in Z[sqrt2] and its sign is an integer test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 import numpy as np
@@ -21,17 +32,12 @@ EPS_PER_VERTEX = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# exact numbers: rationals extended by sqrt(2)
+# exact thresholds: rationals extended by sqrt(2)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Sqrt2Rational:
-    """Exact number a + b*sqrt(2) with rational a, b.
-
-    Supports field arithmetic and exact sign evaluation, which is all the
-    inertia elimination needs.  Sign uses the fact that a^2 = 2*b^2 has no
-    rational solution besides a = b = 0.
-    """
+    """Exact threshold a + b*sqrt(2) with rational a, b."""
 
     a: Fraction
     b: Fraction
@@ -40,64 +46,8 @@ class Sqrt2Rational:
     def make(cls, a=0, b=0) -> "Sqrt2Rational":
         return cls(Fraction(a), Fraction(b))
 
-    @staticmethod
-    def _coerce(x) -> "Sqrt2Rational":
-        if isinstance(x, Sqrt2Rational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Sqrt2Rational(Fraction(x), Fraction(0))
-        raise TypeError(f"cannot mix {type(x).__name__} with Sqrt2Rational")
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Sqrt2Rational(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Sqrt2Rational(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Sqrt2Rational(
-            self.a * o.a + 2 * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        norm = o.a * o.a - 2 * o.b * o.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        return self * Sqrt2Rational(o.a / norm, -o.b / norm)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __neg__(self):
         return Sqrt2Rational(-self.a, -self.b)
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # opposite signs: compare a^2 with 2 b^2; equality cannot happen here
-        if a > 0:
-            return 1 if a * a > 2 * b * b else -1
-        return -1 if a * a > 2 * b * b else 1
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * 2.0 ** 0.5
@@ -109,12 +59,6 @@ class Sqrt2Rational:
 SQRT2 = Sqrt2Rational.make(0, 1)
 
 ExactNumber = Union[int, Fraction, Sqrt2Rational]
-
-
-def _sign(x) -> int:
-    if isinstance(x, Sqrt2Rational):
-        return x.sign()
-    return (x > 0) - (x < 0)
 
 
 def threshold_token(t: ExactNumber) -> str:
@@ -140,7 +84,7 @@ def parse_threshold(token: str) -> ExactNumber:
 
 
 # ---------------------------------------------------------------------------
-# exact inertia
+# exact eigenvalue counts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -157,102 +101,73 @@ class InertiaCount:
         return self.above + self.at + self.below
 
 
-def _symmetric_inertia(mat: list[list]) -> tuple[int, int, int]:
-    """Inertia (positive, zero, negative) of a symmetric matrix of exact numbers.
+def _charpoly(g: Graph) -> list[int]:
+    """Coefficients of det(xI - A), leading 1 first, by Newton's identities."""
+    n = g.n
+    dtype = np.int64 if n * max(g.max_degree(), 1) ** n < 2 ** 62 else object
+    adj = np.array(g.adjacency_rows(), dtype=dtype)
+    power = adj
+    traces = []  # traces[k] = tr(A^(k+1))
+    for _ in range(n):
+        traces.append(int(power.trace()))
+        power = power @ adj
+    coeffs = [1]
+    for k in range(1, n + 1):
+        total = sum(coeffs[i] * traces[k - 1 - i] for i in range(k))
+        coeffs.append(-total // k)
+    return coeffs
 
-    Symmetric elimination with 1x1 pivots where a nonzero diagonal entry
-    exists, otherwise a 2x2 pivot on an off-diagonal entry (which contributes
-    one positive and one negative eigenvalue since its block determinant is
-    negative).  Congruence transformations preserve inertia, so the counts
-    are exact.  Mutates mat.
+
+def _sign(a: int, b: int) -> int:
+    """Sign of a + b*sqrt(2) for integers a, b."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    # opposite signs: a^2 = 2 b^2 has no integer solution besides 0, 0
+    return sa if a * a > 2 * b * b else sb
+
+
+def _as_threshold(t: ExactNumber | str) -> Sqrt2Rational:
+    if isinstance(t, str):
+        t = parse_threshold(t)
+    return t if isinstance(t, Sqrt2Rational) else Sqrt2Rational.make(t)
+
+
+def _inertia(coeffs: list[int], t: Sqrt2Rational) -> InertiaCount:
+    """Count the roots of a real-rooted integer polynomial against t.
+
+    With t = (a + b*sqrt2) / d, the coefficients of d^n p((z + a + b*sqrt2) / d)
+    have the sign pattern of p(x + t) and lie in Z[sqrt2]; they are built as
+    (rational, sqrt2) integer pairs by a Horner Taylor shift.
     """
-    active = list(range(len(mat)))
-    pos = neg = zero = 0
-    while active:
-        p = next((i for i in active if _sign(mat[i][i]) != 0), None)
-        if p is not None:
-            d = mat[p][p]
-            if _sign(d) > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(p)
-            col = [mat[i][p] for i in active]
-            for ii, i in enumerate(active):
-                ci = col[ii]
-                if not ci:
-                    continue
-                for jj in range(ii, len(active)):
-                    cj = col[jj]
-                    if not cj:
-                        continue
-                    j = active[jj]
-                    val = mat[i][j] - ci * cj / d
-                    mat[i][j] = val
-                    if i != j:
-                        mat[j][i] = val
-            continue
-        # every diagonal entry is zero: look for an off-diagonal pivot
-        pivot = None
-        for ii, i in enumerate(active):
-            for j in active[ii + 1 :]:
-                if _sign(mat[i][j]) != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            zero += len(active)
-            break
-        p, q = pivot
-        a = mat[p][q]
-        pos += 1
-        neg += 1
-        active.remove(p)
-        active.remove(q)
-        colp = [mat[i][p] for i in active]
-        colq = [mat[i][q] for i in active]
-        for ii, i in enumerate(active):
-            cpi, cqi = colp[ii], colq[ii]
-            if not cpi and not cqi:
-                continue
-            for jj in range(ii, len(active)):
-                cpj, cqj = colp[jj], colq[jj]
-                if not cpj and not cqj:
-                    continue
-                j = active[jj]
-                val = mat[i][j] - (cpi * cqj + cqi * cpj) / a
-                mat[i][j] = val
-                if i != j:
-                    mat[j][i] = val
-    return pos, zero, neg
+    n = len(coeffs) - 1
+    d = lcm(t.a.denominator, t.b.denominator)
+    a, b = t.a.numerator * (d // t.a.denominator), t.b.numerator * (d // t.b.denominator)
+    shifted = [(c * d ** k, 0) for k, c in enumerate(coeffs)]
+    for stop in range(n, 0, -1):
+        for j in range(1, stop + 1):
+            u, v = shifted[j - 1]
+            x, y = shifted[j]
+            shifted[j] = (x + u * a + 2 * v * b, y + u * b + v * a)
+    signs = [_sign(u, v) for u, v in shifted]
+    at = next(k for k, s in enumerate(reversed(signs)) if s)  # the leading sign is +1
+    nonzero = [s for s in signs if s]
+    above = sum(s != r for s, r in zip(nonzero, nonzero[1:]))
+    return InertiaCount(
+        threshold=threshold_token(t), above=above, at=at, below=n - above - at
+    )
 
 
-def count_at_threshold(g: Graph, t: ExactNumber) -> InertiaCount:
+def count_at_threshold(g: Graph, t: ExactNumber | str) -> InertiaCount:
     """Exact counts of adjacency eigenvalues above / at / below t.
 
-    t may be an int, a Fraction, or a Sqrt2Rational; arithmetic stays exact
-    throughout, so the counts are certificates rather than estimates.
+    t may be an int, a Fraction, a Sqrt2Rational, or a token that
+    parse_threshold reads ("1", "-sqrt2", "3/2"); no float is consulted, so
+    the counts are certificates rather than estimates.
     """
-    n = g.n
-    if isinstance(t, Sqrt2Rational):
-        zero_v: ExactNumber = Sqrt2Rational.make(0, 0)
-        one_v: ExactNumber = Sqrt2Rational.make(1, 0)
-        diag = -t
-    else:
-        t = Fraction(t)
-        zero_v = Fraction(0)
-        one_v = Fraction(1)
-        diag = -t
-    mat = [
-        [
-            (diag if i == j else (one_v if g.has_edge(i, j) else zero_v))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    pos, zero, neg = _symmetric_inertia(mat)
-    return InertiaCount(threshold=threshold_token(t), above=pos, at=zero, below=neg)
+    return _inertia(_charpoly(g), _as_threshold(t))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +206,6 @@ def median_positions(n: int) -> tuple[int, int]:
 # the median-eigenvalue index and its certificates
 # ---------------------------------------------------------------------------
 
-CERTIFIED_LE_ONE = "certified-le-one"
-CERTIFIED_GT_ONE = "certified-gt-one"
-FLOAT_ONLY = "float-only"
-
-
 @dataclass(frozen=True)
 class HLIndex:
     """max(|median-high eigenvalue|, |median-low eigenvalue|) of a graph."""
@@ -303,7 +213,6 @@ class HLIndex:
     h: int
     l: int
     value: float
-    exact_le_one: str  # CERTIFIED_LE_ONE | CERTIFIED_GT_ONE | FLOAT_ONLY
 
 
 @dataclass(frozen=True)
@@ -323,16 +232,17 @@ class RBoundCertificate:
     l: int
 
 
-def certify_R_le(g: Graph, bound: ExactNumber) -> RBoundCertificate:
+def certify_R_le(g: Graph, bound: ExactNumber | str) -> RBoundCertificate:
     if g.n < 1:
         raise ValueError("empty graph has no median eigenvalues")
     h, l = median_positions(g.n)
-    upper = count_at_threshold(g, bound)
-    neg_bound = -bound if isinstance(bound, Sqrt2Rational) else -Fraction(bound)
-    lower = count_at_threshold(g, neg_bound)
+    t = _as_threshold(bound)
+    coeffs = _charpoly(g)
+    upper = _inertia(coeffs, t)
+    lower = _inertia(coeffs, -t)
     holds = upper.above <= h - 1 and lower.below <= g.n - l
     return RBoundCertificate(
-        bound=threshold_token(bound),
+        bound=threshold_token(t),
         holds=holds,
         at_upper=upper,
         at_lower=lower,
@@ -341,17 +251,12 @@ def certify_R_le(g: Graph, bound: ExactNumber) -> RBoundCertificate:
     )
 
 
-def hl_index(g: Graph, exact: bool = True) -> HLIndex:
+def hl_index(g: Graph) -> HLIndex:
     if g.n < 1:
         raise ValueError("empty graph has no median eigenvalues")
     h, l = median_positions(g.n)
     s = spectrum(g)
-    value = max(abs(s.value(h)), abs(s.value(l)))
-    if exact:
-        tag = CERTIFIED_LE_ONE if certify_R_le(g, 1).holds else CERTIFIED_GT_ONE
-    else:
-        tag = FLOAT_ONLY
-    return HLIndex(h=h, l=l, value=value, exact_le_one=tag)
+    return HLIndex(h=h, l=l, value=max(abs(s.value(h)), abs(s.value(l))))
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,25 @@ def test_hl_lenient_malformed_warns_and_continues():
     assert "warning" in proc.stderr and ":1:" in proc.stderr
 
 
+def test_hl_strict_non_ascii_byte_in_file_exits_2(tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"A_\nA\xe9\nBw\n")
+    proc = run_cli(["hl", "--strict", str(corpus)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"{corpus}:2:" in proc.stderr and "byte offset 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_hl_lenient_non_ascii_byte_in_file_warns_and_continues(tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"A_\nA\xe9\nBw\n")
+    proc = run_cli(["hl", str(corpus)])
+    assert proc.returncode == 0
+    assert [rep["line"] for rep in json_lines(proc.stdout)] == [1, 3]
+    assert "warning" in proc.stderr and f"{corpus}:2:" in proc.stderr
+
+
 def test_hl_empty_input_exits_0():
     proc = run_cli(["hl"], stdin_text="")
     assert proc.returncode == 0

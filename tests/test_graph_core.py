@@ -154,6 +154,13 @@ def test_parse_errors_carry_byte_offsets():
         parse_graph6("A~")  # nonzero padding bits
 
 
+def test_parse_rejects_non_ascii():
+    # a non-ASCII character must not be read as some in-alphabet byte
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6("A\u00e9")
+    assert exc.value.byte_offset == 1
+
+
 def test_parse_rejects_long_form():
     with pytest.raises(Graph6Error):
         parse_graph6("~??~?????")

@@ -6,6 +6,7 @@ same oracle runs live on seeded random graphs as a property check.
 """
 
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -26,11 +27,9 @@ from hlspec.named import (
     star_graph,
 )
 from hlspec.spectra import (
-    CERTIFIED_GT_ONE,
-    CERTIFIED_LE_ONE,
-    FLOAT_ONLY,
     SQRT2,
-    Sqrt2Rational,
+    _charpoly,
+    _sign,
     certify_R_le,
     check_edge_partition_bounds,
     check_interlacing,
@@ -109,37 +108,16 @@ ORACLE_R = {
 
 
 # ---------------------------------------------------------------------------
-# exact ring with sqrt(2)
+# exact signs in Z[sqrt(2)] and threshold tokens
 # ---------------------------------------------------------------------------
-
-def test_sqrt2_rational_arithmetic():
-    a = Sqrt2Rational.make(1, 2)  # 1 + 2*sqrt2
-    b = Sqrt2Rational.make(3, -1)  # 3 - sqrt2
-    assert a + b == Sqrt2Rational.make(4, 1)
-    assert a - b == Sqrt2Rational.make(-2, 3)
-    # (1 + 2s)(3 - s) = 3 - s + 6s - 2*2 = -1 + 5s
-    assert a * b == Sqrt2Rational.make(-1, 5)
-    assert a * 0 == Sqrt2Rational.make(0, 0)
-    assert (a / a) == Sqrt2Rational.make(1, 0)
-    assert float(SQRT2) == pytest.approx(math.sqrt(2), abs=1e-15)
-
-
-def test_sqrt2_rational_division_inverse():
-    a = Sqrt2Rational.make(Fraction(5, 3), Fraction(-7, 2))
-    assert a / a == Sqrt2Rational.make(1, 0)
-    assert (a * 2) / 2 == a
-    one = Sqrt2Rational.make(1, 0)
-    assert one / SQRT2 == Sqrt2Rational.make(0, Fraction(1, 2))
-
 
 def test_sqrt2_rational_exact_sign_near_zero():
     # continued-fraction convergents of sqrt2 sit on alternating sides,
     # so these are within 1e-2 of zero but have known exact signs
-    assert Sqrt2Rational.make(-99, 70).sign() == -1  # 70*sqrt2 = 98.9949...
-    assert Sqrt2Rational.make(-140, 99).sign() == 1  # 99*sqrt2 = 140.0071...
-    assert Sqrt2Rational.make(0, 0).sign() == 0
-    assert not Sqrt2Rational.make(0, 0)
-    assert Sqrt2Rational.make(0, -1).sign() == -1
+    assert _sign(-99, 70) == -1  # 70*sqrt2 = 98.9949...
+    assert _sign(-140, 99) == 1  # 99*sqrt2 = 140.0071...
+    assert _sign(0, 0) == 0
+    assert _sign(0, -1) == -1
 
 
 def test_threshold_token_round_trip():
@@ -150,6 +128,7 @@ def test_threshold_token_round_trip():
     assert threshold_token(SQRT2) == "sqrt2"
     assert threshold_token(-SQRT2) == "-sqrt2"
     assert parse_threshold("3/2") == Fraction(3, 2)
+    assert float(SQRT2) == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +173,29 @@ def test_counts_invariant_under_relabeling(seed):
     for t in (Fraction(0), Fraction(1), SQRT2):
         a, b = count_at_threshold(g, t), count_at_threshold(h, t)
         assert (a.above, a.at, a.below) == (b.above, b.at, b.below)
+
+
+def test_counts_accept_threshold_tokens():
+    g = heawood_graph()
+    for token, t in TOKENS.items():
+        assert count_at_threshold(g, token) == count_at_threshold(g, t)
+    assert count_at_threshold(g, "3/2") == count_at_threshold(g, Fraction(3, 2))
+    assert certify_R_le(g, "sqrt2").holds and not certify_R_le(g, "1").holds
+    assert certify_R_le(g, "sqrt2").bound == "sqrt2"
+
+
+def test_charpoly_and_counts_in_python_ints():
+    # 16 * 15^16 > 2^62, so the walk counts leave int64 and numpy multiplies
+    # Python ints
+    g = complete_graph(16)
+    assert 16 * 15 ** 16 > 2 ** 62
+    expected = sympy.Poly((_X - 15) * (_X + 1) ** 15, _X).all_coeffs()
+    assert _charpoly(g) == [int(c) for c in expected]
+    pairs = [(t, sympy.Integer(t)) for t in (0, 1, -1, 15, 16)]
+    pairs += [(SQRT2, sympy.sqrt(2)), (-SQRT2, -sympy.sqrt(2))]
+    for ours_t, oracle_t in pairs:
+        count = count_at_threshold(g, ours_t)
+        assert (count.above, count.at, count.below) == oracle_counts(g, oracle_t)
 
 
 def test_counts_agree_with_floating_spectrum_away_from_threshold():
@@ -263,12 +265,7 @@ def test_hl_index_matches_frozen_oracle(tag):
     assert idx.value == pytest.approx(ORACLE_R[tag], abs=1e-9)
     h, l = median_positions(g.n)
     assert (idx.h, idx.l) == (h, l)
-    expected_tag = CERTIFIED_LE_ONE if ORACLE_R[tag] <= 1.0 else CERTIFIED_GT_ONE
-    assert idx.exact_le_one == expected_tag
-
-
-def test_hl_index_float_only_mode():
-    assert hl_index(paw_graph(), exact=False).exact_le_one == FLOAT_ONLY
+    assert certify_R_le(g, 1).holds == (ORACLE_R[tag] <= 1.0)
 
 
 def test_hl_index_rejects_empty():
@@ -300,10 +297,19 @@ def test_certificate_zero_bound_means_zero_median_pair():
     assert not certify_R_le(cycle_graph(5), 0).holds
 
 
+def test_readme_quickstart_runs_as_written():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["cert"].holds and scope["trace"].verdict == "pass"
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_certificate_consistent_with_floating_r(seed):
     g = random_graph(random.Random(seed).randint(1, 9), 0.4, seed=seed + 600)
-    idx = hl_index(g, exact=False)
+    idx = hl_index(g)
     if certify_R_le(g, 1).holds:
         assert idx.value <= 1.0 + 1e-6
     else:
