@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import sys
 import time
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .enumeration import GenSpec, enumerate_graphs
@@ -234,13 +235,16 @@ def _recognize_report(task: tuple[int, str, bool]) -> dict:
 
 
 def _map_tasks(worker, tasks: list, jobs: int) -> Iterator[dict]:
-    """Run tasks through the worker, in order, optionally across processes."""
-    if jobs <= 1 or len(tasks) <= 1:
+    """Run tasks through the worker, in order, optionally across processes.
+
+    The pool never has more workers than CPUs or tasks."""
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         for t in tasks:
             yield worker(t)
         return
     ctx = multiprocessing.get_context()
-    with ctx.Pool(processes=jobs) as pool:
+    with ctx.Pool(processes=workers) as pool:
         yield from pool.imap(worker, tasks, chunksize=8)
 
 
@@ -356,13 +360,22 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad vertex count in {args.n!r}") from exc
     filters = tuple(f for f in _GEN_FLAG_FILTERS if getattr(args, f.replace("-", "_")))
+    start = time.perf_counter()
+    stats: Counter = Counter()
     try:
         spec = GenSpec(n=n, connected=args.connected, max_degree=args.max_degree, filters=filters)
-        graphs = enumerate_graphs(spec)
+        graphs = enumerate_graphs(spec, stats)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     for g in graphs:
         sys.stdout.write(to_graph6(g) + "\n")
+    wall = time.perf_counter() - start
+    print(
+        f"gen n={n}: {len(graphs)} classes, {stats['children']} children built, "
+        f"{stats['orbit_skipped']} subsets skipped by orbit, "
+        f"{stats['hereditary_tests']} hereditary tests, wall {wall:.2f}s",
+        file=sys.stderr,
+    )
     return 0
 
 

@@ -2,14 +2,20 @@
 
 Generation walks vertex counts 1..n: every class representative on k-1
 vertices is extended by one new vertex attached to each admissible neighbor
-subset, and the children are deduplicated by canonical form.  Hereditary
-properties (bipartite, no K4 minor: both closed under vertex deletion)
-prune intermediate levels without losing classes.  Exhaustive and exact,
-which is the point; the hard cap keeps the cost honest.
+subset, and the children are deduplicated by canonical form.  A subset in
+the orbit of an earlier one under the parent's automorphisms (the
+generators the canonical-form search finds) is skipped (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998).  Hereditary
+properties (bipartite, no K4 minor: both closed under vertex deletion) are
+tested once per new class, after canonicalization.  Neither shortcut skips
+the first child of a class in (parent, subset) order, so the
+representatives are those of the plain every-child search.  Exhaustive and
+exact, which is the point; the hard cap keeps the cost honest.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -80,7 +86,7 @@ def _is_homogeneous(masks: list[int], cells: list[list[int]]) -> bool:
     return True
 
 
-def canonical_key(g: Graph) -> bytes:
+def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> bytes:
     """A complete isomorphism invariant: two graphs get equal keys iff they
     are isomorphic.
 
@@ -88,9 +94,12 @@ def canonical_key(g: Graph) -> bytes:
     upper-triangle adjacency bitstring over all vertex orderings.  The
     ordering search individualizes vertices cell by cell inside an equitable
     partition; two prunings keep symmetric graphs tractable: a homogeneous
-    partition short-circuits (all orderings tie), and automorphisms
-    discovered at equal-code leaves let sibling branches in the same orbit
-    be skipped.
+    partition short-circuits (all orderings tie, so every swap inside a cell
+    is an automorphism), and automorphisms discovered at equal-code leaves
+    let sibling branches in the same orbit be skipped.
+
+    The automorphisms the search found (permutations v -> p[v], not the
+    identity) are appended to ``generators`` when it is given.
     """
     n = g.n
     if n > 62:
@@ -131,6 +140,11 @@ def canonical_key(g: Graph) -> bytes:
             leaf([c[0] for c in cells])
             return
         if _is_homogeneous(masks, cells):
+            for c in cells:
+                for a, b in zip(c, c[1:]):
+                    swap = list(range(n))
+                    swap[a], swap[b] = b, a
+                    autos.append(swap)
             leaf([v for c in cells for v in c])
             return
         cell = cells[target]
@@ -165,6 +179,8 @@ def canonical_key(g: Graph) -> bytes:
 
     descend(_refine(masks, [list(range(n))]), [])
     assert best is not None
+    if generators is not None:
+        generators.extend(dict.fromkeys(tuple(a) for a in autos))
     nbytes = (nbits + 7) // 8 if nbits else 0
     return bytes([n]) + best.to_bytes(nbytes, "big")
 
@@ -192,7 +208,9 @@ class GenSpec:
                 raise ValueError(f"unknown filter {f!r}; known: {KNOWN_FILTERS}")
 
 
-_LEVEL_CACHE: dict[tuple[int, int | None, frozenset[str]], list[Graph]] = {}
+# a class representative with the automorphism generators canonical_key found
+_Class = tuple[Graph, tuple[tuple[int, ...], ...]]
+_LEVEL_CACHE: dict[tuple[int, int | None, frozenset[str]], list[_Class]] = {}
 
 
 def _passes_hereditary(g: Graph, hered: frozenset[str]) -> bool:
@@ -203,7 +221,9 @@ def _passes_hereditary(g: Graph, hered: frozenset[str]) -> bool:
     return True
 
 
-def _level(n: int, max_degree: int | None, hered: frozenset[str]) -> list[Graph]:
+def _level(
+    n: int, max_degree: int | None, hered: frozenset[str], stats: Counter | None = None
+) -> list[_Class]:
     """All isomorphism classes on exactly n vertices (disconnected included)
     under the degree cap and hereditary filters, sorted by canonical key."""
     key = (n, max_degree, hered)
@@ -211,12 +231,14 @@ def _level(n: int, max_degree: int | None, hered: frozenset[str]) -> list[Graph]
     if cached is not None:
         return cached
     if n == 1:
-        out = [Graph(1)]
+        out: list[_Class] = [(Graph(1), ())]
     else:
-        parents = _level(n - 1, max_degree, hered)
+        parents = _level(n - 1, max_degree, hered, stats)
         new_v = n - 1
-        found: dict[bytes, Graph] = {}
-        for parent in parents:
+        found: dict[bytes, _Class] = {}
+        rejected: set[bytes] = set()
+        built = skipped = tested = 0
+        for parent, gens in parents:
             if max_degree is None:
                 eligible = list(range(n - 1))
                 cap = n - 1
@@ -225,14 +247,37 @@ def _level(n: int, max_degree: int | None, hered: frozenset[str]) -> list[Graph]
                 cap = min(max_degree, n - 1)
             base_edges = parent.edges()
             for size in range(0, min(cap, len(eligible)) + 1):
+                seen: set[tuple[int, ...]] = set()
                 for subset in combinations(eligible, size):
-                    child = Graph(n, base_edges + [(v, new_v) for v in subset])
-                    if not _passes_hereditary(child, hered):
+                    if subset in seen:
+                        skipped += 1
                         continue
-                    ck = canonical_key(child)
-                    if ck not in found:
-                        found[ck] = child
+                    if gens:
+                        # mark the subset's orbit under the parent's group
+                        orbit = [subset]
+                        for s in orbit:
+                            for p in gens:
+                                image = tuple(sorted(p[v] for v in s))
+                                if image not in seen:
+                                    seen.add(image)
+                                    orbit.append(image)
+                    child = Graph(n, base_edges + [(v, new_v) for v in subset])
+                    built += 1
+                    child_gens: list[tuple[int, ...]] = []
+                    ck = canonical_key(child, child_gens)
+                    if ck in found or ck in rejected:
+                        continue
+                    # a new vertex of degree <= 1 keeps every hereditary
+                    # property the parent has: it adds no cycle and no minor
+                    if size > 1 and hered:
+                        tested += 1
+                        if not _passes_hereditary(child, hered):
+                            rejected.add(ck)
+                            continue
+                    found[ck] = (child, tuple(child_gens))
         out = [found[k] for k in sorted(found)]
+        if stats is not None:
+            stats.update(children=built, orbit_skipped=skipped, hereditary_tests=tested)
     _LEVEL_CACHE[key] = out
     return out
 
@@ -247,12 +292,17 @@ def _passes_final(g: Graph, spec: GenSpec) -> bool:
     return True
 
 
-def enumerate_graphs(spec: GenSpec) -> list[Graph]:
+def enumerate_graphs(spec: GenSpec, stats: Counter | None = None) -> list[Graph]:
     """Every isomorphism class the given GenSpec admits, exactly once, in
-    canonical key order.  Representatives are deterministic across runs."""
+    canonical key order.  Representatives are deterministic across runs.
+
+    Levels built by this call (not cached ones) add their ``children``,
+    ``orbit_skipped`` and ``hereditary_tests`` counts to ``stats``.
+    """
     spec.validate()
     hered = frozenset(spec.filters) & _HEREDITARY
-    return [g for g in _level(spec.n, spec.max_degree, hered) if _passes_final(g, spec)]
+    level = _level(spec.n, spec.max_degree, hered, stats)
+    return [g for g, _ in level if _passes_final(g, spec)]
 
 
 def count_classes(spec: GenSpec) -> int:

@@ -349,13 +349,17 @@ def is_bipartite(g: Graph) -> bool:
 class Multigraph:
     """Mutable multigraph: loops and parallel edges allowed, vertices deletable.
 
-    Edges are stored as a multiplicity map keyed by sorted pairs; a loop is
-    the pair (v, v).  A loop contributes 2 to its vertex's degree.
+    Each vertex keeps an incidence map (neighbor -> edge multiplicity, with
+    a loop stored under the vertex itself) and a running degree, so degree,
+    multiplicity and neighbor queries cost O(1) or O(degree).  A loop
+    contributes 2 to its vertex's degree.
     """
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         self.vertices: set[int] = set(vertices)
-        self._mult: dict[tuple[int, int], int] = {}
+        self._inc: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
+        self._deg: dict[int, int] = dict.fromkeys(self.vertices, 0)
+        self._total = 0
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -366,60 +370,76 @@ class Multigraph:
             mg.add_edge(u, v)
         return mg
 
-    @staticmethod
-    def _key(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u <= v else (v, u)
-
     def add_edge(self, u: int, v: int, count: int = 1) -> None:
         if u not in self.vertices or v not in self.vertices:
             raise ValueError(f"edge ({u},{v}) touches a missing vertex")
-        key = self._key(u, v)
-        self._mult[key] = self._mult.get(key, 0) + count
+        inc = self._inc
+        inc[u][v] = inc[u].get(v, 0) + count
+        if u != v:
+            inc[v][u] = inc[v].get(u, 0) + count
+        self._deg[u] += count
+        self._deg[v] += count
+        self._total += count
 
     def remove_edge(self, u: int, v: int, count: int = 1) -> None:
-        key = self._key(u, v)
-        have = self._mult.get(key, 0)
+        have = self.multiplicity(u, v)
         if have < count:
+            key = (u, v) if u <= v else (v, u)
             raise ValueError(f"removing {count} copies of {key}, only {have} present")
+        inc = self._inc
         if have == count:
-            del self._mult[key]
+            del inc[u][v]
+            if u != v:
+                del inc[v][u]
         else:
-            self._mult[key] = have - count
+            inc[u][v] = have - count
+            if u != v:
+                inc[v][u] = have - count
+        self._deg[u] -= count
+        self._deg[v] -= count
+        self._total -= count
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self._mult.get(self._key(u, v), 0)
+        nbrs = self._inc.get(u)
+        return nbrs.get(v, 0) if nbrs else 0
 
     def delete_vertex(self, v: int) -> None:
         if v not in self.vertices:
             raise ValueError(f"vertex {v} not present")
-        for key in [k for k in self._mult if v in k]:
-            del self._mult[key]
+        for w, mult in self._inc.pop(v).items():
+            if w != v:
+                del self._inc[w][v]
+                self._deg[w] -= mult
+            self._total -= mult
+        del self._deg[v]
         self.vertices.remove(v)
 
     def degree(self, v: int) -> int:
-        d = 0
-        for (a, b), mult in self._mult.items():
-            if a == v and b == v:
-                d += 2 * mult
-            elif a == v or b == v:
-                d += mult
-        return d
+        return self._deg.get(v, 0)
 
     def neighbors(self, v: int) -> set[int]:
         """Distinct neighbors other than v itself."""
-        out = set()
-        for a, b in self._mult:
-            if a == v and b != v:
-                out.add(b)
-            elif b == v and a != v:
-                out.add(a)
-        return out
+        return {w for w in self._inc.get(v, ()) if w != v}
 
     def loop_count(self, v: int) -> int:
-        return self._mult.get((v, v), 0)
+        return self.multiplicity(v, v)
+
+    def parallel_pairs(self) -> list[tuple[int, int]]:
+        """Sorted pairs u < w joined by two or more edges."""
+        return sorted(
+            (u, w)
+            for u, nbrs in self._inc.items()
+            for w, mult in nbrs.items()
+            if u < w and mult >= 2
+        )
 
     def edge_items(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self._mult.items())
+        return sorted(
+            ((u, w), mult)
+            for u, nbrs in self._inc.items()
+            for w, mult in nbrs.items()
+            if u <= w
+        )
 
     @property
     def n_vertices(self) -> int:
@@ -427,16 +447,19 @@ class Multigraph:
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(self._mult.values())
+        return self._total
 
     def copy(self) -> "Multigraph":
-        mg = Multigraph(self.vertices)
-        mg._mult = dict(self._mult)
+        mg = Multigraph()
+        mg.vertices = set(self.vertices)
+        mg._inc = {v: dict(nbrs) for v, nbrs in self._inc.items()}
+        mg._deg = dict(self._deg)
+        mg._total = self._total
         return mg
 
     def signature(self) -> tuple[int, int]:
         """(vertex count, total edge multiplicity): a cheap state fingerprint."""
-        return (len(self.vertices), self.total_multiplicity)
+        return (len(self.vertices), self._total)
 
     def __repr__(self) -> str:
         return f"Multigraph(vertices={sorted(self.vertices)}, edges={self.edge_items()})"

@@ -238,10 +238,6 @@ def _loop_candidates(mg: Multigraph) -> list[int]:
     return sorted(v for v in mg.vertices if mg.loop_count(v) > 0)
 
 
-def _parallel_candidates(mg: Multigraph) -> list[tuple[int, int]]:
-    return sorted(k for k, mult in mg.edge_items() if k[0] != k[1] and mult >= 2)
-
-
 def _leaf_candidates(mg: Multigraph) -> list[int]:
     return sorted(v for v in mg.vertices if mg.degree(v) <= 1)
 
@@ -297,7 +293,7 @@ def _apply_suppress(mg: Multigraph, v: int) -> ReductionStep:
 # order and picks largest candidates.
 _RULES = {
     "loop-delete": (_loop_candidates, _apply_loop_delete),
-    "parallel-merge": (_parallel_candidates, _apply_parallel_merge),
+    "parallel-merge": (Multigraph.parallel_pairs, _apply_parallel_merge),
     "leaf-delete": (_leaf_candidates, _apply_leaf_delete),
     "suppress": (_suppress_candidates, _apply_suppress),
 }

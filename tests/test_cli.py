@@ -3,6 +3,7 @@ streams, exit codes, JSON/CSV shapes, schema conformance, and determinism
 across worker counts."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -191,6 +192,19 @@ def test_gen_output_is_parseable_and_deterministic():
     assert len(json_lines(reparse.stdout)) == len(a.stdout.splitlines())
 
 
+def test_gen_stdout_frozen_and_summary_on_stderr():
+    proc = run_cli(["gen", "n=8", "--connected", "--k4-minor-free"])
+    assert proc.returncode == 0
+    # sha256 of the output before orbit pruning: same classes, labels, order
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "69b208a59096da3d12916df7ad2f01a04de251c4cef7c7216d5958d162c0685b"
+    )
+    summary = proc.stderr.strip().splitlines()[-1]
+    assert summary.startswith("gen n=8: 138 classes, ")
+    for key in ("children built", "subsets skipped by orbit", "hereditary tests", "wall"):
+        assert key in summary
+
+
 def test_gen_rejects_malformed_count():
     for bad in ("n=x", "four", "n=4,connected"):
         proc = run_cli(["gen", bad])
@@ -342,6 +356,38 @@ def test_verify_output_byte_identical_across_jobs():
         assert proc.returncode == 0
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_map_tasks_clamps_workers_to_cpus_and_tasks(monkeypatch):
+    # a stand-in pool records its size and maps in-process; nothing starts
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, worker, tasks, chunksize=1):
+            return map(worker, tasks)
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda: FakeContext())
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert list(cli._map_tasks(str, [1, 2, 3], 10_000)) == ["1", "2", "3"]
+    assert list(cli._map_tasks(str, list(range(10)), 10_000)) == [str(i) for i in range(10)]
+    assert list(cli._map_tasks(str, list(range(10)), 2)) == [str(i) for i in range(10)]
+    assert started == [3, 4, 2]
+    # an unknown CPU count means one CPU: no pool at all
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert list(cli._map_tasks(str, list(range(10)), 8)) == [str(i) for i in range(10)]
+    assert started == [3, 4, 2]
 
 
 def test_jobs_env_variable_respected():

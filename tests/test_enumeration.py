@@ -3,13 +3,19 @@
 The canonical form is checked against a brute-force minimum-over-all-labelings
 canon for small n, and class counts are checked two independent ways: frozen
 values from published counting sequences, and a labeled-graph orbit count via
-the orbit-stabilizer theorem.
+the orbit-stabilizer theorem.  The automorphisms the canonical form reports
+are checked edge by edge, and the pruned generator is checked against a
+naive one that canonicalizes and tests every child.
 """
 
+import functools
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlspec import (
     GenSpec,
@@ -89,6 +95,85 @@ def test_canonical_key_distinguishes_same_degree_sequence():
     two_c3 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert sorted(c6.degrees()) == sorted(two_c3.degrees())
     assert canonical_key(c6) != canonical_key(two_c3)
+
+
+def test_canonical_key_bytes_frozen():
+    # sha256 over the keys of every labeled graph on 0..5 vertices, in
+    # edge-bitmask order; frozen so a faster search cannot change the bytes
+    digest = hashlib.sha256()
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+            digest.update(canonical_key(g))
+    assert digest.hexdigest() == (
+        "de5f744004919ecc6abcff18327e37b3149a3c86e0279e8917249b5434d9cdd9"
+    )
+
+
+# automorphism generators
+
+
+def is_automorphism(g: Graph, perm) -> bool:
+    return sorted(perm) == list(range(g.n)) and all(
+        g.has_edge(perm[u], perm[v]) for u, v in g.edges()
+    )
+
+
+def group_order(gens, n: int) -> int:
+    identity = tuple(range(n))
+    seen = {identity}
+    todo = [identity]
+    while todo:
+        p = todo.pop()
+        for a in gens:
+            q = tuple(a[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return len(seen)
+
+
+def test_generators_are_automorphisms_of_enumerated_classes():
+    for n in range(1, 9):
+        for g in enumerate_graphs(GenSpec(n)):
+            gens: list = []
+            assert canonical_key(g, gens) == canonical_key(g)
+            assert tuple(range(n)) not in gens
+            assert all(is_automorphism(g, p) for p in gens), to_graph6(g)
+
+
+def test_generators_generate_the_whole_group_n6():
+    # orbit-stabilizer against brute force: the search finds all of Aut(g)
+    for n in range(1, 7):
+        for g in enumerate_graphs(GenSpec(n, max_degree=None)):
+            gens: list = []
+            canonical_key(g, gens)
+            assert group_order(gens, n) == automorphism_count(g), to_graph6(g)
+
+
+@st.composite
+def relabelled_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = list(itertools.combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, keep in zip(pairs, present) if keep])
+    perm = draw(st.permutations(range(n)))
+    return g, Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(relabelled_graphs())
+def test_generators_are_automorphisms_under_relabelling(pair):
+    g, h = pair
+    gens_g: list = []
+    gens_h: list = []
+    key = canonical_key(g, gens_g)
+    assert key == canonical_key(h, gens_h) == canonical_key(g)
+    assert all(is_automorphism(g, p) for p in gens_g)
+    assert all(is_automorphism(h, p) for p in gens_h)
+    if g.n <= 6:
+        assert group_order(gens_g, g.n) == group_order(gens_h, g.n)
 
 
 # class counts
@@ -217,6 +302,59 @@ def test_enumerated_graphs_satisfy_spectral_bound_spot_check():
     # every connected subcubic graph on <= 6 vertices has HL-index <= sqrt(2)
     for g in enumerate_graphs(GenSpec(6, connected=True)):
         assert hl_index(g).value <= 1.4142135624 + 1e-9
+
+
+# the pruned generator against a naive one
+
+
+@functools.lru_cache(maxsize=None)
+def naive_level(n: int, max_degree, hered: frozenset) -> tuple:
+    """Every child of every parent, hereditary test first, first child of
+    each class kept: generation with no orbit pruning and no shortcuts."""
+    if n == 1:
+        return (Graph(1),)
+    found: dict[bytes, Graph] = {}
+    for parent in naive_level(n - 1, max_degree, hered):
+        eligible = [
+            v for v in range(n - 1) if max_degree is None or parent.degree(v) < max_degree
+        ]
+        cap = n - 1 if max_degree is None else min(max_degree, n - 1)
+        for size in range(min(cap, len(eligible)) + 1):
+            for subset in itertools.combinations(eligible, size):
+                child = Graph(n, parent.edges() + [(v, n - 1) for v in subset])
+                if "bipartite" in hered and not is_bipartite(child):
+                    continue
+                if "k4-minor-free" in hered and not is_k4_minor_free(child)[0]:
+                    continue
+                found.setdefault(canonical_key(child), child)
+    return tuple(found[k] for k in sorted(found))
+
+
+def naive_enumerate(spec: GenSpec) -> list[Graph]:
+    hered = frozenset(spec.filters) & {"k4-minor-free", "bipartite"}
+    return [
+        g
+        for g in naive_level(spec.n, spec.max_degree, hered)
+        if (not spec.connected or is_connected(g))
+        and ("even-order" not in spec.filters or g.n % 2 == 0)
+        and ("contains-k23" not in spec.filters or find_k23(g) is not None)
+    ]
+
+
+# unbounded degree stops at n = 7: the naive n = 8 levels take ~30 s
+@pytest.mark.parametrize("max_degree,n_max", [(3, 8), (None, 7)])
+@pytest.mark.parametrize(
+    "filters",
+    [(), ("k4-minor-free",), ("bipartite",), ("contains-k23",), ("even-order",),
+     ("k4-minor-free", "bipartite")],
+)
+def test_generation_matches_naive_reference(max_degree, n_max, filters):
+    # same representatives, same labels, same order
+    for n in range(1, n_max + 1):
+        for connected in (False, True):
+            spec = GenSpec(n, connected=connected, max_degree=max_degree, filters=filters)
+            got = [to_graph6(g) for g in enumerate_graphs(spec)]
+            assert got == [to_graph6(g) for g in naive_enumerate(spec)], spec
 
 
 # corpus ingestion

@@ -285,6 +285,52 @@ def test_multigraph_delete_vertex():
     assert mg.multiplicity(1, 2) == 1
 
 
+def test_multigraph_queries_match_edge_list_model():
+    # random edits mirrored on a plain multiset of sorted pairs; every query
+    # must agree with a full scan of that multiset
+    rng = random.Random(5)
+    for _ in range(30):
+        mg = Multigraph(range(7))
+        model: dict[tuple[int, int], int] = {}
+        alive = set(range(7))
+        for _ in range(60):
+            before, before_items = mg.copy(), sorted(model.items())
+            op = rng.random()
+            if op < 0.6 and alive:
+                u, v = rng.choice(sorted(alive)), rng.choice(sorted(alive))
+                mg.add_edge(u, v)
+                key = (min(u, v), max(u, v))
+                model[key] = model.get(key, 0) + 1
+            elif op < 0.9 and model:
+                key = rng.choice(sorted(model))
+                count = rng.randint(1, model[key])
+                mg.remove_edge(*key, count=count)
+                model[key] -= count
+                if not model[key]:
+                    del model[key]
+            elif len(alive) > 1:
+                v = rng.choice(sorted(alive))
+                mg.delete_vertex(v)
+                alive.discard(v)
+                model = {k: c for k, c in model.items() if v not in k}
+            assert before.edge_items() == before_items  # copies do not share state
+            for v in range(8):
+                assert mg.degree(v) == sum(
+                    c * ((a == v) + (b == v)) for (a, b), c in model.items()
+                )
+                assert mg.neighbors(v) == {
+                    a if b == v else b for (a, b) in model if v in (a, b) and a != b
+                }
+                assert mg.loop_count(v) == model.get((v, v), 0)
+            assert mg.edge_items() == sorted(model.items())
+            assert mg.parallel_pairs() == sorted(
+                (a, b) for (a, b), c in model.items() if a != b and c >= 2
+            )
+            assert mg.signature() == (len(alive), sum(model.values()))
+    with pytest.raises(ValueError, match=r"removing 2 copies of \(0, 1\), only 0 present"):
+        Multigraph(range(2)).remove_edge(1, 0, 2)
+
+
 def test_multigraph_signature_tracks_size():
     mg = Multigraph.from_graph(cycle_graph(3))
     assert mg.signature() == (3, 3)
