@@ -32,7 +32,7 @@ from .proofs import (
     verify_theorem_sp,
 )
 from .spectra import SQRT2, certify_R_le, hl_index
-from .structure import find_k23, is_k4_minor_free
+from .structure import find_k23, is_k4_minor_free, k4_minor_free
 
 THEOREMS = ("k23", "sp", "lemma-odd", "survey")
 
@@ -146,7 +146,7 @@ def _predicates(g: Graph) -> dict:
     return {
         "subcubic": g.max_degree() <= 3,
         "bipartite": is_bipartite(g),
-        "k4_minor_free": is_k4_minor_free(g)[0],
+        "k4_minor_free": k4_minor_free(g),
         "contains_k23": find_k23(g) is not None,
     }
 
@@ -307,11 +307,21 @@ def _resolve_jobs(args) -> int:
     return 1
 
 
+def _summary(command: str, graphs: int, skipped: int, start: float) -> None:
+    print(
+        f"{command}: {graphs} graphs, {skipped} skipped lines, "
+        f"wall {time.perf_counter() - start:.2f}s",
+        file=sys.stderr,
+    )
+
+
 def cmd_hl(args) -> int:
-    inputs, _bad = _collect_graphs(args.files, args.strict)
+    start = time.perf_counter()
+    inputs, bad = _collect_graphs(args.files, args.strict)
     tasks = [(line_no, text) for line_no, text in inputs]
     for _ in _emit(_map_tasks(_hl_report, tasks, _resolve_jobs(args)), args.csv, "hl"):
         pass
+    _summary("hl", len(tasks), bad, start)
     return 0
 
 
@@ -380,10 +390,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    inputs, _bad = _collect_graphs(args.files, args.strict)
+    start = time.perf_counter()
+    inputs, bad = _collect_graphs(args.files, args.strict)
     tasks = [(line_no, text, args.trace) for line_no, text in inputs]
     for _ in _emit(_map_tasks(_recognize_report, tasks, _resolve_jobs(args)), args.csv, "recognize"):
         pass
+    _summary("recognize", len(tasks), bad, start)
     return 0
 
 

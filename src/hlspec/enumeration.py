@@ -33,13 +33,20 @@ _HEREDITARY = frozenset({"k4-minor-free", "bipartite"})
 # canonical form
 # ---------------------------------------------------------------------------
 
-def _refine(masks: list[int], cells: list[list[int]]) -> list[list[int]]:
+def _refine(
+    masks: list[int], cells: list[list[int]], stable: Iterable[int] = ()
+) -> list[list[int]]:
     """Equitable refinement: split cells by neighbor counts into each cell.
 
     New sub-cells are ordered by count, so the refinement depends only on
-    the isomorphism type and the incoming cell order.
+    the isomorphism type and the incoming cell order.  stable holds vertex
+    masks the partition is already equitable against (the cells of an
+    equitable partition this one refines).  Splitting never undoes that, and
+    a splitter splits nothing once its mask is stable, so such splitters are
+    skipped without changing the result.
     """
     cells = [list(c) for c in cells]
+    known = set(stable)
     changed = True
     while changed:
         changed = False
@@ -47,6 +54,9 @@ def _refine(masks: list[int], cells: list[list[int]]) -> list[list[int]]:
             smask = 0
             for v in splitter:
                 smask |= 1 << v
+            if smask in known:
+                continue
+            known.add(smask)
             new_cells: list[list[int]] = []
             for cell in cells:
                 if len(cell) == 1:
@@ -148,33 +158,37 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
             leaf([v for c in cells for v in c])
             return
         cell = cells[target]
+        stable = [sum(1 << w for w in c) for c in cells]
+        # orbits of the known automorphisms fixing the individualized prefix,
+        # as a union-find that takes in each automorphism once, when found
+        parent = list(range(n))
+        absorbed = 0
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
         explored: list[int] = []
         for v in cell:
             # skip v if a known automorphism fixing the individualized prefix
             # maps an already-explored sibling to it
             if explored:
-                fixed = [a for a in autos if all(a[p] == p for p in prefix)]
-                if fixed:
-                    parent = list(range(n))
-
-                    def find(x: int) -> int:
-                        while parent[x] != x:
-                            parent[x] = parent[parent[x]]
-                            x = parent[x]
-                        return x
-
-                    for a in fixed:
+                for a in autos[absorbed:]:
+                    if all(a[p] == p for p in prefix):
                         for x in range(n):
                             rx, ry = find(x), find(a[x])
                             if rx != ry:
                                 parent[rx] = ry
-                    if any(find(v) == find(u) for u in explored):
-                        continue
+                absorbed = len(autos)
+                if any(find(v) == find(u) for u in explored):
+                    continue
             explored.append(v)
             rest = [w for w in cell if w != v]
             branched = cells[:target] + [[v], rest] + cells[target + 1 :]
             prefix.append(v)
-            descend(_refine(masks, branched), prefix)
+            descend(_refine(masks, branched, stable), prefix)
             prefix.pop()
 
     descend(_refine(masks, [list(range(n))]), [])

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 class Graph6Error(ValueError):
@@ -26,9 +28,14 @@ class Graph:
     Duplicate edges in the constructor collapse silently (set semantics);
     self-loops are rejected.  Equality and hashing are by labeled content,
     not isomorphism.
+
+    Derived facts (the characteristic polynomial, eigenvalue counts, the
+    K4-minor verdict, subgraphs named by a trace) are kept in a per-graph
+    record through fact(), so each is computed once per graph and dies with
+    it.  The record takes no part in equality, hashing, copying or pickling.
     """
 
-    __slots__ = ("n", "_adj", "_mask")
+    __slots__ = ("n", "_adj", "_mask", "_facts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -53,6 +60,26 @@ class Graph:
         if hasattr(self, name):
             raise AttributeError("Graph is immutable")
         object.__setattr__(self, name, value)
+
+    def fact(self, key, compute: Callable[[], T]) -> T:
+        """The fact stored under key, from compute() on the first request.
+
+        The record is created with the first stored fact.  Keys name what
+        was computed (and from which arguments); values must be immutable,
+        because every later request shares them.
+        """
+        facts = getattr(self, "_facts", None)
+        if facts is None:
+            facts = {}
+            object.__setattr__(self, "_facts", facts)
+        elif key in facts:
+            return facts[key]
+        value = facts[key] = compute()
+        return value
+
+    def __getstate__(self):
+        # pickles and copies carry the graph, never its fact record
+        return None, {"n": self.n, "_adj": self._adj, "_mask": self._mask}
 
     @property
     def m(self) -> int:

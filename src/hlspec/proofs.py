@@ -35,15 +35,14 @@ from .spectra import (
     count_at_threshold,
     hl_index,
     median_positions,
-    parse_threshold,
 )
 from .structure import (
     Partition,
     find_k23,
     find_twins,
     find_unbalanced_unfriendly,
-    is_k4_minor_free,
     is_unfriendly,
+    k4_minor_free,
     longest_cycle,
     _first_violator,
     _flip_search,
@@ -138,29 +137,31 @@ def trace_from_json_dict(doc: dict) -> WitnessTrace:
 
 
 def _subject_graph(g: Graph, spec: dict) -> Graph:
+    """The subgraph a step names, kept on the host's fact record, so the
+    steps about one subject share its graph and everything computed on it."""
     kind = spec.get("kind", "full")
     if kind == "full":
         return g
-    if kind == "delete":
-        return induced_delete(g, spec["vertices"])[0]
-    if kind == "induced":
-        return induced_subgraph(g, spec["vertices"])[0]
+    if kind in ("delete", "induced"):
+        build = induced_delete if kind == "delete" else induced_subgraph
+        key = ("subject", kind, tuple(spec["vertices"]))
+        return g.fact(key, lambda: build(g, spec["vertices"])[0])
     if kind == "spanning":
-        pairs = [tuple(e) for e in spec["edges"]]
-        return spanning_subgraph(g, EdgeSet.of(g, pairs))
+        pairs = tuple(tuple(e) for e in spec["edges"])
+        return g.fact(("subject", kind, pairs), lambda: spanning_subgraph(g, EdgeSet.of(g, pairs)))
     raise ValueError(f"unknown subject kind {kind!r}")
 
 
 def _eval_count_le(g: Graph, data: dict) -> bool:
     sub = _subject_graph(g, data["subject"])
-    count = count_at_threshold(sub, parse_threshold(data["threshold"]))
+    count = count_at_threshold(sub, data["threshold"])
     value = getattr(count, data["which"])
     return value <= data["bound"]
 
 
 def _eval_count_ge(g: Graph, data: dict) -> bool:
     sub = _subject_graph(g, data["subject"])
-    count = count_at_threshold(sub, parse_threshold(data["threshold"]))
+    count = count_at_threshold(sub, data["threshold"])
     which = data["which"]
     value = count.above + count.at if which == "above-plus-at" else getattr(count, which)
     return value >= data["bound"]
@@ -168,7 +169,7 @@ def _eval_count_ge(g: Graph, data: dict) -> bool:
 
 def _eval_certify_r_le(g: Graph, data: dict) -> bool:
     sub = _subject_graph(g, data["subject"])
-    return certify_R_le(sub, parse_threshold(data["bound"])).holds
+    return certify_R_le(sub, data["bound"]).holds
 
 
 def _eval_degree_le(g: Graph, data: dict) -> bool:
@@ -388,7 +389,13 @@ def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
 
     Returns True iff each step's re-evaluated outcome matches what was
     recorded and every child trace replays against its named host vertices.
+    Replay works on a copy of g with an empty fact record, so every count
+    is recomputed rather than read back from the verifier's run.
     """
+    return _replay(Graph(g.n, g.edges()), trace)
+
+
+def _replay(g: Graph, trace: WitnessTrace) -> bool:
     for step in trace.steps:
         evaluator, mode = _EVALUATORS.get(step.kind, (None, None))
         if evaluator is None or mode != step.mode:
@@ -401,7 +408,7 @@ def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
             sub = g
         else:
             sub, _ = induced_subgraph(g, host)
-        if not replay_trace(sub, child):
+        if not _replay(sub, child):
             return False
     return True
 
@@ -1076,8 +1083,7 @@ def verify_theorem_sp(g: Graph) -> WitnessTrace:
     theorem = "series-parallel-bound"
     if g.n == 0:
         return WitnessTrace(theorem, "precondition", {}, (), NOT_APPLICABLE)
-    k4mf, _trace = is_k4_minor_free(g)
-    if g.max_degree() > 3 or not k4mf:
+    if g.max_degree() > 3 or not k4_minor_free(g):
         return WitnessTrace(theorem, "precondition", {}, (), NOT_APPLICABLE)
 
     if not is_connected(g):
@@ -1244,7 +1250,7 @@ def survey_record(g: Graph) -> SurveyRecord:
         l=idx.l,
         certified_le_one=certify_R_le(g, 1).holds,
         certified_le_sqrt2=certify_R_le(g, SQRT2).holds,
-        k4_minor_free=is_k4_minor_free(g)[0],
+        k4_minor_free=k4_minor_free(g),
         contains_k23=find_k23(g) is not None,
         bipartite=is_bipartite(g),
         known_extremal=_is_known_extremal(g),

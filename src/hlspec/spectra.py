@@ -13,8 +13,12 @@ certificates rest on, and it never touches a float:
   Descartes' rule of signs is exact: the sign changes in the coefficients of
   p(x + t) count the eigenvalues above t, and the index of the lowest
   nonzero coefficient is the multiplicity of t.  A threshold
-  t = (a + b*sqrt2) / d is shifted in by Horner's rule over integer pairs,
-  so every coefficient stays in Z[sqrt2] and its sign is an integer test.
+  t = (a + b*sqrt2) / d is shifted in by Horner's rule: in plain integers
+  when b = 0, else over integer pairs, so every coefficient stays in
+  Z[sqrt2] and its sign is an integer test.
+
+The polynomial, the counts per threshold and the float spectrum are kept on
+the graph's fact record (Graph.fact), so each is computed once per graph.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import ne
 from typing import Union
 
 import numpy as np
@@ -102,18 +107,33 @@ class InertiaCount:
 
 
 def _charpoly(g: Graph) -> list[int]:
-    """Coefficients of det(xI - A), leading 1 first, by Newton's identities."""
+    """Coefficients of det(xI - A), leading 1 first, by Newton's identities.
+
+    A is symmetric, so tr(A^(i+j)) is the sum of the entrywise product of
+    A^i and A^j: the powers A^1..A^h, h = ceil(n/2), flattened into rows,
+    give every trace up to n from two matrix-vector products.
+    """
     n = g.n
+    if n == 0:
+        return [1]
     dtype = np.int64 if n * max(g.max_degree(), 1) ** n < 2 ** 62 else object
-    adj = np.array(g.adjacency_rows(), dtype=dtype)
-    power = adj
-    traces = []  # traces[k] = tr(A^(k+1))
-    for _ in range(n):
-        traces.append(int(power.trace()))
-        power = power @ adj
+    adj = np.zeros(n * n, dtype=dtype)
+    adj[[u * n + v for u, v in g.edges()]] = 1
+    adj = adj.reshape(n, n)
+    adj = adj + adj.T
+    h = (n + 1) // 2
+    powers = [adj]
+    for _ in range(h - 1):
+        powers.append(powers[-1].dot(adj))
+    flat = np.array(powers).reshape(h, n * n)
+    # traces[k] = tr(A^(k+1)): tr(A) = 0, then A^1..A^h against A^1, then
+    # A^2..A^(n-h) against A^h; every entry is at most tr(A^n) <= n * D^n
+    traces = [0] + (flat @ flat[0]).tolist() + (flat[1 : n - h] @ flat[-1]).tolist()
     coeffs = [1]
     for k in range(1, n + 1):
-        total = sum(coeffs[i] * traces[k - 1 - i] for i in range(k))
+        total = 0
+        for i in range(k):
+            total += coeffs[i] * traces[k - 1 - i]
         coeffs.append(-total // k)
     return coeffs
 
@@ -129,35 +149,77 @@ def _sign(a: int, b: int) -> int:
     return sa if a * a > 2 * b * b else sb
 
 
-def _as_threshold(t: ExactNumber | str) -> Sqrt2Rational:
+# A threshold t = (a + b*sqrt2) / d is handled as the integer triple
+# (a, b, d), d > 0 minimal: the Horner shift's input and the memo key of its
+# counts.  The tokens the verifiers and the CLI name are parsed once, here.
+Scaled = tuple[int, int, int]
+_TOKEN_SCALED: dict[str, Scaled] = {
+    "0": (0, 0, 1), "1": (1, 0, 1), "-1": (-1, 0, 1), "sqrt2": (0, 1, 1), "-sqrt2": (0, -1, 1),
+}
+
+
+def _scaled(t: ExactNumber | str) -> Scaled:
     if isinstance(t, str):
+        known = _TOKEN_SCALED.get(t)
+        if known is not None:
+            return known
         t = parse_threshold(t)
-    return t if isinstance(t, Sqrt2Rational) else Sqrt2Rational.make(t)
-
-
-def _inertia(coeffs: list[int], t: Sqrt2Rational) -> InertiaCount:
-    """Count the roots of a real-rooted integer polynomial against t.
-
-    With t = (a + b*sqrt2) / d, the coefficients of d^n p((z + a + b*sqrt2) / d)
-    have the sign pattern of p(x + t) and lie in Z[sqrt2]; they are built as
-    (rational, sqrt2) integer pairs by a Horner Taylor shift.
-    """
-    n = len(coeffs) - 1
+    if isinstance(t, int):
+        return t, 0, 1
+    if not isinstance(t, Sqrt2Rational):
+        t = Sqrt2Rational.make(t)
     d = lcm(t.a.denominator, t.b.denominator)
-    a, b = t.a.numerator * (d // t.a.denominator), t.b.numerator * (d // t.b.denominator)
+    return t.a.numerator * (d // t.a.denominator), t.b.numerator * (d // t.b.denominator), d
+
+
+def _shift_int(coeffs: list[int], a: int, d: int) -> list[int]:
+    """Signs of the coefficients of d^n p((z + a) / d), by a Horner Taylor shift."""
+    n = len(coeffs) - 1
+    shifted = [c * d ** k for k, c in enumerate(coeffs)] if d != 1 else list(coeffs)
+    for stop in range(n, 0, -1):
+        prev = shifted[0]
+        for j in range(1, stop + 1):
+            prev = shifted[j] = shifted[j] + prev * a
+    return [(c > 0) - (c < 0) for c in shifted]
+
+
+def _shift_pairs(coeffs: list[int], a: int, b: int, d: int) -> list[int]:
+    """Signs of the coefficients of d^n p((z + a + b*sqrt2) / d), which lie in
+    Z[sqrt2]; they are built as (rational, sqrt2) integer pairs."""
+    n = len(coeffs) - 1
     shifted = [(c * d ** k, 0) for k, c in enumerate(coeffs)]
     for stop in range(n, 0, -1):
         for j in range(1, stop + 1):
             u, v = shifted[j - 1]
             x, y = shifted[j]
             shifted[j] = (x + u * a + 2 * v * b, y + u * b + v * a)
-    signs = [_sign(u, v) for u, v in shifted]
-    at = next(k for k, s in enumerate(reversed(signs)) if s)  # the leading sign is +1
+    return [_sign(u, v) for u, v in shifted]
+
+
+def _inertia(coeffs: list[int], t: Scaled) -> InertiaCount:
+    """Count the roots of a real-rooted integer polynomial against t.
+
+    The coefficients of p(x + t), scaled by d^n, have the sign pattern
+    Descartes' rule reads (leading sign +1); a rational t takes the
+    plain-integer shift.
+    """
+    a, b, d = t
+    signs = _shift_int(coeffs, a, d) if b == 0 else _shift_pairs(coeffs, a, b, d)
+    n = last = len(signs) - 1
+    while not signs[last]:
+        last -= 1
     nonzero = [s for s in signs if s]
-    above = sum(s != r for s, r in zip(nonzero, nonzero[1:]))
-    return InertiaCount(
-        threshold=threshold_token(t), above=above, at=at, below=n - above - at
-    )
+    above = sum(map(ne, nonzero, nonzero[1:]))
+    if b == 0 and d == 1:
+        token = str(a)
+    else:
+        token = threshold_token(Sqrt2Rational(Fraction(a, d), Fraction(b, d)))
+    return InertiaCount(threshold=token, above=above, at=n - last, below=last - above)
+
+
+def _counts(g: Graph, t: Scaled) -> InertiaCount:
+    """Counts against t, from g's fact record when already known."""
+    return g.fact(("inertia", *t), lambda: _inertia(g.fact("charpoly", lambda: _charpoly(g)), t))
 
 
 def count_at_threshold(g: Graph, t: ExactNumber | str) -> InertiaCount:
@@ -167,7 +229,7 @@ def count_at_threshold(g: Graph, t: ExactNumber | str) -> InertiaCount:
     parse_threshold reads ("1", "-sqrt2", "3/2"); no float is consulted, so
     the counts are certificates rather than estimates.
     """
-    return _inertia(_charpoly(g), _as_threshold(t))
+    return _counts(g, _scaled(t))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +251,10 @@ class Spectrum:
 
 
 def spectrum(g: Graph) -> Spectrum:
+    return g.fact("spectrum", lambda: _spectrum(g))
+
+
+def _spectrum(g: Graph) -> Spectrum:
     if g.n == 0:
         return Spectrum((), 0.0)
     vals = np.linalg.eigvalsh(np.array(g.adjacency_rows(), dtype=float))
@@ -236,13 +302,12 @@ def certify_R_le(g: Graph, bound: ExactNumber | str) -> RBoundCertificate:
     if g.n < 1:
         raise ValueError("empty graph has no median eigenvalues")
     h, l = median_positions(g.n)
-    t = _as_threshold(bound)
-    coeffs = _charpoly(g)
-    upper = _inertia(coeffs, t)
-    lower = _inertia(coeffs, -t)
+    a, b, d = _scaled(bound)
+    upper = _counts(g, (a, b, d))
+    lower = _counts(g, (-a, -b, d))
     holds = upper.above <= h - 1 and lower.below <= g.n - l
     return RBoundCertificate(
-        bound=threshold_token(t),
+        bound=upper.threshold,
         holds=holds,
         at_upper=upper,
         at_lower=lower,

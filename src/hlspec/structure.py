@@ -351,6 +351,15 @@ def is_k4_minor_free(g: Graph, strategy: str = "priority") -> tuple[bool, SPRedu
     return trace.reduced_to_empty, trace
 
 
+def k4_minor_free(g: Graph) -> bool:
+    """is_k4_minor_free's verdict, kept on g's fact record.
+
+    Only the verdict is kept: a reduction trace on every graph would hold
+    far more memory than the one call it saves.
+    """
+    return g.fact("k4-minor-free", lambda: is_k4_minor_free(g)[0])
+
+
 def replay_reduction(g: Graph, trace: SPReductionTrace) -> bool:
     """Re-apply a recorded reduction step list and verify every signature.
 

@@ -345,6 +345,44 @@ def test_verify_exit_code_1_on_failure(monkeypatch, capsys):
     assert "1 fail" in err
 
 
+def test_verify_sp_computes_each_fact_once(monkeypatch):
+    # counted, not timed: the reducer runs once per graph and the char-poly
+    # once per distinct subject the trace names (the full graph included)
+    import collections
+
+    import hlspec.spectra as spectra
+    import hlspec.structure as structure
+    from hlspec import GenSpec, enumerate_graphs
+
+    calls: collections.Counter = collections.Counter()
+    reduce_, charpoly = structure.is_k4_minor_free, spectra._charpoly
+    monkeypatch.setattr(
+        structure, "is_k4_minor_free", lambda g: calls.update(["reduce"]) or reduce_(g)
+    )
+    monkeypatch.setattr(
+        spectra, "_charpoly", lambda g: calls.update(["charpoly"]) or charpoly(g)
+    )
+
+    def subjects(trace: dict) -> set[str]:
+        found = {'{"kind": "full"}'}
+        for step in trace["steps"]:
+            if step["kind"] in ("count-le", "count-ge", "certify-r-le"):
+                found.add(json.dumps(step["data"]["subject"], sort_keys=True))
+        for child in trace["children"]:
+            assert "host-vertices" not in child["named"]  # connected corpus
+            found |= subjects(child)
+        return found
+
+    classes = enumerate_graphs(GenSpec(n=8, connected=True, filters=("k4-minor-free",)))
+    assert len(classes) == 138
+    for line_no, g in enumerate(classes, start=1):
+        calls.clear()
+        rep = cli._verify_report((line_no, to_graph6(g), "sp", True, False))
+        assert rep["verdict"] == "pass"
+        assert calls["reduce"] == 1
+        assert calls["charpoly"] == len(subjects(rep["witness"]))
+
+
 # determinism across workers
 
 
@@ -425,6 +463,17 @@ def test_recognize_trace_shows_reduction():
                ("loop-delete", "parallel-merge", "leaf-delete", "suppress")
                for step in red["steps"])
     make_validator("recognize-report.schema.json").validate(rep)
+
+
+def test_hl_and_recognize_summaries_on_stderr():
+    corpus = "A_\nbad\n" + to_graph6(heawood_graph()) + "\n"
+    for command in ("hl", "recognize"):
+        proc = run_cli([command], stdin_text=corpus)
+        assert proc.returncode == 0
+        assert [rep["line"] for rep in json_lines(proc.stdout)] == [1, 3]
+        summary = proc.stderr.strip().splitlines()[-1]
+        assert summary.startswith(f"{command}: 2 graphs, 1 skipped lines, wall ")
+        assert summary.endswith("s")
 
 
 # usage errors

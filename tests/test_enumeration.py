@@ -31,7 +31,9 @@ from hlspec import (
     is_k4_minor_free,
     parse_graph6,
     to_graph6,
+    verify_theorem_sp,
 )
+from hlspec.enumeration import _refine
 from hlspec.structure import brute_force_has_k4_minor, find_k23
 
 
@@ -109,6 +111,37 @@ def test_canonical_key_bytes_frozen():
     assert digest.hexdigest() == (
         "de5f744004919ecc6abcff18327e37b3149a3c86e0279e8917249b5434d9cdd9"
     )
+
+
+def test_refine_with_stable_splitters_matches_plain_refinement():
+    # individualizing one vertex of an equitable partition and refining with
+    # the parent's cells marked stable gives the same cells in the same order
+    rng = random.Random(11)
+    for _ in range(200):
+        g = random_graph(rng.randint(2, 11), rng.random(), rng)
+        masks = [g.neighbor_mask(v) for v in range(g.n)]
+        cells = _refine(masks, [list(range(g.n))])
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            continue
+        stable = [sum(1 << v for v in c) for c in cells]
+        for v in cells[target]:
+            rest = [w for w in cells[target] if w != v]
+            branched = cells[:target] + [[v], rest] + cells[target + 1 :]
+            assert _refine(masks, branched, stable) == _refine(masks, branched)
+
+
+def test_level_cache_classes_carry_no_reduction_trace():
+    from hlspec.enumeration import _LEVEL_CACHE
+    from hlspec.structure import SPReductionTrace
+
+    classes = enumerate_graphs(GenSpec(n=8, connected=True, filters=("k4-minor-free",)))
+    for g in classes[:30]:
+        assert verify_theorem_sp(g).verdict == "pass"
+    for level in _LEVEL_CACHE.values():
+        for g, _ in level:
+            facts = getattr(g, "_facts", None) or {}
+            assert not any(isinstance(v, SPReductionTrace) for v in facts.values())
 
 
 # automorphism generators

@@ -78,6 +78,32 @@ def test_graph_equality_and_hash():
     assert a != Graph(3, [(0, 1)])
 
 
+def test_fact_record_leaves_equality_hash_and_pickle_alone():
+    import copy
+    import pickle
+
+    from hlspec.spectra import certify_R_le
+    from hlspec.structure import k4_minor_free
+
+    a = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    b = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert certify_R_le(a, 1).holds and k4_minor_free(a)
+    assert a == b and hash(a) == hash(b)
+    assert pickle.dumps(a) == pickle.dumps(b)
+    for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert clone == a and hash(clone) == hash(a)
+        assert getattr(clone, "_facts", None) is None
+
+
+def test_fact_is_computed_once_per_graph():
+    g = path_graph(3)
+    calls = []
+    assert g.fact("k", lambda: calls.append(1) or "v") == "v"
+    assert g.fact("k", lambda: calls.append(1) or "w") == "v"
+    assert len(calls) == 1
+    assert path_graph(3).fact("k", lambda: "fresh") == "fresh"
+
+
 def test_degrees_and_masks():
     g = paw_graph()
     assert g.degrees() == (2, 2, 3, 1)

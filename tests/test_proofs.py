@@ -40,6 +40,7 @@ from hlspec import (
     star_graph,
     survey_conjecture,
     survey_record,
+    to_graph6,
     trace_from_json_dict,
     verify_theorem_k23,
     verify_theorem_sp,
@@ -334,6 +335,38 @@ def test_replay_rejects_tampered_child_host():
     children = tuple(forged if c is child else c for c in trace.children)
     tampered = dataclasses.replace(trace, children=children)
     assert replay_trace(g, tampered) is False
+
+
+def test_replay_recomputes_every_count(monkeypatch):
+    import collections
+
+    import hlspec.spectra as spectra
+
+    calls: collections.Counter = collections.Counter()
+    charpoly, inertia = spectra._charpoly, spectra._inertia
+
+    def counting_charpoly(g):
+        calls["charpoly", g.n, tuple(g.edges())] += 1
+        return charpoly(g)
+
+    def counting_inertia(coeffs, t):
+        calls["inertia", tuple(coeffs), t] += 1
+        return inertia(coeffs, t)
+
+    monkeypatch.setattr(spectra, "_charpoly", counting_charpoly)
+    monkeypatch.setattr(spectra, "_inertia", counting_inertia)
+    classes = enumerate_graphs(GenSpec(n=8, connected=True, filters=("k4-minor-free",)))
+    graphs = [g for g, _ in sample_traces()] + classes[:40]
+    for shared in graphs:
+        g = Graph(shared.n, shared.edges())  # no facts from earlier tests
+        calls.clear()
+        trace = verify_theorem_sp(g)
+        by_verifier = collections.Counter(calls)
+        calls.clear()
+        # g still holds every fact the verifier computed; replay reads none
+        assert replay_trace(g, trace) is True
+        assert calls == by_verifier, to_graph6(g)
+        assert by_verifier or trace.verdict == NOT_APPLICABLE
 
 
 # trace serialization

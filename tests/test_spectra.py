@@ -29,6 +29,9 @@ from hlspec.named import (
 from hlspec.spectra import (
     SQRT2,
     _charpoly,
+    _inertia,
+    _shift_int,
+    _shift_pairs,
     _sign,
     certify_R_le,
     check_edge_partition_bounds,
@@ -360,3 +363,38 @@ def test_edge_partition_rejects_bad_indices():
         check_edge_partition_bounds(g, part, 0, 1)
     with pytest.raises(ValueError):
         check_edge_partition_bounds(g, part, 1, 5)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_half_power_charpoly_matches_sympy(n):
+    # the traces past A^ceil(n/2) come from entrywise products; odd and even
+    # n split the powers differently
+    for seed in range(3):
+        g = random_graph(n, 0.2 + 0.3 * seed, seed=100 * n + seed)
+        expected = sympy.Matrix(g.adjacency_rows()).charpoly(_X).all_coeffs()
+        assert _charpoly(g) == [int(c) for c in expected]
+
+
+def test_half_power_charpoly_in_python_ints_odd_n():
+    # the object-dtype route at odd n (test_charpoly_and_counts_in_python_ints
+    # covers K16): 17 * 16^17 > 2^62
+    assert 17 * 16 ** 17 > 2 ** 62
+    expected = sympy.Poly((_X - 16) * (_X + 1) ** 16, _X).all_coeffs()
+    assert _charpoly(complete_graph(17)) == [int(c) for c in expected]
+
+
+def test_integer_shift_matches_pair_shift(monkeypatch):
+    import hlspec.spectra as spectra
+
+    thresholds = {"1": (1, 1), "-1": (-1, 1), "3/2": (3, 2), "-7/3": (-7, 3)}
+    for seed in range(40):
+        g = random_graph(3 + seed % 10, 0.35, seed=seed)
+        coeffs = _charpoly(g)
+        for token, (a, d) in thresholds.items():
+            assert _shift_int(coeffs, a, d) == _shift_pairs(coeffs, a, 0, d)
+            by_int = _inertia(coeffs, (a, 0, d))
+            with monkeypatch.context() as m:
+                m.setattr(spectra, "_shift_int", lambda c, a, d: _shift_pairs(c, a, 0, d))
+                assert _inertia(coeffs, (a, 0, d)) == by_int
+            assert by_int == count_at_threshold(g, token)
+            assert (by_int.above, by_int.at, by_int.below) == oracle_counts(g, Fraction(a, d))
