@@ -382,6 +382,7 @@ def cmd_gen(args) -> int:
     wall = time.perf_counter() - start
     print(
         f"gen n={n}: {len(graphs)} classes, {stats['children']} children built, "
+        f"{stats['disconnected_skipped']} disconnected children skipped, "
         f"{stats['orbit_skipped']} subsets skipped by orbit, "
         f"{stats['hereditary_tests']} hereditary tests, wall {wall:.2f}s",
         file=sys.stderr,

@@ -7,20 +7,23 @@ the orbit of an earlier one under the parent's automorphisms (the
 generators the canonical-form search finds) is skipped (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998).  Hereditary
 properties (bipartite, no K4 minor: both closed under vertex deletion) are
-tested once per new class, after canonicalization.  Neither shortcut skips
-the first child of a class in (parent, subset) order, so the
-representatives are those of the plain every-child search.  Exhaustive and
-exact, which is the point; the hard cap keeps the cost honest.
+tested once per new class, after canonicalization.  When only connected
+graphs are wanted, the last level skips a subset that misses a component
+of its parent before building the child.  No shortcut skips the first child
+of a kept class in (parent, subset) order, so the representatives are
+those of the plain every-child search.  Exhaustive and exact, which is the
+point; the hard cap keeps the cost honest.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .graph_core import Graph, Graph6Error, is_bipartite, is_connected, parse_graph6
+from .graph_core import Graph, Graph6Error, components, is_bipartite, parse_graph6
 from .structure import find_k23, is_k4_minor_free
 
 HARD_CAP = 12
@@ -224,7 +227,7 @@ class GenSpec:
 
 # a class representative with the automorphism generators canonical_key found
 _Class = tuple[Graph, tuple[tuple[int, ...], ...]]
-_LEVEL_CACHE: dict[tuple[int, int | None, frozenset[str]], list[_Class]] = {}
+_LEVEL_CACHE: dict[tuple[int, int | None, frozenset[str], bool], list[_Class]] = {}
 
 
 def _passes_hereditary(g: Graph, hered: frozenset[str]) -> bool:
@@ -236,22 +239,26 @@ def _passes_hereditary(g: Graph, hered: frozenset[str]) -> bool:
 
 
 def _level(
-    n: int, max_degree: int | None, hered: frozenset[str], stats: Counter | None = None
+    n: int,
+    max_degree: int | None,
+    hered: frozenset[str],
+    connected: bool = False,
+    stats: Counter | None = None,
 ) -> list[_Class]:
-    """All isomorphism classes on exactly n vertices (disconnected included)
-    under the degree cap and hereditary filters, sorted by canonical key."""
-    key = (n, max_degree, hered)
+    """All isomorphism classes on exactly n vertices under the degree cap and
+    hereditary filters (only the connected ones if connected), sorted by
+    canonical key.  Parent levels are always complete."""
+    key = (n, max_degree, hered, connected)
     cached = _LEVEL_CACHE.get(key)
     if cached is not None:
         return cached
     if n == 1:
         out: list[_Class] = [(Graph(1), ())]
     else:
-        parents = _level(n - 1, max_degree, hered, stats)
-        new_v = n - 1
+        parents = _level(n - 1, max_degree, hered, False, stats)
         found: dict[bytes, _Class] = {}
         rejected: set[bytes] = set()
-        built = skipped = tested = 0
+        built = skipped = disconnected = tested = 0
         for parent, gens in parents:
             if max_degree is None:
                 eligible = list(range(n - 1))
@@ -259,13 +266,25 @@ def _level(
             else:
                 eligible = [v for v in range(n - 1) if parent.degree(v) < max_degree]
                 cap = min(max_degree, n - 1)
-            base_edges = parent.edges()
+            # the child is connected iff the new vertex meets every component
+            comp_masks = (
+                [sum(1 << v for v in c) for c in components(parent)] if connected else []
+            )
             for size in range(0, min(cap, len(eligible)) + 1):
                 seen: set[tuple[int, ...]] = set()
                 for subset in combinations(eligible, size):
                     if subset in seen:
                         skipped += 1
                         continue
+                    if connected:
+                        smask = 0
+                        for v in subset:
+                            smask |= 1 << v
+                        if not all(smask & c for c in comp_masks):
+                            # automorphisms permute components, so the whole
+                            # orbit is disconnected too and none is marked
+                            disconnected += 1
+                            continue
                     if gens:
                         # mark the subset's orbit under the parent's group
                         orbit = [subset]
@@ -275,7 +294,7 @@ def _level(
                                 if image not in seen:
                                     seen.add(image)
                                     orbit.append(image)
-                    child = Graph(n, base_edges + [(v, new_v) for v in subset])
+                    child = parent.with_vertex(subset)
                     built += 1
                     child_gens: list[tuple[int, ...]] = []
                     ck = canonical_key(child, child_gens)
@@ -291,32 +310,32 @@ def _level(
                     found[ck] = (child, tuple(child_gens))
         out = [found[k] for k in sorted(found)]
         if stats is not None:
-            stats.update(children=built, orbit_skipped=skipped, hereditary_tests=tested)
+            stats.update(
+                children=built,
+                disconnected_skipped=disconnected,
+                orbit_skipped=skipped,
+                hereditary_tests=tested,
+            )
     _LEVEL_CACHE[key] = out
     return out
-
-
-def _passes_final(g: Graph, spec: GenSpec) -> bool:
-    if spec.connected and not is_connected(g):
-        return False
-    if "even-order" in spec.filters and g.n % 2 != 0:
-        return False
-    if "contains-k23" in spec.filters and find_k23(g) is None:
-        return False
-    return True
 
 
 def enumerate_graphs(spec: GenSpec, stats: Counter | None = None) -> list[Graph]:
     """Every isomorphism class the given GenSpec admits, exactly once, in
     canonical key order.  Representatives are deterministic across runs.
 
-    Levels built by this call (not cached ones) add their ``children``,
-    ``orbit_skipped`` and ``hereditary_tests`` counts to ``stats``.
+    The graphs are fresh copies: facts a caller computes on them never
+    reach the level cache.  Levels built by this call (not cached ones) add
+    their ``children``, ``disconnected_skipped``, ``orbit_skipped`` and
+    ``hereditary_tests`` counts to ``stats``.
     """
     spec.validate()
+    if "even-order" in spec.filters and spec.n % 2:
+        return []
     hered = frozenset(spec.filters) & _HEREDITARY
-    level = _level(spec.n, spec.max_degree, hered, stats)
-    return [g for g, _ in level if _passes_final(g, spec)]
+    level = _level(spec.n, spec.max_degree, hered, spec.connected, stats)
+    want_k23 = "contains-k23" in spec.filters
+    return [copy.copy(g) for g, _ in level if not want_k23 or find_k23(g) is not None]
 
 
 def count_classes(spec: GenSpec) -> int:

@@ -81,6 +81,32 @@ class Graph:
         # pickles and copies carry the graph, never its fact record
         return None, {"n": self.n, "_adj": self._adj, "_mask": self._mask}
 
+    def with_vertex(self, neighbors: Iterable[int]) -> "Graph":
+        """This graph plus a new vertex n joined to each given neighbor.
+
+        Equal to Graph(n + 1, edges() + [(v, n) for v in neighbors]), but
+        only the neighbors' entries are rebuilt; the rest are shared.
+        """
+        n = self.n
+        nbrs = frozenset(neighbors)
+        adj = list(self._adj)
+        mask = list(self._mask)
+        bit = 1 << n
+        new_mask = 0
+        for v in nbrs:
+            if not 0 <= v < n:
+                raise ValueError(f"neighbor {v} out of range for n={n}")
+            adj[v] = adj[v] | {n}
+            mask[v] |= bit
+            new_mask |= 1 << v
+        adj.append(nbrs)
+        mask.append(new_mask)
+        child = Graph.__new__(Graph)
+        child._adj = tuple(adj)
+        child._mask = tuple(mask)
+        child.n = n + 1
+        return child
+
     @property
     def m(self) -> int:
         return sum(len(s) for s in self._adj) // 2

@@ -201,8 +201,22 @@ def test_gen_stdout_frozen_and_summary_on_stderr():
     )
     summary = proc.stderr.strip().splitlines()[-1]
     assert summary.startswith("gen n=8: 138 classes, ")
-    for key in ("children built", "subsets skipped by orbit", "hereditary tests", "wall"):
+    for key in (
+        "children built",
+        "disconnected children skipped",
+        "subsets skipped by orbit",
+        "hereditary tests",
+        "wall",
+    ):
         assert key in summary
+
+
+def test_gen_n10_connected_k4_minor_free_matches_frozen_corpus():
+    # the benchmark's frozen corpus: the 1028 classes, labels and order
+    proc = run_cli(["gen", "n=10", "--connected", "--k4-minor-free"])
+    assert proc.returncode == 0
+    frozen = (REPO / "perfbench" / "data" / "k4mf_n10.g6").read_bytes()
+    assert proc.stdout.encode() == frozen
 
 
 def test_gen_rejects_malformed_count():

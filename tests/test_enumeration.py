@@ -12,6 +12,7 @@ import functools
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from hlspec import (
     to_graph6,
     verify_theorem_sp,
 )
+from hlspec import enumeration
 from hlspec.enumeration import _refine
 from hlspec.structure import brute_force_has_k4_minor, find_k23
 
@@ -289,6 +291,15 @@ def test_even_order_filter_rejects_odd_n():
     assert count_classes(GenSpec(5, filters=("even-order",))) == 0
 
 
+def test_even_order_at_odd_n_builds_no_level(monkeypatch):
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    stats: Counter = Counter()
+    spec = GenSpec(7, connected=True, filters=("even-order",))
+    assert enumerate_graphs(spec, stats) == []
+    assert stats["children"] == 0
+    assert enumeration._LEVEL_CACHE == {}
+
+
 def test_filtered_enumeration_equals_post_hoc_filtering():
     # hereditary pruning must not lose classes
     base = enumerate_graphs(GenSpec(6, connected=True))
@@ -388,6 +399,30 @@ def test_generation_matches_naive_reference(max_degree, n_max, filters):
             spec = GenSpec(n, connected=connected, max_degree=max_degree, filters=filters)
             got = [to_graph6(g) for g in enumerate_graphs(spec)]
             assert got == [to_graph6(g) for g in naive_enumerate(spec)], spec
+
+
+@pytest.mark.parametrize("filters", [(), ("k4-minor-free",)])
+def test_connected_level_is_never_served_as_a_full_level(monkeypatch, filters):
+    # the connected-only last level must not stand in for the complete level
+    # at n, nor serve as the parent level of n + 1
+    for n in range(1, 8):
+        monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+        for size, connected in ((n, True), (n, False), (n + 1, False)):
+            spec = GenSpec(size, connected=connected, filters=filters)
+            got = [to_graph6(g) for g in enumerate_graphs(spec)]
+            assert got == [to_graph6(g) for g in naive_enumerate(spec)], spec
+
+
+def test_enumerated_graphs_are_fresh_copies(monkeypatch):
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    classes = enumerate_graphs(GenSpec(8, connected=True, filters=("k4-minor-free",)))
+    for g in classes:
+        assert verify_theorem_sp(g).verdict == "pass"
+        assert getattr(g, "_facts", None) is not None
+    assert enumeration._LEVEL_CACHE
+    for level in enumeration._LEVEL_CACHE.values():
+        for g, _ in level:
+            assert getattr(g, "_facts", None) is None
 
 
 # corpus ingestion

@@ -4,10 +4,13 @@ The codec is cross-checked against networkx as an independent oracle on both
 named graphs and seeded random corpora.
 """
 
+import pickle
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlspec.graph_core import (
     EdgeSet,
@@ -102,6 +105,43 @@ def test_fact_is_computed_once_per_graph():
     assert g.fact("k", lambda: calls.append(1) or "w") == "v"
     assert len(calls) == 1
     assert path_graph(3).fact("k", lambda: "fresh") == "fresh"
+
+
+@st.composite
+def graphs_and_subsets(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    subset = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True)) if n else []
+    return Graph(n, edges), subset
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(graphs_and_subsets())
+def test_with_vertex_equals_rebuilt_graph(case):
+    g, subset = case
+    before = [g.neighbor_mask(v) for v in range(g.n)]
+    child = g.with_vertex(subset)
+    rebuilt = Graph(g.n + 1, g.edges() + [(v, g.n) for v in subset])
+    assert child == rebuilt and hash(child) == hash(rebuilt)
+    assert child.n == g.n + 1 and child.m == g.m + len(subset)
+    for v in range(child.n):
+        assert child.neighbor_mask(v) == rebuilt.neighbor_mask(v)
+        assert child.neighbors(v) == rebuilt.neighbors(v)
+    clone = pickle.loads(pickle.dumps(child))
+    assert clone == rebuilt and hash(clone) == hash(rebuilt)
+    assert pickle.loads(pickle.dumps(rebuilt)) == child
+    # the parent is untouched
+    assert [g.neighbor_mask(v) for v in range(g.n)] == before
+    assert all(g.n not in g.neighbors(v) for v in range(g.n))
+
+
+def test_with_vertex_rejects_out_of_range_neighbors():
+    g = path_graph(3)
+    for bad in ([3], [-1], [0, 5]):
+        with pytest.raises(ValueError):
+            g.with_vertex(bad)
+    assert g.with_vertex([]).degrees() == (1, 2, 1, 0)
 
 
 def test_degrees_and_masks():
