@@ -410,6 +410,31 @@ def test_verify_output_byte_identical_across_jobs():
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+# K5 (skipped by the subcubic verifiers), Heawood, the empty graph, a padded
+# line, a malformed line, a blank line and Petersen: every report branch
+GOLDEN_CORPUS = "D~{\nM???FAWT@WOoQ_K_?\n?\n  A_  \n!!bad\n\nIheA@GUAo\n"
+
+GOLDEN_STDOUT_SHA256 = {
+    "hl": "8448c5fb0d964d905297d32ff042cf2363c1b743995046651ebb8b4cf89be137",
+    "hl --csv": "d210b792cde5797800b54928d3aa48c5ee185bc89a9bf6e4913f649a9135535a",
+    "verify survey": "a47606216f98c6fcfc20cd80573e8382710215ae1b8683ea322f358d2f7278d2",
+    "verify survey --csv": "0757d0252c2bc6724150aabf9359ba9d5dce4cb2a1d8b1423c8f735feba42acf",
+    "verify sp --witness": "a17a09a4a1514bc1ba43cb69b6f0b46af7b69006da4fa715da14a5cbf095f4e2",
+    "verify sp --csv": "0e31f56c63feecc8d323a89cd1de8d9bb0d275bf90fdba079f94405056b9531e",
+    "verify k23 --witness": "7ad628ccb9c023a5a95ffeb05dcc4c5355ffec9ed547beb5cbba57ddd73e882c",
+    "verify lemma-odd --witness": "7e68050ba33322cee74934f62b2c348750a367397ac9d11cf73e2bad236fa311",
+    "recognize --trace": "7d65e5cf411ba656ce4945cfcc05c9966548cabe0709a528d6453c0ca31e829c",
+    "recognize --csv": "df8597bbd1432bb5929212a30aa0d96be78817d8599f5c82683028d20db4c209",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT_SHA256))
+def test_stdout_matches_golden_digest(command):
+    proc = run_cli(command.split(), stdin_text=GOLDEN_CORPUS)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[command]
+
+
 def test_map_tasks_clamps_workers_to_cpus_and_tasks(monkeypatch):
     # a stand-in pool records its size and maps in-process; nothing starts
     started = []
