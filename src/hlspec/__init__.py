@@ -70,25 +70,19 @@ from .enumeration import (
     HARD_CAP,
     GenSpec,
     canonical_key,
-    count_classes,
     enumerate_graphs,
-    ingest_corpus,
 )
 from .proofs import (
     FAIL,
     NOT_APPLICABLE,
     NOT_FOUND,
     PASS,
-    SurveyRecord,
-    SurveySummary,
     TraceStep,
     WitnessTrace,
     check_lemma_odd,
     check_lemma_twins,
     check_lemma_unbalanced,
     replay_trace,
-    survey_conjecture,
-    survey_record,
     trace_from_json_dict,
     verify_theorem_k23,
     verify_theorem_sp,

@@ -17,17 +17,17 @@ import os
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 from typing import Iterable, Iterator, Sequence
 
-from .enumeration import GenSpec, enumerate_graphs
+from .enumeration import GenSpec, canonical_key, enumerate_graphs
 from .graph_core import Graph, Graph6Error, is_bipartite, parse_graph6, to_graph6
+from .named import heawood_graph
 from .proofs import (
     FAIL,
-    NOT_APPLICABLE,
     NOT_FOUND,
     PASS,
     check_lemma_odd,
-    survey_record,
     verify_theorem_k23,
     verify_theorem_sp,
 )
@@ -47,47 +47,39 @@ class UsageError(Exception):
 # input handling
 # ---------------------------------------------------------------------------
 
-def _iter_lines(paths: Sequence[str]) -> Iterator[tuple[str, int, str]]:
-    """Yield (source, line number, stripped text) for nonblank input lines."""
-    if not paths:
-        paths = ["-"]
-    for path in paths:
-        # undecodable bytes become surrogate escapes, which parse_graph6 rejects
-        if path == "-":
-            if hasattr(sys.stdin, "reconfigure"):
-                sys.stdin.reconfigure(errors="surrogateescape")
-            for i, raw in enumerate(sys.stdin, start=1):
-                text = raw.strip()
-                if text:
-                    yield "<stdin>", i, text
-        else:
-            with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-                for i, raw in enumerate(fh, start=1):
-                    text = raw.strip()
-                    if text:
-                        yield path, i, text
-
-
 def _collect_graphs(
     paths: Sequence[str], strict: bool
 ) -> tuple[list[tuple[int, str]], int]:
-    """Parse-validate the input stream up front.
+    """Read and parse-validate every input line before the first report.
 
-    Returns (kept lines as (line number, graph6 text), bad line count).
+    Returns (kept lines as (line number, stripped graph6 text), bad line
+    count); blank lines are skipped but still counted in line numbers.
     Lenient mode warns and skips malformed lines; strict mode raises.
     """
     kept: list[tuple[int, str]] = []
     bad = 0
-    for source, line_no, text in _iter_lines(paths):
-        try:
-            parse_graph6(text)
-        except Graph6Error as exc:
-            if strict:
-                raise UsageError(f"{source}:{line_no}: {exc}") from exc
-            bad += 1
-            print(f"warning: {source}:{line_no}: skipped: {exc}", file=sys.stderr)
-            continue
-        kept.append((line_no, text))
+    for path in paths or ["-"]:
+        # undecodable bytes become surrogate escapes, which parse_graph6 rejects
+        if path == "-":
+            if hasattr(sys.stdin, "reconfigure"):
+                sys.stdin.reconfigure(errors="surrogateescape")
+            source, stream = "<stdin>", nullcontext(sys.stdin)
+        else:
+            source, stream = path, open(path, "r", encoding="ascii", errors="surrogateescape")
+        with stream as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                text = raw.strip()
+                if not text:
+                    continue
+                try:
+                    parse_graph6(text)
+                except Graph6Error as exc:
+                    if strict:
+                        raise UsageError(f"{source}:{line_no}: {exc}") from exc
+                    bad += 1
+                    print(f"warning: {source}:{line_no}: skipped: {exc}", file=sys.stderr)
+                    continue
+                kept.append((line_no, text))
     return kept, bad
 
 
@@ -124,22 +116,22 @@ def _gen_inputs(gen: GenSpec) -> list[tuple[int, str]]:
 # per-graph workers (top level so they pickle for worker pools)
 # ---------------------------------------------------------------------------
 
-def _hl_report(task: tuple[int, str]) -> dict:
-    line_no, text = task
-    g = parse_graph6(text)
-    rep: dict = {"graph6": text, "line": line_no, "n": g.n, "m": g.m}
+_INDEX_FIELDS = ("r", "h", "l", "certified_le_one", "certified_le_sqrt2")
+
+
+def _index_fields(g: Graph) -> dict:
+    """R(G), the median positions and the exact <= 1 / <= sqrt2
+    certificates; all null for the empty graph."""
     if g.n == 0:
-        rep.update(r=None, h=None, l=None, certified_le_one=None, certified_le_sqrt2=None)
-        return rep
+        return dict.fromkeys(_INDEX_FIELDS)
     idx = hl_index(g)
-    rep.update(
-        r=idx.value,
-        h=idx.h,
-        l=idx.l,
-        certified_le_one=certify_R_le(g, 1).holds,
-        certified_le_sqrt2=certify_R_le(g, SQRT2).holds,
-    )
-    return rep
+    return {
+        "r": idx.value,
+        "h": idx.h,
+        "l": idx.l,
+        "certified_le_one": certify_R_le(g, 1).holds,
+        "certified_le_sqrt2": certify_R_le(g, SQRT2).holds,
+    }
 
 
 def _predicates(g: Graph) -> dict:
@@ -151,6 +143,32 @@ def _predicates(g: Graph) -> dict:
     }
 
 
+def _head(line_no: int, text: str) -> tuple[Graph, dict]:
+    """The graph and the fields every report starts with."""
+    g = parse_graph6(text)
+    return g, {"graph6": text, "line": line_no, "n": g.n, "m": g.m}
+
+
+def _hl_report(task: tuple[int, str]) -> dict:
+    g, rep = _head(*task)
+    rep.update(_index_fields(g))
+    return rep
+
+
+_EXTREMAL_KEY: bytes | None = None
+
+
+def _is_known_extremal(g: Graph) -> bool:
+    """Whether g is isomorphic to the Heawood graph, the known extremal
+    subcubic graph (R = sqrt2)."""
+    global _EXTREMAL_KEY
+    if g.n != 14 or g.m != 21:
+        return False
+    if _EXTREMAL_KEY is None:
+        _EXTREMAL_KEY = canonical_key(heawood_graph())
+    return canonical_key(g) == _EXTREMAL_KEY
+
+
 _VERIFIERS = {
     "k23": verify_theorem_k23,
     "sp": verify_theorem_sp,
@@ -159,53 +177,33 @@ _VERIFIERS = {
 
 
 def _verify_report(task: tuple[int, str, str, bool, bool]) -> dict:
+    """One verify row.  The survey passes a subcubic graph iff R <= sqrt2 is
+    certified; it skips any other graph, with the index fields and all
+    predicates but subcubic null."""
     line_no, text, theorem, witness, timing = task
     start = time.perf_counter()
-    g = parse_graph6(text)
-    rep: dict = {"graph6": text, "line": line_no, "n": g.n, "m": g.m, "theorem": theorem}
+    g, rep = _head(line_no, text)
+    rep["theorem"] = theorem
     if g.n == 0:
-        rep.update(
-            case="empty", verdict="skipped", r=None, h=None, l=None,
-            certified_le_one=None, certified_le_sqrt2=None,
-            predicates={"subcubic": True, "bipartite": True,
-                        "k4_minor_free": True, "contains_k23": False},
-        )
+        rep.update(_index_fields(g), case="empty", verdict="skipped", predicates=_predicates(g))
         return rep
-    if theorem == "survey":
-        rec = survey_record(g)
-        rep.update(
-            case="survey",
-            verdict="skipped" if rec.skipped else (PASS if rec.certified_le_sqrt2 else FAIL),
-            r=rec.r_value,
-            h=rec.h,
-            l=rec.l,
-            certified_le_one=rec.certified_le_one,
-            certified_le_sqrt2=rec.certified_le_sqrt2,
-            predicates={
-                "subcubic": rec.subcubic,
-                "bipartite": rec.bipartite,
-                "k4_minor_free": rec.k4_minor_free,
-                "contains_k23": rec.contains_k23,
-            },
-            known_extremal=rec.known_extremal,
-        )
-        if rec.skipped:
-            rep["skipped"] = rec.skipped
-    else:
+    if theorem != "survey":
         trace = _VERIFIERS[theorem](g)
-        idx = hl_index(g)
-        rep.update(
-            case=trace.case,
-            verdict=trace.verdict,
-            r=idx.value,
-            h=idx.h,
-            l=idx.l,
-            certified_le_one=certify_R_le(g, 1).holds,
-            certified_le_sqrt2=certify_R_le(g, SQRT2).holds,
-            predicates=_predicates(g),
-        )
+        rep.update(_index_fields(g), case=trace.case, verdict=trace.verdict,
+                   predicates=_predicates(g))
         if witness:
             rep["witness"] = trace.to_json_dict()
+    elif g.max_degree() > 3:
+        rep.update(
+            dict.fromkeys(_INDEX_FIELDS), case="survey", verdict="skipped",
+            skipped="not-subcubic", known_extremal=False,
+            predicates={"subcubic": False, "bipartite": None,
+                        "k4_minor_free": None, "contains_k23": None},
+        )
+    else:
+        rep.update(_index_fields(g), case="survey", predicates=_predicates(g),
+                   known_extremal=_is_known_extremal(g))
+        rep["verdict"] = PASS if rep["certified_le_sqrt2"] else FAIL
     if timing:
         rep["ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     return rep
@@ -213,16 +211,11 @@ def _verify_report(task: tuple[int, str, str, bool, bool]) -> dict:
 
 def _recognize_report(task: tuple[int, str, bool]) -> dict:
     line_no, text, with_trace = task
-    g = parse_graph6(text)
-    rep: dict = {"graph6": text, "line": line_no, "n": g.n, "m": g.m}
-    free, trace = is_k4_minor_free(g)
-    rep.update(
-        subcubic=g.max_degree() <= 3,
-        bipartite=is_bipartite(g),
-        k4_minor_free=free,
-        contains_k23=find_k23(g) is not None,
-    )
+    g, rep = _head(line_no, text)
     if with_trace:
+        # the traced run also answers the predicate, so the reducer runs once
+        free, trace = is_k4_minor_free(g)
+        g.fact("k4-minor-free", lambda: free)
         rep["reduction"] = {
             "reduced_to_empty": trace.reduced_to_empty,
             "final_vertices": trace.final_vertices,
@@ -231,6 +224,7 @@ def _recognize_report(task: tuple[int, str, bool]) -> dict:
                 {"rule": s.rule, "vertices": list(s.vertices)} for s in trace.steps
             ],
         }
+    rep.update(_predicates(g))
     return rep
 
 
@@ -293,20 +287,6 @@ def _emit(reports: Iterable[dict], as_csv: bool, command: str) -> Iterator[dict]
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
-        return args.jobs
-    env = os.environ.get("HLSPEC_JOBS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"bad HLSPEC_JOBS value {env!r}") from exc
-    return 1
-
-
 def _summary(command: str, graphs: int, skipped: int, start: float) -> None:
     print(
         f"{command}: {graphs} graphs, {skipped} skipped lines, "
@@ -317,31 +297,35 @@ def _summary(command: str, graphs: int, skipped: int, start: float) -> None:
 
 def cmd_hl(args) -> int:
     start = time.perf_counter()
-    inputs, bad = _collect_graphs(args.files, args.strict)
-    tasks = [(line_no, text) for line_no, text in inputs]
-    for _ in _emit(_map_tasks(_hl_report, tasks, _resolve_jobs(args)), args.csv, "hl"):
+    tasks, bad = _collect_graphs(args.files, args.strict)
+    for _ in _emit(_map_tasks(_hl_report, tasks, args.jobs), args.csv, "hl"):
         pass
     _summary("hl", len(tasks), bad, start)
     return 0
 
 
 def cmd_verify(args) -> int:
+    start = time.perf_counter()
     if args.gen and args.files:
         raise UsageError("give input files or --gen, not both")
     if args.csv and args.witness:
         raise UsageError("--witness needs JSON output, not --csv")
     if args.gen:
-        inputs = _gen_inputs(_parse_gen_string(args.gen))
+        try:
+            spec = _parse_gen_string(args.gen)
+            spec.validate()
+        except ValueError as exc:
+            raise UsageError(f"bad --gen spec: {exc}") from exc
+        inputs = _gen_inputs(spec)
     else:
         inputs, _bad = _collect_graphs(args.files, args.strict)
-    start = time.perf_counter()
     tasks = [
         (line_no, text, args.theorem, args.witness, args.timing)
         for line_no, text in inputs
     ]
     totals = {"pass": 0, "fail": 0, "skipped": 0}
     max_r: float | None = None
-    for rep in _emit(_map_tasks(_verify_report, tasks, _resolve_jobs(args)), args.csv, "verify"):
+    for rep in _emit(_map_tasks(_verify_report, tasks, args.jobs), args.csv, "verify"):
         verdict = rep["verdict"]
         if verdict == PASS:
             totals["pass"] += 1
@@ -394,7 +378,7 @@ def cmd_recognize(args) -> int:
     start = time.perf_counter()
     inputs, bad = _collect_graphs(args.files, args.strict)
     tasks = [(line_no, text, args.trace) for line_no, text in inputs]
-    for _ in _emit(_map_tasks(_recognize_report, tasks, _resolve_jobs(args)), args.csv, "recognize"):
+    for _ in _emit(_map_tasks(_recognize_report, tasks, args.jobs), args.csv, "recognize"):
         pass
     _summary("recognize", len(tasks), bad, start)
     return 0
@@ -408,8 +392,7 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("files", nargs="*", help="graph6 files ('-' or none for stdin)")
     p.add_argument("--strict", action="store_true",
                    help="abort with exit 2 on malformed input instead of skipping")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: HLSPEC_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--csv", action="store_true", help="CSV output instead of JSON lines")
 
 
@@ -465,6 +448,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             if stray or not hasattr(args, "files"):
                 raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
             args.files = list(args.files) + extra
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError("--jobs must be at least 1")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -131,8 +131,18 @@ class Graph:
         return v in self._adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted (u, v) pairs with u < v, in lexicographic order."""
-        return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
+        """All edges as sorted (u, v) pairs with u < v, in lexicographic order.
+
+        Each row is walked by its mask bits, not its frozenset, whose order
+        depends on how the graph was built."""
+        out = []
+        for u, mask in enumerate(self._mask):
+            mask >>= u + 1
+            while mask:
+                low = mask & -mask
+                out.append((u, u + low.bit_length()))
+                mask ^= low
+        return out
 
     def adjacency_rows(self) -> list[list[int]]:
         """Dense 0/1 adjacency matrix as nested lists."""
@@ -265,22 +275,35 @@ def to_graph6(g: Graph) -> str:
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
-    seen = [False] * g.n
+    return _components_without(g, ())
+
+
+def _components_without(g: Graph, removed: Iterable[int]) -> list[frozenset[int]]:
+    """Components of g minus the removed vertices, in g's labels, ordered by
+    smallest member.  A label outside 0..n-1 removes nothing."""
+    masks = g._mask
+    seen = 0
+    for v in removed:
+        if 0 <= v < g.n:
+            seen |= 1 << v
     out = []
     for s in range(g.n):
-        if seen[s]:
+        if (seen >> s) & 1:
             continue
-        comp = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
+        seen |= 1 << s
+        members = []
+        frontier = 1 << s
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                v = low.bit_length() - 1
+                members.append(v)
+                reach |= masks[v]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        out.append(frozenset(members))
     return out
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graph_core import (
     EdgeSet,
     Graph,
+    _components_without,
     components,
     cut_vertices,
     induced_delete,
@@ -28,12 +29,10 @@ from .graph_core import (
 )
 from .spectra import (
     EPS_PER_VERTEX,
-    SQRT2,
     certify_R_le,
     check_edge_partition_bounds,
     check_interlacing,
     count_at_threshold,
-    hl_index,
     median_positions,
 )
 from .structure import (
@@ -331,16 +330,10 @@ def _eval_cut_vertex(g: Graph, data: dict) -> bool:
 
 def _eval_component_of(g: Graph, data: dict) -> bool:
     sub_spec = data["subject"]
-    want = frozenset(data["vertices"])
-    if sub_spec.get("kind") == "delete":
-        # work in original labels: components of g minus the deleted set
-        removed = set(sub_spec["vertices"])
-        keep = [v for v in range(g.n) if v not in removed]
-        sub, old_to_new = induced_subgraph(g, keep)
-        new_to_old = {i: v for v, i in old_to_new.items()}
-        comps = [frozenset(new_to_old[x] for x in c) for c in components(sub)]
-        return want in comps
-    raise ValueError("component-of expects a delete subject")
+    if sub_spec.get("kind") != "delete":
+        raise ValueError("component-of expects a delete subject")
+    # in host labels: components of g minus the deleted set
+    return frozenset(data["vertices"]) in _components_without(g, sub_spec["vertices"])
 
 
 def _eval_k23_present(g: Graph, data: dict) -> bool:
@@ -746,13 +739,6 @@ def verify_theorem_k23(g: Graph) -> WitnessTrace:
 # second main verifier: induction over treewidth-2 graphs
 # ---------------------------------------------------------------------------
 
-def _components_original_labels(g: Graph, removed: set[int]) -> list[frozenset[int]]:
-    keep = [v for v in range(g.n) if v not in removed]
-    sub, old_to_new = induced_subgraph(g, keep)
-    new_to_old = {i: v for v, i in old_to_new.items()}
-    return [frozenset(new_to_old[x] for x in c) for c in components(sub)]
-
-
 def _count_bound_steps(
     g: Graph,
     subject: dict,
@@ -779,7 +765,7 @@ def _count_bound_steps(
 def _sp_case_cut_vertex(g: Graph, named: dict) -> tuple[list[TraceStep], dict]:
     n = g.n
     v = min(cut_vertices(g))
-    comps = _components_original_labels(g, {v})
+    comps = _components_without(g, {v})
     odd_comps = [c for c in comps if len(c) % 2 == 1]
     part_one = min(odd_comps, key=min)
     part_rest = frozenset(set(range(n)) - {v} - part_one)
@@ -983,7 +969,7 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
     )
     if not steps[-1].ok:
         return steps, named, "two-connected", ()
-    comps = _components_original_labels(g, {u2, v})
+    comps = _components_without(g, {u2, v})
     part_w = next(c for c in comps if u in c)
     named["W"] = sorted(part_w)
     w_minus_u = sorted(set(part_w) - {u})
@@ -996,7 +982,7 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
             {"subject": {"kind": "induced", "vertices": w_minus_u}, "equals": expected},
         )
     )
-    for piece in _components_original_labels(g, set(range(n)) - set(w_minus_u)):
+    for piece in _components_without(g, set(range(n)) - set(w_minus_u)):
         steps.append(
             _step(
                 g,
@@ -1161,104 +1147,3 @@ def verify_theorem_sp(g: Graph) -> WitnessTrace:
             verdict = FAIL
         return WitnessTrace(theorem, case, named, tuple(steps), verdict, children)
     return WitnessTrace(theorem, case, named, tuple(steps), _verdict_from(steps))
-
-
-# ---------------------------------------------------------------------------
-# survey
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SurveyRecord:
-    """Per-graph survey row: the index value, exact certificates, and the
-    structural flags the conjecture landscape cares about."""
-
-    n: int
-    m: int
-    subcubic: bool
-    skipped: str | None = None
-    r_value: float | None = None
-    h: int | None = None
-    l: int | None = None
-    certified_le_one: bool | None = None
-    certified_le_sqrt2: bool | None = None
-    k4_minor_free: bool | None = None
-    contains_k23: bool | None = None
-    bipartite: bool | None = None
-    known_extremal: bool = False
-
-
-@dataclass
-class SurveySummary:
-    surveyed: int = 0
-    skipped: int = 0
-    max_r: float | None = None
-    le_one: int = 0
-    gt_one: int = 0
-    sqrt2_violations: int = 0
-    k4_minor_free: int = 0
-    contains_k23: int = 0
-    bipartite: int = 0
-
-    def absorb(self, rec: SurveyRecord) -> None:
-        if rec.skipped:
-            self.skipped += 1
-            return
-        self.surveyed += 1
-        if rec.r_value is not None and (self.max_r is None or rec.r_value > self.max_r):
-            self.max_r = rec.r_value
-        if rec.certified_le_one:
-            self.le_one += 1
-        else:
-            self.gt_one += 1
-        if not rec.certified_le_sqrt2:
-            self.sqrt2_violations += 1
-        if rec.k4_minor_free:
-            self.k4_minor_free += 1
-        if rec.contains_k23:
-            self.contains_k23 += 1
-        if rec.bipartite:
-            self.bipartite += 1
-
-
-_EXTREMAL_KEY: bytes | None = None
-
-
-def _is_known_extremal(g: Graph) -> bool:
-    global _EXTREMAL_KEY
-    if g.n != 14 or g.m != 21:
-        return False
-    from .enumeration import canonical_key
-    from .named import heawood_graph
-
-    if _EXTREMAL_KEY is None:
-        _EXTREMAL_KEY = canonical_key(heawood_graph())
-    return canonical_key(g) == _EXTREMAL_KEY
-
-
-def survey_record(g: Graph) -> SurveyRecord:
-    if g.n == 0:
-        return SurveyRecord(n=0, m=0, subcubic=True, skipped="empty-graph")
-    if g.max_degree() > 3:
-        return SurveyRecord(n=g.n, m=g.m, subcubic=False, skipped="not-subcubic")
-    idx = hl_index(g)
-    return SurveyRecord(
-        n=g.n,
-        m=g.m,
-        subcubic=True,
-        r_value=idx.value,
-        h=idx.h,
-        l=idx.l,
-        certified_le_one=certify_R_le(g, 1).holds,
-        certified_le_sqrt2=certify_R_le(g, SQRT2).holds,
-        k4_minor_free=k4_minor_free(g),
-        contains_k23=find_k23(g) is not None,
-        bipartite=is_bipartite(g),
-        known_extremal=_is_known_extremal(g),
-    )
-
-
-def survey_conjecture(graphs: Iterable[Graph]) -> Iterator[SurveyRecord]:
-    """Survey a corpus graph by graph; pair with SurveySummary.absorb for the
-    aggregate.  Non-subcubic graphs become skip records, not errors."""
-    for g in graphs:
-        yield survey_record(g)

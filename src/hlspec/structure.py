@@ -287,10 +287,9 @@ def _apply_suppress(mg: Multigraph, v: int) -> ReductionStep:
     return ReductionStep("suppress", (v, a, b), None, mg.signature())
 
 
-# Rule orders for the two deterministic strategies.  Each entry pairs a
-# candidate finder with an applier; "priority" picks the first rule with any
-# candidate and its smallest candidate, "reverse" walks the opposite rule
-# order and picks largest candidates.
+# The rules in priority order, each pairing a candidate finder with an
+# applier.  Every step applies the first rule with any candidate to its
+# smallest candidate.
 _RULES = {
     "loop-delete": (_loop_candidates, _apply_loop_delete),
     "parallel-merge": (Multigraph.parallel_pairs, _apply_parallel_merge),
@@ -298,37 +297,23 @@ _RULES = {
     "suppress": (_suppress_candidates, _apply_suppress),
 }
 
-_STRATEGIES = {
-    "priority": (["loop-delete", "parallel-merge", "leaf-delete", "suppress"], min),
-    "reverse": (["suppress", "leaf-delete", "parallel-merge", "loop-delete"], max),
-}
 
-
-def reduce_multigraph(mg: Multigraph, strategy: str = "priority") -> SPReductionTrace:
+def reduce_multigraph(mg: Multigraph) -> SPReductionTrace:
     """Apply the four reduction rules to a fixpoint, recording every step.
 
     Each step strictly decreases vertex count plus edge multiplicity, so the
     loop terminates.  The input multigraph is consumed (mutated).
     """
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    rule_order, pick = _STRATEGIES[strategy]
     steps: list[ReductionStep] = []
     while True:
-        applied = False
-        for rule in rule_order:
-            finder, applier = _RULES[rule]
+        for rule, (finder, applier) in _RULES.items():
             cands = finder(mg)
-            if not cands:
-                continue
-            chosen = pick(cands)
-            if rule == "parallel-merge":
-                steps.append(applier(mg, *chosen))
-            else:
-                steps.append(applier(mg, chosen))
-            applied = True
-            break
-        if not applied:
+            if cands:
+                chosen = min(cands)
+                args = chosen if rule == "parallel-merge" else (chosen,)
+                steps.append(applier(mg, *args))
+                break
+        else:
             break
     return SPReductionTrace(
         steps=tuple(steps),
@@ -338,7 +323,7 @@ def reduce_multigraph(mg: Multigraph, strategy: str = "priority") -> SPReduction
     )
 
 
-def is_k4_minor_free(g: Graph, strategy: str = "priority") -> tuple[bool, SPReductionTrace]:
+def is_k4_minor_free(g: Graph) -> tuple[bool, SPReductionTrace]:
     """Recognize treewidth <= 2 by reduction to the empty multigraph.
 
     Loop deletion, parallel merging, degree <= 1 deletion, and degree-2
@@ -347,7 +332,7 @@ def is_k4_minor_free(g: Graph, strategy: str = "priority") -> tuple[bool, SPRedu
     >= 3, hence contains a K4 subdivision.  So the answer is exactly
     "did the reduction empty the graph".
     """
-    trace = reduce_multigraph(Multigraph.from_graph(g), strategy)
+    trace = reduce_multigraph(Multigraph.from_graph(g))
     return trace.reduced_to_empty, trace
 
 

@@ -16,6 +16,7 @@ import pytest
 import hlspec.cli as cli
 from hlspec import (
     FAIL,
+    Graph,
     WitnessTrace,
     complete_bipartite,
     cycle_graph,
@@ -27,13 +28,11 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
 
 
-def run_cli(args, stdin_text="", env_extra=None):
+def run_cli(args, stdin_text=""):
     import os
 
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", str(REPO / "src"))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "hlspec", *args],
         input=stdin_text,
@@ -322,6 +321,14 @@ def test_verify_gen_and_files_together_rejected(tmp_path):
     assert proc.returncode == 2
 
 
+def test_verify_gen_bad_spec_exits_2():
+    for spec in ("n=x", "n=13", "n=4,max-degree=-1", "connected"):
+        proc = run_cli(["verify", "sp", "--gen", spec])
+        assert proc.returncode == 2, spec
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
+
+
 def test_verify_csv_with_witness_rejected():
     proc = run_cli(["verify", "sp", "--csv", "--witness"], stdin_text="A_\n")
     assert proc.returncode == 2
@@ -467,11 +474,12 @@ def test_map_tasks_clamps_workers_to_cpus_and_tasks(monkeypatch):
     assert started == [3, 4, 2]
 
 
-def test_jobs_env_variable_respected():
-    gen = run_cli(["gen", "n=6", "--connected"])
-    via_flag = run_cli(["hl", "--jobs", "2"], stdin_text=gen.stdout)
-    via_env = run_cli(["hl"], stdin_text=gen.stdout, env_extra={"HLSPEC_JOBS": "2"})
-    assert via_flag.stdout == via_env.stdout
+def test_jobs_below_one_exits_2():
+    for jobs in ("0", "-5"):
+        proc = run_cli(["hl", "--jobs", jobs], stdin_text="A_\n")
+        assert proc.returncode == 2, jobs
+        assert proc.stdout == ""
+        assert "--jobs must be at least 1" in proc.stderr
 
 
 # recognize command
@@ -504,6 +512,24 @@ def test_recognize_trace_shows_reduction():
     make_validator("recognize-report.schema.json").validate(rep)
 
 
+def test_recognize_runs_the_reducer_once_per_graph(monkeypatch):
+    import hlspec.structure as structure
+
+    calls = []
+    reduce_ = structure.reduce_multigraph
+    monkeypatch.setattr(
+        structure, "reduce_multigraph", lambda mg: calls.append(1) or reduce_(mg)
+    )
+    corpus = (heawood_graph(), cycle_graph(6), complete_bipartite(2, 3))
+    for with_trace in (False, True):
+        for line_no, g in enumerate(corpus, start=1):
+            calls.clear()
+            rep = cli._recognize_report((line_no, to_graph6(g), with_trace))
+            assert len(calls) == 1
+            if with_trace:
+                assert rep["k4_minor_free"] == rep["reduction"]["reduced_to_empty"]
+
+
 def test_hl_and_recognize_summaries_on_stderr():
     corpus = "A_\nbad\n" + to_graph6(heawood_graph()) + "\n"
     for command in ("hl", "recognize"):
@@ -513,6 +539,66 @@ def test_hl_and_recognize_summaries_on_stderr():
         summary = proc.stderr.strip().splitlines()[-1]
         assert summary.startswith(f"{command}: 2 graphs, 1 skipped lines, wall ")
         assert summary.endswith("s")
+
+
+# input ingestion (in-process; one path serves every subcommand)
+
+
+def run_main(args, capsys):
+    code = cli.main(args)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_ingestion_lenient_keeps_original_line_numbers(tmp_path, capsys):
+    path = tmp_path / "corpus.g6"
+    path.write_text("A_\n\n  \n!!bad\nBw\n")
+    code, out, err = run_main(["hl", str(path)], capsys)
+    assert code == 0
+    assert [(r["line"], r["graph6"], r["n"]) for r in json_lines(out)] == [
+        (1, "A_", 2), (5, "Bw", 3)
+    ]
+    assert f"{path}:4: skipped" in err and "byte" in err
+    assert err.strip().splitlines()[-1].startswith("hl: 2 graphs, 1 skipped lines")
+
+
+def test_ingestion_strict_names_the_line(tmp_path, capsys):
+    path = tmp_path / "corpus.g6"
+    path.write_text("A_\n!!bad\n")
+    code, out, err = run_main(["hl", "--strict", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{path}:2:" in err
+
+
+def test_ingestion_round_trips_random_graphs(tmp_path, capsys):
+    import random
+
+    rng = random.Random(42)
+    graphs = []
+    for _ in range(20):
+        n = rng.randint(1, 10)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        graphs.append(Graph(n, edges))
+    path = tmp_path / "corpus.g6"
+    path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    code, out, _ = run_main(["recognize", "--strict", str(path)], capsys)
+    assert code == 0
+    reports = json_lines(out)
+    assert [r["line"] for r in reports] == list(range(1, 21))
+    for rep, g in zip(reports, graphs):
+        assert (rep["graph6"], rep["n"], rep["m"]) == (to_graph6(g), g.n, g.m)
+
+
+def test_ingestion_reports_stripped_text(tmp_path, capsys):
+    path = tmp_path / "corpus.g6"
+    path.write_text("  A_  \n")
+    for command in ("hl", "recognize"):
+        code, out, _ = run_main([command, str(path)], capsys)
+        assert code == 0
+        assert [(r["line"], r["graph6"]) for r in json_lines(out)] == [(1, "A_")]
+    code, out, _ = run_main(["verify", "survey", str(path)], capsys)
+    assert [(r["line"], r["graph6"]) for r in json_lines(out)] == [(1, "A_")]
 
 
 # usage errors

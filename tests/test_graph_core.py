@@ -81,6 +81,27 @@ def test_graph_equality_and_hash():
     assert a != Graph(3, [(0, 1)])
 
 
+def test_edges_and_reduction_do_not_depend_on_how_the_graph_was_built():
+    # a row's frozenset order depends on insertion history; edges() must not
+    from hlspec.structure import is_k4_minor_free
+
+    assert Graph(10, [(0, 9), (0, 1)]).edges() == [(0, 1), (0, 9)]
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(2, 14)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        shuffled = [(v, u) if rng.random() < 0.5 else (u, v)
+                    for u, v in rng.sample(pairs, len(pairs))]
+        grown = Graph(0)
+        for k in range(n):
+            grown = grown.with_vertex(u for u, v in pairs if v == k)
+        builds = [Graph(n, pairs), Graph(n, shuffled), parse_graph6(to_graph6(grown)), grown]
+        for b in builds:
+            assert b.edges() == pairs
+        traces = [is_k4_minor_free(b)[1] for b in builds]
+        assert all(t == traces[0] for t in traces)
+
+
 def test_fact_record_leaves_equality_hash_and_pickle_alone():
     import copy
     import pickle
@@ -240,6 +261,24 @@ def test_components_ordering():
     g = Graph(6, [(3, 4), (0, 1)])
     comps = components(g)
     assert comps == [frozenset({0, 1}), frozenset({2}), frozenset({3, 4}), frozenset({5})]
+
+
+def test_components_without_matches_relabelled_deletion():
+    from hlspec.graph_core import _components_without
+
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25])
+        removed = set(rng.sample(range(n), rng.randint(0, n)))
+        sub, old_to_new = induced_delete(g, removed)
+        new_to_old = {i: v for v, i in old_to_new.items()}
+        want = [frozenset(new_to_old[x] for x in c) for c in components(sub)]
+        assert _components_without(g, removed) == want
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(g.edges())
+        assert components(g) == sorted(map(frozenset, nx.connected_components(nxg)), key=min)
 
 
 def test_is_connected():

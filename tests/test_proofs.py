@@ -1,5 +1,5 @@
 """Tests for the lemma checkers, the two theorem verifiers, trace replay,
-and the survey records.
+and the survey rows of `verify survey`.
 
 Every verifier claim is cross-checked against an independent quantity: exact
 eigenvalue counts from the inertia engine, float eigenvalues, or structural
@@ -38,13 +38,12 @@ from hlspec import (
     prism_graph,
     replay_trace,
     star_graph,
-    survey_conjecture,
-    survey_record,
     to_graph6,
     trace_from_json_dict,
     verify_theorem_k23,
     verify_theorem_sp,
 )
+from hlspec.cli import _verify_report
 from hlspec.structure import find_k23
 
 SQRT2 = math.sqrt(2.0)
@@ -408,48 +407,54 @@ def test_trace_rebuilds_from_json_and_replays():
 # survey
 
 
+def survey_row(g):
+    return _verify_report((1, to_graph6(g), "survey", False, False))
+
+
 def test_survey_record_heawood_is_extremal():
-    rec = survey_record(heawood_graph())
-    assert rec.subcubic and rec.skipped is None
-    assert rec.r_value == pytest.approx(SQRT2, abs=1e-9)
-    assert rec.certified_le_one is False
-    assert rec.certified_le_sqrt2 is True
-    assert rec.bipartite is True
-    assert rec.known_extremal is True
+    rec = survey_row(heawood_graph())
+    assert rec["predicates"]["subcubic"] and "skipped" not in rec
+    assert rec["verdict"] == PASS
+    assert rec["r"] == pytest.approx(SQRT2, abs=1e-9)
+    assert rec["certified_le_one"] is False
+    assert rec["certified_le_sqrt2"] is True
+    assert rec["predicates"]["bipartite"] is True
+    assert rec["known_extremal"] is True
 
 
 def test_survey_record_skips_high_degree():
-    rec = survey_record(complete_graph(5))
-    assert rec.skipped == "not-subcubic"
-    assert rec.r_value is None
-    assert rec.known_extremal is False
+    rec = survey_row(complete_graph(5))
+    assert rec["skipped"] == "not-subcubic"
+    assert rec["verdict"] == "skipped"
+    assert rec["r"] is None
+    assert rec["known_extremal"] is False
 
 
 def test_survey_record_petersen():
-    rec = survey_record(petersen_graph())
-    assert rec.r_value == pytest.approx(1.0, abs=1e-9)
-    assert rec.certified_le_one is True
-    assert rec.certified_le_sqrt2 is True
-    assert rec.k4_minor_free is False
-    assert rec.known_extremal is False
+    rec = survey_row(petersen_graph())
+    assert rec["r"] == pytest.approx(1.0, abs=1e-9)
+    assert rec["certified_le_one"] is True
+    assert rec["certified_le_sqrt2"] is True
+    assert rec["predicates"]["k4_minor_free"] is False
+    assert rec["known_extremal"] is False
 
 
 def test_survey_conjecture_stream():
     graphs = enumerate_graphs(GenSpec(6, connected=True))
-    records = list(survey_conjecture(graphs))
+    records = [survey_row(g) for g in graphs]
     assert len(records) == len(graphs)
-    assert all(r.certified_le_sqrt2 for r in records if r.skipped is None)
-    assert all(r.skipped is None for r in records)  # all subcubic by construction
+    assert all(r["verdict"] == PASS and r["certified_le_sqrt2"] for r in records)
+    assert all("skipped" not in r for r in records)  # all subcubic by construction
 
 
 def test_survey_flags_match_structure_predicates():
     rng = random.Random(7)
     pool = enumerate_graphs(GenSpec(7, connected=True))
     for g in rng.sample(pool, 12):
-        rec = survey_record(g)
-        assert rec.k4_minor_free == is_k4_minor_free(g)[0]
-        assert rec.contains_k23 == (find_k23(g) is not None)
-        assert rec.m == len(g.edges())
+        rec = survey_row(g)
+        assert rec["predicates"]["k4_minor_free"] == is_k4_minor_free(g)[0]
+        assert rec["predicates"]["contains_k23"] == (find_k23(g) is not None)
+        assert rec["m"] == len(g.edges())
 
 
 # verdict taxonomy
