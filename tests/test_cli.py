@@ -442,6 +442,31 @@ def test_stdout_matches_golden_digest(command):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[command]
 
 
+# K2, P4, C6, C7, two triangles joined by a path, C6 with a chord path, a
+# triangle beside an edge, K2,3 and K2,3 with a pendant: every verdict case of
+# the sp and k23 verifiers that a subcubic graph reaches
+VERDICT_CORPUS = "A_\nCh\nEhEG\nFhCKG\nGxCGGK\nGhEK?c\nDwC\nD]o\nE]oG\n"
+
+VERDICT_CASES = {
+    "sp": ["base-n2", "base-n4", "cycle", "odd-order", "cut-vertex",
+           "two-connected", "components", "odd-order", "cut-vertex"],
+    "k23": ["precondition"] * 7 + ["k23", "k23"],
+}
+
+VERDICT_STDOUT_SHA256 = {
+    "sp": "101f4ba64a2601ac234b5cd89e66aa28dbe315c744e731a77b13771f5fd4f3f8",
+    "k23": "10e7e357020a6c4927058082b8bac2533982c33bf3a407888dd0235e692436f2",
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(VERDICT_STDOUT_SHA256))
+def test_verdict_stdout_matches_golden_digest(theorem):
+    proc = run_cli(["verify", theorem], stdin_text=VERDICT_CORPUS)
+    assert proc.returncode == 0, proc.stderr
+    assert [rep["case"] for rep in json_lines(proc.stdout)] == VERDICT_CASES[theorem]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == VERDICT_STDOUT_SHA256[theorem]
+
+
 def test_map_tasks_clamps_workers_to_cpus_and_tasks(monkeypatch):
     # a stand-in pool records its size and maps in-process; nothing starts
     started = []
