@@ -7,7 +7,6 @@ enumerate the small-graph families the desk-scale checks sweep over.
 """
 
 from .graph_core import (
-    EdgeSet,
     Graph,
     Graph6Error,
     Multigraph,
@@ -43,8 +42,6 @@ from .spectra import (
     Spectrum,
     Sqrt2Rational,
     certify_R_le,
-    check_edge_partition_bounds,
-    check_interlacing,
     count_at_threshold,
     hl_index,
     median_positions,

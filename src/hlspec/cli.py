@@ -316,9 +316,9 @@ def cmd_verify(args) -> int:
             spec.validate()
         except ValueError as exc:
             raise UsageError(f"bad --gen spec: {exc}") from exc
-        inputs = _gen_inputs(spec)
+        inputs, bad = _gen_inputs(spec), 0
     else:
-        inputs, _bad = _collect_graphs(args.files, args.strict)
+        inputs, bad = _collect_graphs(args.files, args.strict)
     tasks = [
         (line_no, text, args.theorem, args.witness, args.timing)
         for line_no, text in inputs
@@ -338,8 +338,8 @@ def cmd_verify(args) -> int:
     wall = time.perf_counter() - start
     max_r_text = "n/a" if max_r is None else f"{max_r:.9f}"
     print(
-        f"verify {args.theorem}: {len(tasks)} graphs, {totals['pass']} pass, "
-        f"{totals['fail']} fail, {totals['skipped']} skipped, "
+        f"verify {args.theorem}: {len(tasks)} graphs, {bad} skipped lines, "
+        f"{totals['pass']} pass, {totals['fail']} fail, {totals['skipped']} skipped, "
         f"max R = {max_r_text}, wall {wall:.2f}s",
         file=sys.stderr,
     )

@@ -8,7 +8,6 @@ that create them.  Everything downstream builds on this module.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -163,37 +162,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
-
-
-@dataclass(frozen=True)
-class EdgeSet:
-    """A set of unordered vertex pairs, each an edge of a host graph."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    @classmethod
-    def of(cls, g: Graph, pairs: Iterable[tuple[int, int]]) -> "EdgeSet":
-        norm = set()
-        for u, v in pairs:
-            a, b = (u, v) if u < v else (v, u)
-            if not g.has_edge(a, b):
-                raise ValueError(f"({u},{v}) is not an edge of the host graph")
-            norm.add((a, b))
-        return cls(frozenset(norm))
-
-    def complement_in(self, g: Graph) -> "EdgeSet":
-        """Edges of g not in this set."""
-        return EdgeSet(frozenset(e for e in g.edges() if e not in self.pairs))
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.pairs))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        u, v = pair
-        return ((u, v) if u < v else (v, u)) in self.pairs
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +351,14 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
     return induced_delete(g, (v for v in range(g.n) if v not in kset))
 
 
-def spanning_subgraph(g: Graph, edge_set: EdgeSet) -> Graph:
-    """Same vertex set, edges restricted to edge_set."""
-    return Graph(g.n, list(edge_set))
+def spanning_subgraph(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
+    """Same vertex set, edges restricted to the given pairs, each of which
+    must be an edge of g."""
+    pairs = list(pairs)
+    for u, v in pairs:
+        if not (0 <= u < g.n and g.has_edge(u, v)):
+            raise ValueError(f"({u},{v}) is not an edge of the host graph")
+    return Graph(g.n, pairs)
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:

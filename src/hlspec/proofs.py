@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph_core import (
-    EdgeSet,
     Graph,
     _components_without,
     components,
@@ -27,14 +26,7 @@ from .graph_core import (
     is_connected,
     spanning_subgraph,
 )
-from .spectra import (
-    EPS_PER_VERTEX,
-    certify_R_le,
-    check_edge_partition_bounds,
-    check_interlacing,
-    count_at_threshold,
-    median_positions,
-)
+from .spectra import certify_R_le, count_at_threshold, median_positions
 from .structure import (
     Partition,
     find_k23,
@@ -63,7 +55,7 @@ class TraceStep:
 
     data is JSON-safe and sufficient to re-run the assertion against the
     host graph; kind selects the evaluator, mode records whether the check
-    was exact arithmetic, floating with slack, or purely combinatorial.
+    was exact arithmetic or purely combinatorial.
     """
 
     statement: str
@@ -71,7 +63,6 @@ class TraceStep:
     mode: str
     ok: bool
     data: dict
-    slack: float | None = None
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,7 @@ class WitnessTrace:
                     "kind": s.kind,
                     "mode": s.mode,
                     "ok": s.ok,
-                    "slack": s.slack,
+                    "slack": None,  # no float slack now; kept for older witness files
                     "data": s.data,
                 }
                 for s in self.steps
@@ -121,7 +112,6 @@ def trace_from_json_dict(doc: dict) -> WitnessTrace:
             mode=s["mode"],
             ok=s["ok"],
             data=s["data"],
-            slack=s["slack"],
         )
         for s in doc["steps"]
     )
@@ -147,7 +137,7 @@ def _subject_graph(g: Graph, spec: dict) -> Graph:
         return g.fact(key, lambda: build(g, spec["vertices"])[0])
     if kind == "spanning":
         pairs = tuple(tuple(e) for e in spec["edges"])
-        return g.fact(("subject", kind, pairs), lambda: spanning_subgraph(g, EdgeSet.of(g, pairs)))
+        return g.fact(("subject", kind, pairs), lambda: spanning_subgraph(g, pairs))
     raise ValueError(f"unknown subject kind {kind!r}")
 
 
@@ -259,20 +249,33 @@ def _eval_unfriendly_shape(g: Graph, data: dict) -> bool:
     return True
 
 
-def _eval_weyl(g: Graph, data: dict) -> bool:
-    pairs = [tuple(e) for e in data["edges"]]
-    check = check_edge_partition_bounds(g, EdgeSet.of(g, pairs), data["i"], data["j"])
-    side = check.upper if data["form"] == "upper" else check.lower
-    if side is None:
-        return False
-    lhs, rhs = side
-    if data["form"] == "upper":
-        return lhs <= rhs + check.slack
-    return lhs >= rhs - check.slack
+def _tail(sub: Graph, threshold: str, which: str) -> int | None:
+    """The exact count of eigenvalues above or below a threshold; None for
+    any other which."""
+    if which not in ("above", "below"):
+        return None
+    return getattr(count_at_threshold(sub, threshold), which)
 
 
-def _eval_interlace(g: Graph, data: dict) -> bool:
-    return check_interlacing(g, set(data["deleted"])).passed
+def _eval_interlace_count(g: Graph, data: dict) -> bool:
+    # Cauchy interlacing: deleting A moves a tail count by at most |A|, so
+    # N(G) <= N(G - A) + |A|; |A| is read off the host, not the data
+    sub = _subject_graph(g, {"kind": "delete", "vertices": data["deleted"]})
+    tail = _tail(sub, data["threshold"], data["which"])
+    return tail is not None and tail + g.n - sub.n <= data["bound"]
+
+
+def _eval_weyl_count(g: Graph, data: dict) -> bool:
+    # Weyl: over an edge split G = G1 + G2, N>s+t(G) <= N>s(G1) + N>t(G2),
+    # and likewise below -(s+t); G2 is the rest of the host's edges
+    part = {tuple(sorted(e)) for e in data["edges"]}
+    one = _subject_graph(g, {"kind": "spanning", "edges": data["edges"]})
+    rest = _subject_graph(
+        g, {"kind": "spanning", "edges": [list(e) for e in g.edges() if e not in part]}
+    )
+    s, t = data["thresholds"]
+    tails = (_tail(one, s, data["which"]), _tail(rest, t, data["which"]))
+    return None not in tails and sum(tails) <= data["bound"]
 
 
 def _eval_is_cycle(g: Graph, data: dict) -> bool:
@@ -358,8 +361,8 @@ _EVALUATORS = {
     "twins": (_eval_twins, "combinatorial"),
     "same-neighborhood": (_eval_same_neighborhood, "combinatorial"),
     "unfriendly-shape": (_eval_unfriendly_shape, "combinatorial"),
-    "weyl": (_eval_weyl, "floating"),
-    "interlace": (_eval_interlace, "floating"),
+    "weyl-count": (_eval_weyl_count, "exact"),
+    "interlace-count": (_eval_interlace_count, "exact"),
     "is-cycle": (_eval_is_cycle, "combinatorial"),
     "cycle-in-graph": (_eval_cycle_in_graph, "combinatorial"),
     "longest-cycle-length": (_eval_longest_cycle_length, "combinatorial"),
@@ -371,21 +374,54 @@ _EVALUATORS = {
 }
 
 
-def _step(g: Graph, statement: str, kind: str, data: dict, slack: float | None = None) -> TraceStep:
+def _step(g: Graph, statement: str, kind: str, data: dict) -> TraceStep:
     evaluator, mode = _EVALUATORS[kind]
     ok = evaluator(g, data)
-    return TraceStep(statement=statement, kind=kind, mode=mode, ok=ok, data=data, slack=slack)
+    return TraceStep(statement=statement, kind=kind, mode=mode, ok=ok, data=data)
 
 
 def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
-    """Re-run every step of a trace against the host graph.
+    """Re-run every step of a trace against the host graph and check that a
+    pass verdict follows from it.
 
     Returns True iff each step's re-evaluated outcome matches what was
-    recorded and every child trace replays against its named host vertices.
+    recorded, every child trace replays against its named host vertices,
+    and every pass trace (children included) concludes (see _concludes).
     Replay works on a copy of g with an empty fact record, so every count
     is recomputed rather than read back from the verifier's run.
     """
     return _replay(Graph(g.n, g.edges()), trace)
+
+
+_FULL = {"kind": "full"}
+
+# The exact claim about the whole graph that a theorem's pass rests on, as
+# the (kind, data) of its last step; R <= 1 unless listed.
+_CONCLUSIONS = {
+    ("twins", "bipartite"): ("certify-r-le", {"subject": _FULL, "bound": "0"}),
+    ("twins", "general"): (
+        "count-ge", {"subject": _FULL, "which": "at", "threshold": "0", "bound": 1}
+    ),
+}
+_R_LE_ONE = ("certify-r-le", {"subject": _FULL, "bound": "1"})
+
+
+def _concludes(g: Graph, trace: WitnessTrace) -> bool:
+    """Whether a pass verdict follows from the trace: every step held, every
+    child passed, and either the last step is the theorem's exact claim on
+    the whole graph, or the children are the same theorem on exactly the
+    components of g."""
+    if not all(s.ok for s in trace.steps) or any(c.verdict != PASS for c in trace.children):
+        return False
+    if trace.case == "components":
+        hosts = [c.named.get("host-vertices") for c in trace.children]
+        return all(c.theorem == trace.theorem for c in trace.children) and hosts == [
+            sorted(c) for c in components(g)
+        ]
+    if not trace.steps:
+        return False
+    last = trace.steps[-1]
+    return (last.kind, last.data) == _CONCLUSIONS.get((trace.theorem, trace.case), _R_LE_ONE)
 
 
 def _replay(g: Graph, trace: WitnessTrace) -> bool:
@@ -403,7 +439,7 @@ def _replay(g: Graph, trace: WitnessTrace) -> bool:
             sub, _ = induced_subgraph(g, host)
         if not _replay(sub, child):
             return False
-    return True
+    return trace.verdict != PASS or _concludes(g, trace)
 
 
 def _verdict_from(steps: Iterable[TraceStep], children: Iterable[WitnessTrace] = ()) -> str:
@@ -611,8 +647,9 @@ def verify_theorem_k23(g: Graph) -> WitnessTrace:
     Steps: find an unfriendly partition separating the two degree-3 ends
     from the middle trio, split the edges into the crossing (bipartite,
     twin-bearing, hence median-zero) spanning subgraph and the within-side
-    leftover (max degree 1), apply the two-sided eigenvalue addition bounds,
-    and certify the final bound exactly.
+    leftover (max degree 1), bound both tails of the whole graph by Weyl's
+    addition inequality on the parts' exact counts, and certify the final
+    bound exactly.
     """
     theorem = "k23-bound"
     emb = find_k23(g)
@@ -655,7 +692,6 @@ def verify_theorem_k23(g: Graph) -> WitnessTrace:
     rest_edges = [list(e) for e in g.edges() if (e[0], e[1]) not in cross_set]
     rest_spec = {"kind": "spanning", "edges": rest_edges}
     full = {"kind": "full"}
-    float_slack = 3 * EPS_PER_VERTEX * g.n
     steps = [
         _step(g, "max degree at most 3", "degree-le", {"subject": full, "bound": 3}),
         _step(
@@ -707,17 +743,17 @@ def verify_theorem_k23(g: Graph) -> WitnessTrace:
         ),
         _step(
             g,
-            "upper addition bound at the median position",
-            "weyl",
-            {"edges": [list(e) for e in cross], "i": h, "j": h, "form": "upper"},
-            slack=float_slack,
+            f"addition bound: at most {h - 1} eigenvalues above 1 (exact part counts)",
+            "weyl-count",
+            {"edges": cross_spec["edges"], "thresholds": ["0", "1"], "which": "above",
+             "bound": h - 1},
         ),
         _step(
             g,
-            "lower addition bound at the median position",
-            "weyl",
-            {"edges": [list(e) for e in cross], "i": l, "j": l, "form": "lower"},
-            slack=float_slack,
+            f"addition bound: at most {g.n - l} eigenvalues below -1 (exact part counts)",
+            "weyl-count",
+            {"edges": cross_spec["edges"], "thresholds": ["0", "-1"], "which": "below",
+             "bound": g.n - l},
         ),
         _step(
             g,
@@ -758,6 +794,26 @@ def _count_bound_steps(
             f"{label}: at most {upper_bound} eigenvalues below -1 (exact)",
             "count-le",
             {"subject": subject, "which": "below", "threshold": "-1", "bound": upper_bound},
+        ),
+    ]
+
+
+def _interlace_steps(g: Graph, deleted: list[int], label: str) -> list[TraceStep]:
+    """The deletion's tail counts plus the deleted vertices bound the whole
+    graph's: at most h - 1 eigenvalues above 1 and n - l below -1."""
+    h, l = median_positions(g.n)
+    return [
+        _step(
+            g,
+            f"{label} interlacing: at most {h - 1} eigenvalues above 1 (exact)",
+            "interlace-count",
+            {"deleted": deleted, "threshold": "1", "which": "above", "bound": h - 1},
+        ),
+        _step(
+            g,
+            f"{label} interlacing: at most {g.n - l} eigenvalues below -1 (exact)",
+            "interlace-count",
+            {"deleted": deleted, "threshold": "-1", "which": "below", "bound": g.n - l},
         ),
     ]
 
@@ -803,15 +859,7 @@ def _sp_case_cut_vertex(g: Graph, named: dict) -> tuple[list[TraceStep], dict]:
     steps += _count_bound_steps(g, one_spec, "odd component", (len(part_one) - 1) // 2)
     steps += _count_bound_steps(g, rest_spec, "remainder", (len(part_rest) - 2) // 2)
     steps += _count_bound_steps(g, del_spec, "deletion", (n - 4) // 2)
-    steps.append(
-        _step(
-            g,
-            "single-vertex deletion interlacing holds (floating)",
-            "interlace",
-            {"deleted": [v]},
-            slack=2 * EPS_PER_VERTEX * n,
-        )
-    )
+    steps += _interlace_steps(g, del_spec["vertices"], "single-vertex deletion")
     return steps, named
 
 
@@ -1045,15 +1093,7 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
         g, {"kind": "induced", "vertices": list(g2_set)}, "second part", (len(g2_set) - 2) // 2
     )
     steps += _count_bound_steps(g, del_xv, "two-vertex deletion", (n - 6) // 2)
-    steps.append(
-        _step(
-            g,
-            "two-vertex deletion interlacing holds (floating)",
-            "interlace",
-            {"deleted": sorted({x, v})},
-            slack=2 * EPS_PER_VERTEX * n,
-        )
-    )
+    steps += _interlace_steps(g, del_xv["vertices"], "two-vertex deletion")
     return steps, named, "two-connected", ()
 
 

@@ -1,8 +1,8 @@
-"""Adjacency spectra: floating eigenvalues and exact eigenvalue counting.
+"""Adjacency spectra: float eigenvalues and exact eigenvalue counting.
 
-Two independent routes coexist on purpose.  The floating route diagonalizes
-with numpy and backs slack-checked inequalities.  The exact route is what
-certificates rest on, and it never touches a float:
+Two independent routes coexist on purpose.  The float route diagonalizes
+with numpy and gives the reported value of R(G).  The exact route is what
+certificates and proof steps rest on, and it never touches a float:
 
 - The characteristic polynomial p(x) = det(xI - A) comes from the power
   traces tr(A^k), k = 1..n, by Newton's identities.  Entries of A^k count
@@ -31,9 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .graph_core import EdgeSet, Graph, spanning_subgraph
-
-EPS_PER_VERTEX = 1e-9
+from .graph_core import Graph
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +98,6 @@ class InertiaCount:
     above: int
     at: int
     below: int
-
-    @property
-    def total(self) -> int:
-        return self.above + self.at + self.below
 
 
 def _charpoly(g: Graph) -> list[int]:
@@ -233,15 +227,14 @@ def count_at_threshold(g: Graph, t: ExactNumber | str) -> InertiaCount:
 
 
 # ---------------------------------------------------------------------------
-# floating spectrum
+# float spectrum
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Floating adjacency eigenvalues, sorted descending, with a noise bound."""
+    """Floating adjacency eigenvalues, sorted descending."""
 
     values: tuple[float, ...]
-    eps: float
 
     def value(self, i: int) -> float:
         """1-indexed eigenvalue, largest first."""
@@ -256,9 +249,9 @@ def spectrum(g: Graph) -> Spectrum:
 
 def _spectrum(g: Graph) -> Spectrum:
     if g.n == 0:
-        return Spectrum((), 0.0)
+        return Spectrum(())
     vals = np.linalg.eigvalsh(np.array(g.adjacency_rows(), dtype=float))
-    return Spectrum(tuple(float(x) for x in vals[::-1]), EPS_PER_VERTEX * g.n)
+    return Spectrum(tuple(float(x) for x in vals[::-1]))
 
 
 def median_positions(n: int) -> tuple[int, int]:
@@ -322,89 +315,3 @@ def hl_index(g: Graph) -> HLIndex:
     h, l = median_positions(g.n)
     s = spectrum(g)
     return HLIndex(h=h, l=l, value=max(abs(s.value(h)), abs(s.value(l))))
-
-
-# ---------------------------------------------------------------------------
-# floating inequality checks (interlacing, edge-partition bounds)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InterlacingCheck:
-    """Outcome of checking deletion interlacing on a concrete instance."""
-
-    passed: bool
-    worst_slack: float
-    k: int
-
-
-def check_interlacing(g: Graph, deleted: frozenset[int] | set[int]) -> InterlacingCheck:
-    """Check lam_i(g) >= lam_i(g - A) >= lam_{i+k}(g) for every valid i.
-
-    A is the deleted vertex set, k = |A|.  Inequalities are allowed 2*eps of
-    floating slack; worst_slack reports the tightest margin observed (negative
-    means a violation of that size before slack).
-    """
-    from .graph_core import induced_delete  # local to avoid import clutter
-
-    dset = set(deleted)
-    k = len(dset)
-    sub, _ = induced_delete(g, dset)
-    s_full = spectrum(g)
-    s_sub = spectrum(sub)
-    slack = 2 * s_full.eps
-    worst = 0.0
-    passed = True
-    for i in range(1, g.n - k + 1):
-        m1 = s_full.value(i) - s_sub.value(i)
-        m2 = s_sub.value(i) - s_full.value(i + k)
-        worst = min(worst, m1, m2)
-        if m1 < -slack or m2 < -slack:
-            passed = False
-    return InterlacingCheck(passed=passed, worst_slack=worst, k=k)
-
-
-@dataclass(frozen=True)
-class EdgePartitionCheck:
-    """Outcome of the two-part spectral bound over an edge bipartition."""
-
-    i: int
-    j: int
-    upper: tuple[float, float] | None  # (lhs, rhs) of lam_i(g) <= lam_j(g1) + lam_{i-j+1}(g2)
-    lower: tuple[float, float] | None  # (lhs, rhs) of lam_i(g) >= lam_j(g1) + lam_{i-j+n}(g2)
-    slack: float
-    passed: bool
-
-
-def check_edge_partition_bounds(
-    g: Graph, part_edges: EdgeSet, i: int, j: int
-) -> EdgePartitionCheck:
-    """Check the spanning-edge-partition eigenvalue bounds at indices (i, j).
-
-    g splits into g1 = (V, part_edges) and g2 = (V, remaining edges).  The
-    upper form applies when i >= j, the lower form when i <= j; whichever
-    forms apply are both checked, with 3*eps slack.
-    """
-    n = g.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"indices ({i},{j}) out of range 1..{n}")
-    g1 = spanning_subgraph(g, part_edges)
-    g2 = spanning_subgraph(g, part_edges.complement_in(g))
-    s = spectrum(g)
-    s1 = spectrum(g1)
-    s2 = spectrum(g2)
-    slack = 3 * s.eps
-    upper = lower = None
-    passed = True
-    if i >= j:
-        lhs = s.value(i)
-        rhs = s1.value(j) + s2.value(i - j + 1)
-        upper = (lhs, rhs)
-        if lhs > rhs + slack:
-            passed = False
-    if i <= j:
-        lhs = s.value(i)
-        rhs = s1.value(j) + s2.value(i - j + n)
-        lower = (lhs, rhs)
-        if lhs < rhs - slack:
-            passed = False
-    return EdgePartitionCheck(i=i, j=j, upper=upper, lower=lower, slack=slack, passed=passed)

@@ -185,9 +185,6 @@ class K23Embedding:
     y2: int
     y3: int
 
-    def vertices(self) -> tuple[int, int, int, int, int]:
-        return (self.x1, self.x2, self.y1, self.y2, self.y3)
-
 
 def find_k23(g: Graph) -> K23Embedding | None:
     """First pair (lexicographic) of vertices with >= 3 common neighbors."""

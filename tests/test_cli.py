@@ -566,6 +566,16 @@ def test_hl_and_recognize_summaries_on_stderr():
         assert summary.endswith("s")
 
 
+def test_verify_summary_counts_skipped_lines():
+    proc = run_cli(["verify", "survey"], stdin_text="A_\n!!bad\nBw\n")
+    assert proc.returncode == 0
+    assert [rep["line"] for rep in json_lines(proc.stdout)] == [1, 3]
+    summary = proc.stderr.strip().splitlines()[-1]
+    assert summary.startswith("verify survey: 2 graphs, 1 skipped lines, 2 pass, 0 fail, ")
+    clean = run_cli(["verify", "sp", "--gen", "n=4,connected"])
+    assert ": 6 graphs, 0 skipped lines, " in clean.stderr
+
+
 # input ingestion (in-process; one path serves every subcommand)
 
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlspec.graph_core import (
-    EdgeSet,
     Graph,
     Graph6Error,
     Multigraph,
@@ -324,18 +323,17 @@ def test_induced_subgraph_keeps_internal_edges():
 
 def test_spanning_subgraph_preserves_vertex_count():
     g = cycle_graph(5)
-    es = EdgeSet.of(g, [(0, 1), (2, 3)])
-    sub = spanning_subgraph(g, es)
+    sub = spanning_subgraph(g, [(0, 1), (3, 2)])
     assert sub.n == 5
     assert sub.m == 2
-    comp = es.complement_in(g)
-    assert len(comp.pairs) == 3
+    assert sub.edges() == [(0, 1), (2, 3)]
 
 
-def test_edge_set_validates_membership():
+def test_spanning_subgraph_rejects_non_edges():
     g = path_graph(3)
-    with pytest.raises(ValueError):
-        EdgeSet.of(g, [(0, 2)])
+    for pair in ((0, 2), (2, 0), (0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            spanning_subgraph(g, [(0, 1), pair])
 
 
 # ---------------------------------------------------------------------------

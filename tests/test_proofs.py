@@ -6,6 +6,7 @@ eigenvalue counts from the inertia engine, float eigenvalues, or structural
 predicates computed directly in the test.
 """
 
+import collections
 import dataclasses
 import json
 import math
@@ -28,6 +29,7 @@ from hlspec import (
     check_lemma_unbalanced,
     complete_bipartite,
     complete_graph,
+    count_at_threshold,
     cycle_graph,
     enumerate_graphs,
     heawood_graph,
@@ -172,9 +174,15 @@ def test_k23_theorem_on_k23_itself():
         "bipartite",
         "same-neighborhood",
         "certify-r-le",
-        "weyl",
+        "weyl-count",
     ):
         assert expected in kinds
+    weyl = [s for s in trace.steps if s.kind == "weyl-count"]
+    assert all(s.mode == "exact" for s in weyl)
+    # n = 5: h = l = 3, so at most h - 1 = 2 above 1 and n - l = 2 below -1
+    assert [(s.data["which"], s.data["thresholds"], s.data["bound"]) for s in weyl] == [
+        ("above", ["0", "1"], 2), ("below", ["0", "-1"], 2)
+    ]
 
 
 def test_k23_theorem_not_applicable_without_subgraph():
@@ -230,7 +238,7 @@ def test_sp_theorem_cut_vertex_case():
     assert trace.case == "cut-vertex"
     assert trace.verdict == PASS
     kinds = [s.kind for s in trace.steps]
-    assert "cut-vertex" in kinds and "interlace" in kinds
+    assert "cut-vertex" in kinds and "interlace-count" in kinds
 
 
 def test_sp_theorem_two_connected_case():
@@ -270,10 +278,22 @@ def test_sp_theorem_interlacing_steps_discharge_deleted_bounds():
     # the deletion bound plus interlacing must dominate the final median claim
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 3)])
     trace = verify_theorem_sp(g)
-    inter = [s for s in trace.steps if s.kind == "interlace"]
+    inter = [s for s in trace.steps if s.kind == "interlace-count"]
     assert inter
-    assert all(s.mode == "floating" for s in inter)
-    assert all(s.slack is not None and s.slack > 0 for s in inter)
+    assert all(s.mode == "exact" for s in inter)
+    # n = 8: h = 4, l = 5, so at most h - 1 = 3 above 1 and n - l = 3 below -1
+    assert [(s.data["which"], s.data["threshold"], s.data["bound"]) for s in inter] == [
+        ("above", "1", 3), ("below", "-1", 3)
+    ]
+    deleted = {"kind": "delete", "vertices": inter[0].data["deleted"]}
+    for step in inter:
+        bound = next(
+            s for s in trace.steps
+            if s.kind == "count-le" and s.data["subject"] == deleted
+            and s.data["which"] == step.data["which"]
+        )
+        # the deletion's own bound plus |A| = 2 is exactly the median bound
+        assert bound.data["bound"] + 2 == step.data["bound"]
 
 
 # replay
@@ -334,6 +354,113 @@ def test_replay_rejects_tampered_child_host():
     children = tuple(forged if c is child else c for c in trace.children)
     tampered = dataclasses.replace(trace, children=children)
     assert replay_trace(g, tampered) is False
+
+
+# forged pass verdicts: each step replays as recorded, but the verdict does
+# not follow from the steps
+
+
+def test_replay_rejects_pass_without_steps():
+    forged = WitnessTrace("series-parallel-bound", "cycle", {}, (), PASS)
+    assert replay_trace(heawood_graph(), forged) is False
+
+
+def test_replay_rejects_pass_with_a_failed_step():
+    g = heawood_graph()
+    # R(Heawood) = sqrt2: the certificate honestly fails, and replays as failed
+    failed = verify_theorem_sp(cycle_graph(6)).steps[-1]
+    forged = WitnessTrace("series-parallel-bound", "cycle", {}, (
+        dataclasses.replace(failed, ok=False),
+    ), PASS)
+    assert forged.steps[0].kind == "certify-r-le" and not certify_R_le(g, "1").holds
+    assert replay_trace(g, dataclasses.replace(forged, verdict=FAIL)) is True
+    assert replay_trace(g, forged) is False
+    # the same on a genuine trace: a true extra step replays, a false one not
+    h = cycle_graph(6)
+    trace = verify_theorem_sp(h)
+    for bound, verdict in ((2, True), (1, False)):
+        extra = dataclasses.replace(
+            trace.steps[0], data={**trace.steps[0].data, "bound": bound}, ok=verdict
+        )
+        steps = (extra,) + trace.steps
+        assert replay_trace(h, dataclasses.replace(trace, steps=steps)) is verdict
+
+
+def test_replay_rejects_pass_cut_to_its_first_step():
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 3)])
+    trace = verify_theorem_sp(g)
+    assert trace.verdict == PASS and replay_trace(g, trace) is True
+    for cut in range(1, len(trace.steps)):
+        assert replay_trace(g, dataclasses.replace(trace, steps=trace.steps[:cut])) is False
+
+
+def test_replay_rejects_components_trace_missing_a_component():
+    g = Graph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)])
+    trace = verify_theorem_sp(g)
+    assert trace.case == "components" and replay_trace(g, trace) is True
+    for drop in range(len(trace.children)):
+        children = trace.children[:drop] + trace.children[drop + 1 :]
+        assert replay_trace(g, dataclasses.replace(trace, children=children)) is False
+    # children must be runs of the same theorem
+    other = dataclasses.replace(trace.children[0], theorem="odd-order")
+    children = (other,) + trace.children[1:]
+    assert replay_trace(g, dataclasses.replace(trace, children=children)) is False
+
+
+def test_count_steps_check_their_inequalities_exactly():
+    # each count step holds exactly up to the sum of counts it names, worked
+    # out here from induced_delete / spanning_subgraph and the exact kernel:
+    # a bound at the sum passes, one below it fails
+    from hlspec.graph_core import induced_delete, spanning_subgraph
+    from hlspec.proofs import _EVALUATORS
+
+    def tail(sub, threshold, which):
+        return getattr(count_at_threshold(sub, threshold), which)
+
+    seen = collections.Counter()
+    for n in range(5, 9):
+        for g in enumerate_graphs(GenSpec(n, connected=True)):
+            for trace in (verify_theorem_sp(g), verify_theorem_k23(g)):
+                for step in trace.steps:
+                    data, which = step.data, step.data.get("which")
+                    if step.kind == "interlace-count":
+                        sub, _ = induced_delete(g, data["deleted"])
+                        total = tail(sub, data["threshold"], which) + len(data["deleted"])
+                    elif step.kind == "weyl-count":
+                        cross = [tuple(e) for e in data["edges"]]
+                        rest = [e for e in g.edges() if e not in cross]
+                        s, t = data["thresholds"]
+                        total = (tail(spanning_subgraph(g, cross), s, which)
+                                 + tail(spanning_subgraph(g, rest), t, which))
+                    else:
+                        continue
+                    check = _EVALUATORS[step.kind][0]
+                    assert total <= data["bound"] and step.ok
+                    assert check(g, {**data, "bound": total})
+                    assert not check(g, {**data, "bound": total - 1})
+                    assert not check(g, {**data, "which": "at", "bound": g.n})
+                    seen[step.kind] += 1
+    assert seen["interlace-count"] > 0 and seen["weyl-count"] > 0
+
+
+def test_verifiers_and_replay_compute_no_float_spectrum(monkeypatch):
+    import hlspec.spectra as spectra
+
+    def no_floats(g):
+        raise AssertionError("a float spectrum was computed")
+
+    monkeypatch.setattr(spectra, "_spectrum", no_floats)
+    checkers = (verify_theorem_sp, verify_theorem_k23, check_lemma_odd,
+                check_lemma_twins, check_lemma_unbalanced)
+    verdicts = collections.Counter()
+    for n in range(1, 9):
+        for g in enumerate_graphs(GenSpec(n)):
+            for check in checkers:
+                trace = check(g)
+                assert replay_trace(g, trace) is True, (check.__name__, to_graph6(g))
+                verdicts[check.__name__, trace.verdict] += 1
+    assert verdicts["verify_theorem_sp", PASS] > 0 and verdicts["verify_theorem_k23", PASS] > 0
+    assert not any(v == FAIL for _, v in verdicts)
 
 
 def test_replay_recomputes_every_count(monkeypatch):
