@@ -21,7 +21,7 @@ from contextlib import nullcontext
 from typing import Iterable, Iterator, Sequence
 
 from .enumeration import GenSpec, canonical_key, enumerate_graphs
-from .graph_core import Graph, Graph6Error, is_bipartite, parse_graph6, to_graph6
+from .graph_core import Graph, Graph6Error, check_graph6, is_bipartite, parse_graph6, to_graph6
 from .named import heawood_graph
 from .proofs import (
     FAIL,
@@ -50,16 +50,17 @@ class UsageError(Exception):
 def _collect_graphs(
     paths: Sequence[str], strict: bool
 ) -> tuple[list[tuple[int, str]], int]:
-    """Read and parse-validate every input line before the first report.
+    """Read and validate every input line before the first report.
 
     Returns (kept lines as (line number, stripped graph6 text), bad line
     count); blank lines are skipped but still counted in line numbers.
-    Lenient mode warns and skips malformed lines; strict mode raises.
+    Lenient mode warns and skips malformed lines; strict mode raises.  No
+    line is decoded here: each report decodes its own line once.
     """
     kept: list[tuple[int, str]] = []
     bad = 0
     for path in paths or ["-"]:
-        # undecodable bytes become surrogate escapes, which parse_graph6 rejects
+        # undecodable bytes become surrogate escapes, which check_graph6 rejects
         if path == "-":
             if hasattr(sys.stdin, "reconfigure"):
                 sys.stdin.reconfigure(errors="surrogateescape")
@@ -72,7 +73,7 @@ def _collect_graphs(
                 if not text:
                     continue
                 try:
-                    parse_graph6(text)
+                    check_graph6(text)
                 except Graph6Error as exc:
                     if strict:
                         raise UsageError(f"{source}:{line_no}: {exc}") from exc
@@ -451,15 +452,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise UsageError("--jobs must be at least 1")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
-    except OSError as exc:
+    except (UsageError, Graph6Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,7 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj: list[set[int]] = [set() for _ in range(n)]
+        mask = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -47,10 +48,10 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u} in a simple graph")
             adj[u].add(v)
             adj[v].add(u)
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._mask: tuple[int, ...] = tuple(
-            sum(1 << w for w in s) for s in adj
-        )
+            mask[u] |= 1 << v
+            mask[v] |= 1 << u
+        self._adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        self._mask: tuple[int, ...] = tuple(mask)
         self.n = n
 
     # With __slots__ and no setters the instance is immutable in practice;
@@ -171,8 +172,12 @@ class Graph:
 _G6_MIN, _G6_MAX = 63, 126
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one short-form graph6 string into a Graph.
+# (i, j) of bit k = j(j-1)/2 + i of the packed upper triangle, i < j
+_G6_PAIRS = [(i, j) for j in range(1, 62) for i in range(j)]
+
+
+def check_graph6(text: str) -> bytes:
+    """Validate one short-form graph6 string and return its stripped bytes.
 
     Accepted alphabet is ASCII 63..126.  The first byte encodes n; the
     remaining bytes pack the upper triangle of the adjacency matrix in
@@ -184,38 +189,40 @@ def parse_graph6(text: str) -> Graph:
     data = text.encode("utf-8", errors="surrogateescape").strip()
     if not data:
         raise Graph6Error("empty graph6 string", 0)
-    for off, byte in enumerate(data):
-        if not (_G6_MIN <= byte <= _G6_MAX):
-            raise Graph6Error(f"byte {byte!r} outside graph6 alphabet", off)
+    if min(data) < _G6_MIN or max(data) > _G6_MAX:
+        off = next(i for i, byte in enumerate(data) if not _G6_MIN <= byte <= _G6_MAX)
+        raise Graph6Error(f"byte {data[off]!r} outside graph6 alphabet", off)
     if data[0] == 126:
         raise Graph6Error("long-form graph6 (n > 62) is not supported", 0)
     n = data[0] - 63
     nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(data) - 1 < need:
-        raise Graph6Error(
-            f"truncated graph6 string: need {need} data bytes, got {len(data) - 1}",
-            len(data),
-        )
-    if len(data) - 1 > need:
-        raise Graph6Error(
-            f"oversized graph6 string: need {need} data bytes, got {len(data) - 1}",
-            1 + need,
-        )
+    need, got = (nbits + 5) // 6, len(data) - 1
+    if got != need:
+        fault, off = ("truncated", len(data)) if got < need else ("oversized", 1 + need)
+        raise Graph6Error(f"{fault} graph6 string: need {need} data bytes, got {got}", off)
+    # the padding is the low 6*need - nbits bits of the last byte
+    if (data[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
+        raise Graph6Error("nonzero padding bit", need)
+    return data
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one short-form graph6 string into a Graph, after check_graph6.
+
+    Only the set bits of the payload are visited, in payload order.
+    """
+    data = check_graph6(text)
+    bits = 0
+    for byte in data[1:]:
+        bits = bits << 6 | byte - 63
+    # payload bit k is bit (top - 1 - k) of the integer
+    top = 6 * (len(data) - 1)
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = data[1 + k // 6] - 63
-            if (byte >> (5 - k % 6)) & 1:
-                edges.append((i, j))
-            k += 1
-    while k < 6 * need:
-        byte = data[1 + k // 6] - 63
-        if (byte >> (5 - k % 6)) & 1:
-            raise Graph6Error("nonzero padding bit", 1 + k // 6)
-        k += 1
-    return Graph(n, edges)
+    while bits:
+        high = bits.bit_length()
+        bits ^= 1 << (high - 1)
+        edges.append(_G6_PAIRS[top - high])
+    return Graph(data[0] - 63, edges)
 
 
 def to_graph6(g: Graph) -> str:

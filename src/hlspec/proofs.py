@@ -169,10 +169,6 @@ def _eval_bipartite(g: Graph, data: dict) -> bool:
     return is_bipartite(_subject_graph(g, data["subject"]))
 
 
-def _eval_connected(g: Graph, data: dict) -> bool:
-    return is_connected(_subject_graph(g, data["subject"]))
-
-
 def _eval_not_connected(g: Graph, data: dict) -> bool:
     sub = _subject_graph(g, data["subject"])
     return len(components(sub)) >= 2
@@ -351,7 +347,6 @@ _EVALUATORS = {
     "certify-r-le": (_eval_certify_r_le, "exact"),
     "degree-le": (_eval_degree_le, "combinatorial"),
     "bipartite": (_eval_bipartite, "combinatorial"),
-    "connected": (_eval_connected, "combinatorial"),
     "not-connected": (_eval_not_connected, "combinatorial"),
     "components-count": (_eval_components_count, "combinatorial"),
     "size-parity": (_eval_size_parity, "combinatorial"),
@@ -387,8 +382,10 @@ def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
     Returns True iff each step's re-evaluated outcome matches what was
     recorded, every child trace replays against its named host vertices,
     and every pass trace (children included) concludes (see _concludes).
-    Replay works on a copy of g with an empty fact record, so every count
-    is recomputed rather than read back from the verifier's run.
+    A malformed trace (a step whose data cannot be evaluated, a child host
+    vertex outside g) replays False rather than raising.  Replay works on a
+    copy of g with an empty fact record, so every count is recomputed
+    rather than read back from the verifier's run.
     """
     return _replay(Graph(g.n, g.edges()), trace)
 
@@ -429,15 +426,20 @@ def _replay(g: Graph, trace: WitnessTrace) -> bool:
         evaluator, mode = _EVALUATORS.get(step.kind, (None, None))
         if evaluator is None or mode != step.mode:
             return False
-        if evaluator(g, step.data) != step.ok:
+        try:
+            if evaluator(g, step.data) != step.ok:
+                return False
+        # a malformed step: a missing data key, a vertex out of range, a
+        # pair that is not an edge, a value of the wrong type
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
             return False
     for child in trace.children:
         host = child.named.get("host-vertices")
-        if host is None:
-            sub = g
-        else:
-            sub, _ = induced_subgraph(g, host)
-        if not _replay(sub, child):
+        if host is not None and not (
+            isinstance(host, list) and all(type(v) is int and 0 <= v < g.n for v in host)
+        ):
+            return False
+        if not _replay(g if host is None else induced_subgraph(g, host)[0], child):
             return False
     return trace.verdict != PASS or _concludes(g, trace)
 

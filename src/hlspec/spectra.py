@@ -17,8 +17,9 @@ certificates and proof steps rest on, and it never touches a float:
   when b = 0, else over integer pairs, so every coefficient stays in
   Z[sqrt2] and its sign is an integer test.
 
-The polynomial, the counts per threshold and the float spectrum are kept on
-the graph's fact record (Graph.fact), so each is computed once per graph.
+The polynomial, the Z[sqrt2] shifts, the counts per threshold and the float
+spectrum are kept on the graph's fact record (Graph.fact), so each is
+computed once per graph.
 """
 
 from __future__ import annotations
@@ -150,6 +151,7 @@ Scaled = tuple[int, int, int]
 _TOKEN_SCALED: dict[str, Scaled] = {
     "0": (0, 0, 1), "1": (1, 0, 1), "-1": (-1, 0, 1), "sqrt2": (0, 1, 1), "-sqrt2": (0, -1, 1),
 }
+_SCALED_TOKEN = {t: token for token, t in _TOKEN_SCALED.items()}
 
 
 def _scaled(t: ExactNumber | str) -> Scaled:
@@ -167,19 +169,19 @@ def _scaled(t: ExactNumber | str) -> Scaled:
 
 
 def _shift_int(coeffs: list[int], a: int, d: int) -> list[int]:
-    """Signs of the coefficients of d^n p((z + a) / d), by a Horner Taylor shift."""
+    """Coefficients of d^n p((z + a) / d), by a Horner Taylor shift."""
     n = len(coeffs) - 1
     shifted = [c * d ** k for k, c in enumerate(coeffs)] if d != 1 else list(coeffs)
     for stop in range(n, 0, -1):
         prev = shifted[0]
         for j in range(1, stop + 1):
             prev = shifted[j] = shifted[j] + prev * a
-    return [(c > 0) - (c < 0) for c in shifted]
+    return shifted
 
 
-def _shift_pairs(coeffs: list[int], a: int, b: int, d: int) -> list[int]:
-    """Signs of the coefficients of d^n p((z + a + b*sqrt2) / d), which lie in
-    Z[sqrt2]; they are built as (rational, sqrt2) integer pairs."""
+def _shift_pairs(coeffs: list[int], a: int, b: int, d: int) -> list[tuple[int, int]]:
+    """Coefficients of d^n p((z + a + b*sqrt2) / d), which lie in Z[sqrt2],
+    as (rational, sqrt2) integer pairs."""
     n = len(coeffs) - 1
     shifted = [(c * d ** k, 0) for k, c in enumerate(coeffs)]
     for stop in range(n, 0, -1):
@@ -187,33 +189,37 @@ def _shift_pairs(coeffs: list[int], a: int, b: int, d: int) -> list[int]:
             u, v = shifted[j - 1]
             x, y = shifted[j]
             shifted[j] = (x + u * a + 2 * v * b, y + u * b + v * a)
-    return [_sign(u, v) for u, v in shifted]
+    return shifted
 
 
-def _inertia(coeffs: list[int], t: Scaled) -> InertiaCount:
-    """Count the roots of a real-rooted integer polynomial against t.
+def _inertia(g: Graph, t: Scaled) -> InertiaCount:
+    """Count the roots of g's characteristic polynomial p against t.
 
     The coefficients of p(x + t), scaled by d^n, have the sign pattern
     Descartes' rule reads (leading sign +1); a rational t takes the
-    plain-integer shift.
+    plain-integer shift.  Those of p(x + a - b*sqrt2) are the conjugates
+    (u, -v) of those at a + b*sqrt2, so one shift, kept on g's fact
+    record, serves both signs of b.
     """
     a, b, d = t
-    signs = _shift_int(coeffs, a, d) if b == 0 else _shift_pairs(coeffs, a, b, d)
+    coeffs = g.fact("charpoly", lambda: _charpoly(g))
+    if b == 0:
+        signs = [(c > 0) - (c < 0) for c in _shift_int(coeffs, a, d)]
+    else:
+        pairs = g.fact(("shift", a, abs(b), d), lambda: _shift_pairs(coeffs, a, abs(b), d))
+        signs = [_sign(u, v if b > 0 else -v) for u, v in pairs]
     n = last = len(signs) - 1
     while not signs[last]:
         last -= 1
     nonzero = [s for s in signs if s]
     above = sum(map(ne, nonzero, nonzero[1:]))
-    if b == 0 and d == 1:
-        token = str(a)
-    else:
-        token = threshold_token(Sqrt2Rational(Fraction(a, d), Fraction(b, d)))
+    token = _SCALED_TOKEN.get(t) or threshold_token(Sqrt2Rational(Fraction(a, d), Fraction(b, d)))
     return InertiaCount(threshold=token, above=above, at=n - last, below=last - above)
 
 
 def _counts(g: Graph, t: Scaled) -> InertiaCount:
     """Counts against t, from g's fact record when already known."""
-    return g.fact(("inertia", *t), lambda: _inertia(g.fact("charpoly", lambda: _charpoly(g)), t))
+    return g.fact(("inertia", *t), lambda: _inertia(g, t))
 
 
 def count_at_threshold(g: Graph, t: ExactNumber | str) -> InertiaCount:
@@ -248,10 +254,13 @@ def spectrum(g: Graph) -> Spectrum:
 
 
 def _spectrum(g: Graph) -> Spectrum:
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return Spectrum(())
-    vals = np.linalg.eigvalsh(np.array(g.adjacency_rows(), dtype=float))
-    return Spectrum(tuple(float(x) for x in vals[::-1]))
+    adj = np.zeros((n, n))
+    adj.flat[[u * n + v for u, v in g.edges()]] = 1.0
+    vals = np.linalg.eigvalsh(adj + adj.T)
+    return Spectrum(tuple(vals[::-1].tolist()))
 
 
 def median_positions(n: int) -> tuple[int, int]:

@@ -42,9 +42,6 @@ class Partition:
         cut = sum(1 for u, v in g.edges() if (u in a) != (v in a))
         return cls(side_a=a, side_b=b, cut_size=cut)
 
-    def sizes(self) -> tuple[int, int]:
-        return len(self.side_a), len(self.side_b)
-
     def is_balanced(self) -> bool:
         return len(self.side_a) == len(self.side_b)
 

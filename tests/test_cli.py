@@ -625,6 +625,30 @@ def test_ingestion_round_trips_random_graphs(tmp_path, capsys):
         assert (rep["graph6"], rep["n"], rep["m"]) == (to_graph6(g), g.n, g.m)
 
 
+def test_hl_validates_every_line_and_decodes_each_kept_line_once(tmp_path, capsys, monkeypatch):
+    import collections
+    import random
+
+    rng = random.Random(8)
+    lines = []
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        lines.append(to_graph6(Graph(n, edges)))
+    path = tmp_path / "corpus.g6"
+    path.write_text("\n".join(lines[:10] + ["!!bad", ""] + lines[10:]) + "\n")
+    checked: collections.Counter = collections.Counter()
+    decoded: collections.Counter = collections.Counter()
+    check, parse = cli.check_graph6, cli.parse_graph6
+    monkeypatch.setattr(cli, "check_graph6", lambda text: checked.update([text]) or check(text))
+    monkeypatch.setattr(cli, "parse_graph6", lambda text: decoded.update([text]) or parse(text))
+    code, out, _ = run_main(["hl", str(path)], capsys)
+    assert code == 0
+    assert [r["graph6"] for r in json_lines(out)] == lines
+    assert decoded == collections.Counter(lines)
+    assert checked == collections.Counter(lines + ["!!bad"])
+
+
 def test_ingestion_reports_stripped_text(tmp_path, capsys):
     path = tmp_path / "corpus.g6"
     path.write_text("  A_  \n")

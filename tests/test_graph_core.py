@@ -4,6 +4,8 @@ The codec is cross-checked against networkx as an independent oracle on both
 named graphs and seeded random corpora.
 """
 
+import collections
+import json
 import pickle
 import random
 
@@ -17,6 +19,7 @@ from hlspec.graph_core import (
     Graph6Error,
     Multigraph,
     bipartition,
+    check_graph6,
     components,
     cut_vertices,
     induced_delete,
@@ -250,6 +253,139 @@ def test_parse_rejects_non_ascii():
 def test_parse_rejects_long_form():
     with pytest.raises(Graph6Error):
         parse_graph6("~??~?????")
+
+
+# graph6 differential: validator and decoder against the bit-by-bit route
+
+
+def oracle_graph6(raw: bytes) -> Graph | tuple[str, int]:
+    """Independent route: the bit-by-bit graph6 decoder, on raw bytes.
+
+    Walks each of the n(n-1)/2 payload bits in order and then each padding
+    bit.  Returns the graph, or (message, byte offset) of the first fault.
+    Graph is used only to hold the result for comparison.
+    """
+    data = raw.strip()
+    if not data:
+        return "empty graph6 string", 0
+    for off, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            return f"byte {byte!r} outside graph6 alphabet", off
+    if data[0] == 126:
+        return "long-form graph6 (n > 62) is not supported", 0
+    n = data[0] - 63
+    need = (n * (n - 1) // 2 + 5) // 6
+    got = len(data) - 1
+    if got < need:
+        return f"truncated graph6 string: need {need} data bytes, got {got}", len(data)
+    if got > need:
+        return f"oversized graph6 string: need {need} data bytes, got {got}", 1 + need
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (data[1 + k // 6] - 63) >> (5 - k % 6) & 1:
+                edges.append((i, j))
+            k += 1
+    while k < 6 * need:
+        if (data[1 + k // 6] - 63) >> (5 - k % 6) & 1:
+            return "nonzero padding bit", 1 + k // 6
+        k += 1
+    return Graph(n, edges)
+
+
+def graph6_fuzz(seed: int) -> list[bytes]:
+    """Seeded graph6 lines over n = 0..62: valid ones at three densities,
+    random in-alphabet payloads, each single padding bit set, truncations,
+    oversizing, bytes outside 63..126, the long form, non-ASCII text and
+    surrounding whitespace."""
+    rng = random.Random(seed)
+    out = [b"", b" \t ", b"~", b"~??~?????", "\u00e9".encode(), b"A\xff"]
+    for n in range(63):
+        nbits = n * (n - 1) // 2
+        need = (nbits + 5) // 6
+        pad = 6 * need - nbits
+        head = bytes([63 + n])
+
+        def pack(value: int) -> bytes:
+            return head + bytes(63 + (value >> 6 * (need - 1 - i) & 63) for i in range(need))
+
+        dense = rng.getrandbits(nbits) if nbits else 0
+        sparse = dense & (rng.getrandbits(nbits) if nbits else 0)
+        valid = [pack(v << pad) for v in (0, sparse, dense)]
+        out += valid
+        out.append(b"  " + valid[2] + b"\r\n")
+        out.append(head + bytes(rng.randint(63, 126) for _ in range(need)))
+        out += [pack(dense << pad | 1 << b) for b in range(pad)]
+        out += [valid[2][:-cut] for cut in range(1, min(need, 3) + 1)]
+        out += [valid[2] + bytes(rng.randint(63, 126) for _ in range(extra)) for extra in (1, 2)]
+        for bad in (rng.randint(0, 62), rng.randint(127, 255), 32):
+            at = rng.randrange(len(valid[2]))
+            out.append(valid[2][:at] + bytes([bad]) + valid[2][at + 1 :])
+        out.append(b"~" + valid[1][1:])
+        out.append(valid[1] + "\u00e9".encode())
+        out.append(valid[1][:1] + "\u2603".encode() + valid[1][1:])
+    return out
+
+
+def assert_matches_oracle(raw: bytes) -> Graph | tuple[str, int]:
+    text = raw.decode("utf-8", errors="surrogateescape")
+    expected = oracle_graph6(raw)
+    if isinstance(expected, Graph):
+        assert check_graph6(text) == raw.strip()
+        g = parse_graph6(text)
+        assert g == expected
+        # built as Graph(n, edges) builds it, down to neighbor iteration order
+        assert [list(g.neighbors(v)) for v in range(g.n)] == [
+            list(expected.neighbors(v)) for v in range(g.n)
+        ]
+        assert [g.neighbor_mask(v) for v in range(g.n)] == [
+            expected.neighbor_mask(v) for v in range(g.n)
+        ]
+        assert to_graph6(g).encode() == raw.strip()
+    else:
+        message, offset = expected
+        for decode in (check_graph6, parse_graph6):
+            with pytest.raises(Graph6Error) as exc:
+                decode(text)
+            assert str(exc.value) == f"{message} (byte offset {offset})", raw
+            assert exc.value.byte_offset == offset
+    return expected
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_graph6_matches_bit_by_bit_oracle(seed):
+    kinds = collections.Counter()
+    for raw in graph6_fuzz(seed):
+        result = assert_matches_oracle(raw)
+        kinds["valid" if isinstance(result, Graph) else result[0].split()[0]] += 1
+    assert set(kinds) == {
+        "valid", "empty", "byte", "long-form", "truncated", "oversized", "nonzero"
+    }
+    assert kinds["valid"] >= 3 * 63
+
+
+def test_cli_reports_graph6_faults_as_the_oracle_does(tmp_path, capsys):
+    from hlspec import cli
+
+    # one line per fault kind, free of characters str.strip() would remove
+    faults: dict[str, tuple[bytes, tuple[str, int]]] = {}
+    for raw in graph6_fuzz(0):
+        expected = oracle_graph6(raw)
+        if not isinstance(expected, Graph) and raw and min(raw) > 32:
+            faults.setdefault(expected[0].split()[0], (raw, expected))
+    assert len(faults) == 5
+    for raw, (message, offset) in faults.values():
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(b"A_\n" + raw + b"\nBw\n")
+        detail = f"{message} (byte offset {offset})"
+        assert cli.main(["hl", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert [json.loads(line)["line"] for line in out.splitlines()] == [1, 3]
+        assert err.splitlines()[0] == f"warning: {path}:2: skipped: {detail}"
+        assert cli.main(["hl", "--strict", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {path}:2: {detail}\n")
 
 
 # ---------------------------------------------------------------------------

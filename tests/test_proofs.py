@@ -407,6 +407,51 @@ def test_replay_rejects_components_trace_missing_a_component():
     assert replay_trace(g, dataclasses.replace(trace, children=children)) is False
 
 
+# malformed traces: replay answers False rather than raising
+
+
+def replace_step(trace, idx, data):
+    forged = dataclasses.replace(trace.steps[idx], data=data)
+    return dataclasses.replace(trace, steps=trace.steps[:idx] + (forged,) + trace.steps[idx + 1 :])
+
+
+def test_replay_rejects_weyl_step_naming_a_non_edge():
+    g = complete_bipartite(2, 3)
+    trace = verify_theorem_k23(g)
+    idx = next(i for i, s in enumerate(trace.steps) if s.kind == "weyl-count")
+    data = trace.steps[idx].data
+    assert not g.has_edge(0, 1)
+    tampered = replace_step(trace, idx, {**data, "edges": data["edges"] + [[0, 1]]})
+    assert replay_trace(g, tampered) is False
+
+
+def test_replay_rejects_step_missing_its_bound():
+    g = complete_bipartite(2, 3)
+    trace = verify_theorem_k23(g)
+    bounded = [i for i, s in enumerate(trace.steps) if "bound" in s.data]
+    assert {trace.steps[i].kind for i in bounded} >= {"count-le", "weyl-count", "certify-r-le"}
+    for idx in bounded:
+        data = {k: v for k, v in trace.steps[idx].data.items() if k != "bound"}
+        assert replay_trace(g, replace_step(trace, idx, data)) is False
+
+
+def test_replay_rejects_child_host_out_of_range():
+    g = Graph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)])
+    trace = verify_theorem_sp(g)
+    assert trace.case == "components"
+    # a fail verdict is not checked against the steps, so only the host
+    # check can reject these
+    assert replay_trace(g, dataclasses.replace(trace, verdict=FAIL)) is True
+    for child in trace.children:
+        host = child.named["host-vertices"]
+        for bad in ([g.n + i for i in range(len(host))], host + [g.n], [-1] + host[1:]):
+            forged = dataclasses.replace(child, named={**child.named, "host-vertices": bad})
+            children = tuple(forged if c is child else c for c in trace.children)
+            for verdict in (PASS, FAIL):
+                tampered = dataclasses.replace(trace, children=children, verdict=verdict)
+                assert replay_trace(g, tampered) is False, (bad, verdict)
+
+
 def test_count_steps_check_their_inequalities_exactly():
     # each count step holds exactly up to the sum of counts it names, worked
     # out here from induced_delete / spanning_subgraph and the exact kernel:
@@ -475,9 +520,9 @@ def test_replay_recomputes_every_count(monkeypatch):
         calls["charpoly", g.n, tuple(g.edges())] += 1
         return charpoly(g)
 
-    def counting_inertia(coeffs, t):
-        calls["inertia", tuple(coeffs), t] += 1
-        return inertia(coeffs, t)
+    def counting_inertia(g, t):
+        calls["inertia", g.n, tuple(g.edges()), t] += 1
+        return inertia(g, t)
 
     monkeypatch.setattr(spectra, "_charpoly", counting_charpoly)
     monkeypatch.setattr(spectra, "_inertia", counting_inertia)

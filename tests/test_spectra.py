@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from hlspec.enumeration import GenSpec, enumerate_graphs
 from hlspec.graph_core import Graph
 from hlspec.named import (
     complete_bipartite,
@@ -398,10 +399,47 @@ def test_integer_shift_matches_pair_shift(monkeypatch):
         g = random_graph(3 + seed % 10, 0.35, seed=seed)
         coeffs = _charpoly(g)
         for token, (a, d) in thresholds.items():
-            assert _shift_int(coeffs, a, d) == _shift_pairs(coeffs, a, 0, d)
-            by_int = _inertia(coeffs, (a, 0, d))
+            assert [(c, 0) for c in _shift_int(coeffs, a, d)] == _shift_pairs(coeffs, a, 0, d)
+            by_int = _inertia(g, (a, 0, d))
             with monkeypatch.context() as m:
-                m.setattr(spectra, "_shift_int", lambda c, a, d: _shift_pairs(c, a, 0, d))
-                assert _inertia(coeffs, (a, 0, d)) == by_int
+                m.setattr(spectra, "_shift_int",
+                          lambda c, a, d: [u for u, _ in _shift_pairs(c, a, 0, d)])
+                assert _inertia(g, (a, 0, d)) == by_int
             assert by_int == count_at_threshold(g, token)
             assert (by_int.above, by_int.at, by_int.below) == oracle_counts(g, Fraction(a, d))
+
+
+def test_certify_sqrt2_runs_one_pair_shift(monkeypatch):
+    # counted, not timed: the counts below -sqrt2 are read from the conjugates
+    # of the shift at +sqrt2, which the graph's fact record keeps
+    import hlspec.spectra as spectra
+
+    calls = []
+    shift = spectra._shift_pairs
+    monkeypatch.setattr(spectra, "_shift_pairs", lambda *args: calls.append(args[1:]) or shift(*args))
+    for tag, make in sorted(NAMED.items()):
+        g = make()
+        calls.clear()
+        cert = certify_R_le(g, SQRT2)
+        assert calls == [(0, 1, 1)], tag
+        assert count_at_threshold(g, "-sqrt2") == cert.at_lower
+        assert count_at_threshold(g, "sqrt2") == cert.at_upper
+        assert calls == [(0, 1, 1)], tag
+
+
+def test_counts_below_minus_sqrt2_from_conjugates_match_direct_shift_and_oracle():
+    # every subcubic graph on n <= 8, then 40 seeded graphs of max degree > 3
+    subcubic = [g for n in range(1, 9) for g in enumerate_graphs(GenSpec(n))]
+    dense: list[Graph] = []
+    seed = 0
+    while len(dense) < 40:
+        seed += 1
+        g = random_graph(5 + seed % 8, 0.55, seed=900 + seed)
+        if g.max_degree() > 3:
+            dense.append(g)
+    minus_sqrt2 = -sympy.sqrt(2)
+    for g in subcubic + dense:
+        coeffs = _charpoly(g)
+        assert _shift_pairs(coeffs, 0, -1, 1) == [(u, -v) for u, v in _shift_pairs(coeffs, 0, 1, 1)]
+        count = count_at_threshold(g, "-sqrt2")
+        assert (count.above, count.at, count.below) == oracle_counts(g, minus_sqrt2), g
