@@ -6,11 +6,13 @@ exhaustive set enumeration, and longest cycles against a permutation
 brute force.
 """
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from hlspec.enumeration import GenSpec, enumerate_graphs
 from hlspec.graph_core import Graph
 from hlspec.named import (
     complete_bipartite,
@@ -250,6 +252,22 @@ def test_replay_detects_tampering():
     assert trace.reduced_to_empty and trace.steps
     # replaying against a different host must fail
     assert not replay_reduction(cycle_graph(6), trace)
+
+
+def test_reduction_traces_frozen():
+    # sha256 over the repr of every reduction trace, one line per graph: all
+    # subcubic classes on n <= 8, then the connected ones on 9 vertices, in
+    # generation order; any change to a step, its order or a rule's choice
+    # of candidate moves it
+    graphs = [g for n in range(1, 9) for g in enumerate_graphs(GenSpec(n))]
+    graphs += enumerate_graphs(GenSpec(9, connected=True))
+    assert len(graphs) == 1208
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(repr(is_k4_minor_free(g)[1]).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "14f2d08036d80c9ba21055934fed34514d7670ad330e2509d39318abb1ad0504"
+    )
 
 
 def test_reduction_steps_monotone_shrink():
