@@ -63,13 +63,13 @@ def _collect_graphs(
         # undecodable bytes become surrogate escapes, which check_graph6 rejects
         if path == "-":
             if hasattr(sys.stdin, "reconfigure"):
-                sys.stdin.reconfigure(errors="surrogateescape")
+                sys.stdin.reconfigure(encoding="ascii", errors="surrogateescape")
             source, stream = "<stdin>", nullcontext(sys.stdin)
         else:
             source, stream = path, open(path, "r", encoding="ascii", errors="surrogateescape")
         with stream as fh:
             for line_no, raw in enumerate(fh, start=1):
-                text = raw.strip()
+                text = raw.strip(" \t\n\r\v\f")  # not \x1c-\x1f, as str.strip() would
                 if not text:
                     continue
                 try:

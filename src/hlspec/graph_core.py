@@ -480,15 +480,6 @@ class Multigraph:
     def loop_count(self, v: int) -> int:
         return self.multiplicity(v, v)
 
-    def parallel_pairs(self) -> list[tuple[int, int]]:
-        """Sorted pairs u < w joined by two or more edges."""
-        return sorted(
-            (u, w)
-            for u, nbrs in self._inc.items()
-            for w, mult in nbrs.items()
-            if u < w and mult >= 2
-        )
-
     def edge_items(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(
             ((u, w), mult)

@@ -381,7 +381,8 @@ def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
 
     Returns True iff each step's re-evaluated outcome matches what was
     recorded, every child trace replays against its named host vertices,
-    and every pass trace (children included) concludes (see _concludes).
+    a pass trace (children included) concludes (see _concludes), and a
+    fail trace has a step that did not hold or a child that did not pass.
     A malformed trace (a step whose data cannot be evaluated, a child host
     vertex outside g) replays False rather than raising.  Replay works on a
     copy of g with an empty fact record, so every count is recomputed
@@ -403,12 +404,17 @@ _CONCLUSIONS = {
 _R_LE_ONE = ("certify-r-le", {"subject": _FULL, "bound": "1"})
 
 
+def _held(trace: WitnessTrace) -> bool:
+    """Whether every step of the trace held and every child passed."""
+    return all(s.ok for s in trace.steps) and all(c.verdict == PASS for c in trace.children)
+
+
 def _concludes(g: Graph, trace: WitnessTrace) -> bool:
     """Whether a pass verdict follows from the trace: every step held, every
     child passed, and either the last step is the theorem's exact claim on
     the whole graph, or the children are the same theorem on exactly the
     components of g."""
-    if not all(s.ok for s in trace.steps) or any(c.verdict != PASS for c in trace.children):
+    if not _held(trace):
         return False
     if trace.case == "components":
         hosts = [c.named.get("host-vertices") for c in trace.children]
@@ -441,6 +447,8 @@ def _replay(g: Graph, trace: WitnessTrace) -> bool:
             return False
         if not _replay(g if host is None else induced_subgraph(g, host)[0], child):
             return False
+    if trace.verdict == FAIL:
+        return not _held(trace)
     return trace.verdict != PASS or _concludes(g, trace)
 
 

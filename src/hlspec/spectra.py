@@ -17,9 +17,11 @@ certificates and proof steps rest on, and it never touches a float:
   when b = 0, else over integer pairs, so every coefficient stays in
   Z[sqrt2] and its sign is an integer test.
 
-The polynomial, the Z[sqrt2] shifts, the counts per threshold and the float
-spectrum are kept on the graph's fact record (Graph.fact), so each is
-computed once per graph.
+The polynomial, the Z[sqrt2] shifts, the counts per threshold, the float
+spectrum and the edge positions both kernels' matrices are filled from are
+kept on the graph's fact record (Graph.fact), so each is computed once per
+graph.  numpy is imported inside those two kernels, not at module level, so
+gen, recognize and --help, which compute no spectrum, never load it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from fractions import Fraction
 from math import lcm
 from operator import ne
 from typing import Union
-
-import numpy as np
 
 from .graph_core import Graph
 
@@ -101,6 +101,12 @@ class InertiaCount:
     below: int
 
 
+def _edge_index(g: Graph) -> list[int]:
+    """Flat positions u*n + v (u < v) of g's edges in an n x n matrix, as a
+    list: numpy reads a tuple as one index per axis."""
+    return list(g.fact("edge-index", lambda: tuple(u * g.n + v for u, v in g.edges())))
+
+
 def _charpoly(g: Graph) -> list[int]:
     """Coefficients of det(xI - A), leading 1 first, by Newton's identities.
 
@@ -108,12 +114,14 @@ def _charpoly(g: Graph) -> list[int]:
     A^i and A^j: the powers A^1..A^h, h = ceil(n/2), flattened into rows,
     give every trace up to n from two matrix-vector products.
     """
+    import numpy as np
+
     n = g.n
     if n == 0:
         return [1]
     dtype = np.int64 if n * max(g.max_degree(), 1) ** n < 2 ** 62 else object
     adj = np.zeros(n * n, dtype=dtype)
-    adj[[u * n + v for u, v in g.edges()]] = 1
+    adj[_edge_index(g)] = 1
     adj = adj.reshape(n, n)
     adj = adj + adj.T
     h = (n + 1) // 2
@@ -254,11 +262,13 @@ def spectrum(g: Graph) -> Spectrum:
 
 
 def _spectrum(g: Graph) -> Spectrum:
+    import numpy as np
+
     n = g.n
     if n == 0:
         return Spectrum(())
     adj = np.zeros((n, n))
-    adj.flat[[u * n + v for u, v in g.edges()]] = 1.0
+    adj.flat[_edge_index(g)] = 1.0
     vals = np.linalg.eigvalsh(adj + adj.T)
     return Spectrum(tuple(vals[::-1].tolist()))
 

@@ -228,20 +228,6 @@ class SPReductionTrace:
     reduced_to_empty: bool
 
 
-def _loop_candidates(mg: Multigraph) -> list[int]:
-    return sorted(v for v in mg.vertices if mg.loop_count(v) > 0)
-
-
-def _leaf_candidates(mg: Multigraph) -> list[int]:
-    return sorted(v for v in mg.vertices if mg.degree(v) <= 1)
-
-
-def _suppress_candidates(mg: Multigraph) -> list[int]:
-    return sorted(
-        v for v in mg.vertices if mg.loop_count(v) == 0 and mg.degree(v) == 2
-    )
-
-
 def _apply_loop_delete(mg: Multigraph, v: int) -> ReductionStep:
     if mg.loop_count(v) < 1:
         raise ValueError(f"no loop at {v}")
@@ -281,34 +267,54 @@ def _apply_suppress(mg: Multigraph, v: int) -> ReductionStep:
     return ReductionStep("suppress", (v, a, b), None, mg.signature())
 
 
-# The rules in priority order, each pairing a candidate finder with an
-# applier.  Every step applies the first rule with any candidate to its
-# smallest candidate.
-_RULES = {
-    "loop-delete": (_loop_candidates, _apply_loop_delete),
-    "parallel-merge": (Multigraph.parallel_pairs, _apply_parallel_merge),
-    "leaf-delete": (_leaf_candidates, _apply_leaf_delete),
-    "suppress": (_suppress_candidates, _apply_suppress),
+_APPLIERS = {
+    "loop-delete": _apply_loop_delete,
+    "parallel-merge": _apply_parallel_merge,
+    "leaf-delete": _apply_leaf_delete,
+    "suppress": _apply_suppress,
 }
+
+
+def _update_candidates(mg: Multigraph, cands: tuple[set, ...], touched: Iterable[int]) -> None:
+    """Recompute at each touched vertex whether it has a loop, has degree
+    <= 1, or is loopless of degree 2; a deleted vertex has none of these."""
+    loops, _, leaves, suppress = cands
+    for x in touched:
+        alive = x in mg.vertices
+        loop, deg = mg.multiplicity(x, x), mg.degree(x)
+        (loops.add if alive and loop else loops.discard)(x)
+        (leaves.add if alive and deg <= 1 else leaves.discard)(x)
+        (suppress.add if alive and deg == 2 and not loop else suppress.discard)(x)
 
 
 def reduce_multigraph(mg: Multigraph) -> SPReductionTrace:
     """Apply the four reduction rules to a fixpoint, recording every step.
 
-    Each step strictly decreases vertex count plus edge multiplicity, so the
-    loop terminates.  The input multigraph is consumed (mutated).
+    Each step applies the first rule in _APPLIERS' order with a candidate
+    (kept in one set per rule) to its smallest.  A step changes only edges
+    among its first vertex v and v's neighbors, so only those and the pairs
+    among them are looked at again.  Each step strictly decreases vertex
+    count plus edge multiplicity, so the loop terminates.  The input
+    multigraph is consumed (mutated).
     """
+    pairs = {e for e, mult in mg.edge_items() if e[0] != e[1] and mult >= 2}
+    cands = (set(), pairs, set(), set())
+    _update_candidates(mg, cands, mg.vertices)
     steps: list[ReductionStep] = []
     while True:
-        for rule, (finder, applier) in _RULES.items():
-            cands = finder(mg)
-            if cands:
-                chosen = min(cands)
-                args = chosen if rule == "parallel-merge" else (chosen,)
-                steps.append(applier(mg, *args))
+        for (rule, applier), found in zip(_APPLIERS.items(), cands):
+            if found:
                 break
         else:
             break
+        chosen = min(found)
+        args = chosen if rule == "parallel-merge" else (chosen,)
+        touched = sorted(mg.neighbors(args[0]) | {args[0]})
+        steps.append(applier(mg, *args))
+        _update_candidates(mg, cands, touched)
+        for i, x in enumerate(touched):
+            for y in touched[i + 1 :]:
+                (pairs.add if mg.multiplicity(x, y) >= 2 else pairs.discard)((x, y))
     return SPReductionTrace(
         steps=tuple(steps),
         final_vertices=mg.n_vertices,
@@ -347,9 +353,9 @@ def replay_reduction(g: Graph, trace: SPReductionTrace) -> bool:
     """
     mg = Multigraph.from_graph(g)
     for step in trace.steps:
-        if step.rule not in _RULES:
+        applier = _APPLIERS.get(step.rule)
+        if applier is None:
             return False
-        applier = _RULES[step.rule][1]
         args = step.vertices[:2] if step.rule == "parallel-merge" else step.vertices[:1]
         try:
             redone = applier(mg, *args)

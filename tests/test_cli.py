@@ -28,17 +28,21 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
 
 
-def run_cli(args, stdin_text=""):
+def cli_env():
     import os
 
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", str(REPO / "src"))
+    return env
+
+
+def run_cli(args, stdin_text=""):
     return subprocess.run(
         [sys.executable, "-m", "hlspec", *args],
         input=stdin_text,
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(),
         timeout=300,
     )
 
@@ -145,6 +149,36 @@ def test_hl_lenient_non_ascii_byte_in_file_warns_and_continues(tmp_path):
     assert proc.returncode == 0
     assert [rep["line"] for rep in json_lines(proc.stdout)] == [1, 3]
     assert "warning" in proc.stderr and f"{corpus}:2:" in proc.stderr
+
+
+def run_cli_bytes(args, stdin_bytes=b""):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hlspec", *args],
+        input=stdin_bytes, capture_output=True, env=cli_env(), timeout=300,
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+@pytest.mark.parametrize("fault", [b"\xc2\xa0", b"\x1f", b"\x1c"])
+def test_stdin_and_files_strip_and_decode_alike(tmp_path, fault):
+    # a no-break space (UTF-8) or an ASCII separator after a valid line is
+    # not whitespace to graph6: both sources reject it at the same offset
+    data = b"Bw\nA_" + fault + b"\n  A_  \n"
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(data)
+    message = f"byte {fault[0]} outside graph6 alphabet (byte offset 2)"
+    for flags in (["--strict"], []):
+        from_file = run_cli_bytes(["hl", *flags, str(corpus)])
+        from_stdin = run_cli_bytes(["hl", *flags, "-"], data)
+        for (code, out, err), source in ((from_file, corpus), (from_stdin, "<stdin>")):
+            if flags:
+                assert (code, out) == (2, "")
+                assert err == f"error: {source}:2: {message}\n"
+            else:
+                assert code == 0
+                assert [(r["line"], r["graph6"]) for r in json_lines(out)] == [(1, "Bw"), (3, "A_")]
+                assert f"warning: {source}:2: skipped: {message}\n" in err
+        assert from_file[1] == from_stdin[1]
 
 
 def test_hl_empty_input_exits_0():
@@ -647,6 +681,64 @@ def test_hl_validates_every_line_and_decodes_each_kept_line_once(tmp_path, capsy
     assert [r["graph6"] for r in json_lines(out)] == lines
     assert decoded == collections.Counter(lines)
     assert checked == collections.Counter(lines + ["!!bad"])
+
+
+def test_hl_walks_each_graphs_edges_once(tmp_path, capsys, monkeypatch):
+    # the char-poly and the float spectrum fill their matrices from one
+    # edge walk, kept on the graph's fact record
+    import random
+
+    rng = random.Random(9)
+    lines = [to_graph6(Graph(1)), to_graph6(Graph(4))]
+    for _ in range(10):
+        n = rng.randint(2, 12)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        lines.append(to_graph6(Graph(n, edges)))
+    path = tmp_path / "corpus.g6"
+    path.write_text("\n".join(lines) + "\n")
+    calls = []
+    edges = Graph.edges
+    monkeypatch.setattr(Graph, "edges", lambda g: calls.append(g.n) or edges(g))
+    code, out, _ = run_main(["hl", str(path)], capsys)
+    assert code == 0
+    assert len(json_lines(out)) == len(calls) == len(lines)
+
+
+IMPORT_BOUNDARY_SCRIPT = """
+import sys
+import hlspec.cli as cli
+
+def run(*args):
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    print(args[0], code, "numpy" in sys.modules, file=sys.stderr)
+    return "numpy" in sys.modules
+
+assert "numpy" not in sys.modules
+assert not run("gen", "n=7", "--connected", "--k4-minor-free")
+assert not run("recognize", sys.argv[1])
+assert not run("--help")
+assert not run("verify", "sp", "--gen", "n=7,bogus")
+assert not run("hl", "--strict", sys.argv[2])
+assert run("hl", sys.argv[1])
+"""
+
+
+def test_gen_recognize_help_and_usage_errors_never_import_numpy(tmp_path):
+    # a fresh interpreter, because this one has imported numpy already;
+    # the last hl run shows the check is not vacuous
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("A_\nBw\nCr\n")
+    bad = tmp_path / "bad.g6"
+    bad.write_text("A_\n!!bad\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, str(corpus), str(bad)],
+        capture_output=True, text=True, env=cli_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count(" False\n") == 5 and "hl 0 True\n" in proc.stderr
 
 
 def test_ingestion_reports_stripped_text(tmp_path, capsys):

@@ -562,9 +562,6 @@ def test_multigraph_queries_match_edge_list_model():
                 }
                 assert mg.loop_count(v) == model.get((v, v), 0)
             assert mg.edge_items() == sorted(model.items())
-            assert mg.parallel_pairs() == sorted(
-                (a, b) for (a, b), c in model.items() if a != b and c >= 2
-            )
             assert mg.signature() == (len(alive), sum(model.values()))
     with pytest.raises(ValueError, match=r"removing 2 copies of \(0, 1\), only 0 present"):
         Multigraph(range(2)).remove_edge(1, 0, 2)

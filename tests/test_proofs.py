@@ -386,6 +386,27 @@ def test_replay_rejects_pass_with_a_failed_step():
         assert replay_trace(h, dataclasses.replace(trace, steps=steps)) is verdict
 
 
+def test_replay_rejects_fail_whose_steps_and_children_hold():
+    # a pass flipped to fail: every step still re-evaluates as ok and every
+    # child still passes, so nothing the trace records makes it fail
+    for g, trace in sample_traces():
+        assert trace.verdict == PASS
+        assert replay_trace(g, dataclasses.replace(trace, verdict=FAIL)) is False
+    # a fail replays when a child did not pass: the triangle's child trace
+    # gains a step that honestly fails, so it and its parent fail
+    g = Graph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)])
+    trace = verify_theorem_sp(g)
+    child = trace.children[0]
+    assert child.named["host-vertices"] == [0, 1, 2] and child.steps[0].kind == "degree-le"
+    false_step = dataclasses.replace(
+        child.steps[0], data={**child.steps[0].data, "bound": 1}, ok=False
+    )
+    failed = dataclasses.replace(child, steps=child.steps + (false_step,), verdict=FAIL)
+    children = (failed,) + trace.children[1:]
+    assert replay_trace(g, dataclasses.replace(trace, children=children, verdict=FAIL)) is True
+    assert replay_trace(g, dataclasses.replace(trace, children=children)) is False
+
+
 def test_replay_rejects_pass_cut_to_its_first_step():
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 3)])
     trace = verify_theorem_sp(g)
@@ -439,9 +460,8 @@ def test_replay_rejects_child_host_out_of_range():
     g = Graph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)])
     trace = verify_theorem_sp(g)
     assert trace.case == "components"
-    # a fail verdict is not checked against the steps, so only the host
-    # check can reject these
-    assert replay_trace(g, dataclasses.replace(trace, verdict=FAIL)) is True
+    # every child passes, so a fail verdict does not follow either
+    assert replay_trace(g, dataclasses.replace(trace, verdict=FAIL)) is False
     for child in trace.children:
         host = child.named["host-vertices"]
         for bad in ([g.n + i for i in range(len(host))], host + [g.n], [-1] + host[1:]):

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from hlspec.enumeration import GenSpec, enumerate_graphs
-from hlspec.graph_core import Graph
+from hlspec.graph_core import Graph, Multigraph
 from hlspec.named import (
     complete_bipartite,
     complete_graph,
@@ -28,6 +28,7 @@ from hlspec.named import (
     star_graph,
 )
 from hlspec.structure import (
+    _APPLIERS,
     Partition,
     brute_force_has_k4_minor,
     find_k23,
@@ -36,6 +37,7 @@ from hlspec.structure import (
     is_k4_minor_free,
     is_unfriendly,
     longest_cycle,
+    reduce_multigraph,
     replay_reduction,
     unfriendly_partition,
 )
@@ -268,6 +270,39 @@ def test_reduction_traces_frozen():
     assert digest.hexdigest() == (
         "14f2d08036d80c9ba21055934fed34514d7670ad330e2509d39318abb1ad0504"
     )
+
+
+def oracle_choice(mg: Multigraph):
+    """The rule and candidate a full rescan picks: the first rule, in
+    priority order, with any candidate, and its smallest candidate."""
+    vertices = sorted(mg.vertices)
+    for rule, cands in (
+        ("loop-delete", [(v,) for v in vertices if mg.loop_count(v)]),
+        ("parallel-merge", [e for e, mult in mg.edge_items() if e[0] != e[1] and mult >= 2]),
+        ("leaf-delete", [(v,) for v in vertices if mg.degree(v) <= 1]),
+        ("suppress", [(v,) for v in vertices if not mg.loop_count(v) and mg.degree(v) == 2]),
+    ):
+        if cands:
+            return rule, cands[0]
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reducer_picks_what_a_full_rescan_picks(seed):
+    # multigraphs with loops and parallel edges from the start, which no
+    # simple input has: every step is the rescan's choice on the state it
+    # was taken from, and the reduction stops only when the rescan finds none
+    rng = random.Random(seed + 9100)
+    n = rng.randint(1, 9)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+    trace = reduce_multigraph(Multigraph(range(n), edges))
+    state = Multigraph(range(n), edges)
+    for step in trace.steps:
+        rule, cand = oracle_choice(state)
+        assert (step.rule, step.vertices[: len(cand)]) == (rule, cand)
+        _APPLIERS[rule](state, *cand)
+    assert oracle_choice(state) is None
+    assert trace.final_vertices == state.n_vertices
 
 
 def test_reduction_steps_monotone_shrink():
