@@ -85,15 +85,16 @@ def _collect_graphs(
 
 
 def _parse_gen_string(spec: str) -> GenSpec:
-    """Parse a generation spec like "n=8,connected,k4-minor-free"."""
+    """Parse a generation spec like "n=8,connected", each key at most once."""
     n = None
     connected = False
     max_degree = 3
     filters: list[str] = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    tokens = [t for t in map(str.strip, spec.split(",")) if t]
+    for key, count in Counter(t.split("=", 1)[0] for t in tokens).items():
+        if count > 1:
+            raise ValueError(f"repeated generation token {key!r}")
+    for token in tokens:
         if token.startswith("n="):
             n = int(token[2:])
         elif token.startswith("max-degree="):
@@ -103,9 +104,9 @@ def _parse_gen_string(spec: str) -> GenSpec:
         elif token in _GEN_FLAG_FILTERS:
             filters.append(token)
         else:
-            raise UsageError(f"unknown generation token {token!r}")
+            raise ValueError(f"unknown generation token {token!r}")
     if n is None:
-        raise UsageError("generation spec needs n=<count>")
+        raise ValueError("generation spec needs n=<count>")
     return GenSpec(n=n, connected=connected, max_degree=max_degree, filters=tuple(filters))
 
 
@@ -121,17 +122,20 @@ _INDEX_FIELDS = ("r", "h", "l", "certified_le_one", "certified_le_sqrt2")
 
 
 def _index_fields(g: Graph) -> dict:
-    """R(G), the median positions and the exact <= 1 / <= sqrt2
-    certificates; all null for the empty graph."""
+    """R(G), the median positions and the exact <= 1 / <= sqrt2 certificates
+    (the second from the first when that holds, else from the counts at
+    +-sqrt2); all null for the empty graph."""
     if g.n == 0:
         return dict.fromkeys(_INDEX_FIELDS)
     idx = hl_index(g)
+    le_one = certify_R_le(g, 1).holds
     return {
         "r": idx.value,
         "h": idx.h,
         "l": idx.l,
-        "certified_le_one": certify_R_le(g, 1).holds,
-        "certified_le_sqrt2": certify_R_le(g, SQRT2).holds,
+        "certified_le_one": le_one,
+        # N>sqrt2 <= N>1 <= h - 1 and N<-sqrt2 <= N<-1 <= n - l
+        "certified_le_sqrt2": le_one or certify_R_le(g, SQRT2).holds,
     }
 
 
@@ -307,11 +311,11 @@ def cmd_hl(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    if args.gen and args.files:
+    if args.gen is not None and args.files:
         raise UsageError("give input files or --gen, not both")
     if args.csv and args.witness:
         raise UsageError("--witness needs JSON output, not --csv")
-    if args.gen:
+    if args.gen is not None:
         try:
             spec = _parse_gen_string(args.gen)
             spec.validate()

@@ -144,13 +144,6 @@ class Graph:
                 mask ^= low
         return out
 
-    def adjacency_rows(self) -> list[list[int]]:
-        """Dense 0/1 adjacency matrix as nested lists."""
-        return [
-            [1 if w in self._adj[v] else 0 for w in range(self.n)]
-            for v in range(self.n)
-        ]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)

@@ -38,10 +38,12 @@ from hlspec import (
 )
 from hlspec.graph_core import Multigraph
 
+from oracle import adjacency_rows
+
 
 def float_spectrum(g):
     """Adjacency eigenvalues, largest first, from numpy directly."""
-    return np.linalg.eigvalsh(np.array(g.adjacency_rows(), dtype=float))[::-1]
+    return np.linalg.eigvalsh(np.array(adjacency_rows(g), dtype=float))[::-1]
 
 
 def connected_subcubic(n):

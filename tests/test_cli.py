@@ -118,6 +118,55 @@ def test_hl_heawood_not_le_one():
     assert rep["r"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
+def test_hl_sqrt2_certificate_without_le_one():
+    # R = sqrt5 - 1 ~ 1.2361 and sqrt6 - 1 ~ 1.4495 (networkx plus
+    # numpy.linalg.eigvalsh): the <= sqrt2 field comes from the counts at
+    # +-sqrt2 here
+    proc = run_cli(["hl"], stdin_text="EtFW\nEb}g\n")
+    first, second = json_lines(proc.stdout)
+    assert (first["n"], first["certified_le_one"], first["certified_le_sqrt2"]) == (6, False, True)
+    assert first["r"] == pytest.approx(1.2360679775)
+    assert (second["n"], second["certified_le_one"], second["certified_le_sqrt2"]) == (6, False, False)
+    assert second["r"] == pytest.approx(1.4494897428)
+
+
+def test_hl_sqrt2_field_matches_direct_certificate(tmp_path, capsys):
+    from hlspec import SQRT2, GenSpec, certify_R_le, enumerate_graphs, parse_graph6
+
+    lines = [to_graph6(g) for g in enumerate_graphs(GenSpec(n=6, max_degree=5))]
+    assert len(lines) == 156
+    lines += ["EtFW", "Eb}g"]
+    path = tmp_path / "corpus.g6"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_main(["hl", str(path)], capsys)
+    assert code == 0
+    reports = json_lines(out)
+    assert [r["graph6"] for r in reports] == lines
+    for rep in reports:
+        assert rep["certified_le_sqrt2"] == certify_R_le(parse_graph6(rep["graph6"]), SQRT2).holds
+
+
+def test_hl_shifts_over_sqrt2_only_without_le_one(tmp_path, capsys, monkeypatch):
+    # the Z[sqrt2] shift runs once for each graph not certified <= 1, and
+    # for no other row
+    import hlspec.spectra as spectra
+    from hlspec import GenSpec, enumerate_graphs
+
+    lines = [to_graph6(g) for g in enumerate_graphs(GenSpec(n=8, connected=True))]
+    lines += [to_graph6(heawood_graph()), "EtFW", "Eb}g"]
+    path = tmp_path / "corpus.g6"
+    path.write_text("\n".join(lines) + "\n")
+    calls = []
+    shift = spectra._shift_pairs
+    monkeypatch.setattr(spectra, "_shift_pairs", lambda *a: calls.append(a) or shift(*a))
+    code, out, _ = run_main(["hl", str(path)], capsys)
+    assert code == 0
+    reports = json_lines(out)
+    assert len(reports) == len(lines)
+    assert [r["graph6"] for r in reports if not r["certified_le_one"]] == lines[-3:]
+    assert len(calls) == 3
+
+
 def test_hl_strict_malformed_exits_2():
     proc = run_cli(["hl", "--strict"], stdin_text="!!bad\n")
     assert proc.returncode == 2
@@ -356,7 +405,8 @@ def test_verify_gen_and_files_together_rejected(tmp_path):
 
 
 def test_verify_gen_bad_spec_exits_2():
-    for spec in ("n=x", "n=13", "n=4,max-degree=-1", "connected"):
+    for spec in ("n=x", "n=13", "n=4,max-degree=-1", "connected", "",
+                 "n=5,n=6", "n=4,max-degree=2,max-degree=3", "n=5,connected,connected"):
         proc = run_cli(["verify", "sp", "--gen", spec])
         assert proc.returncode == 2, spec
         assert proc.stdout == ""
