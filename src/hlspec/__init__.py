@@ -52,7 +52,6 @@ from .structure import (
     Partition,
     SPReductionTrace,
     UnbalancedSearch,
-    brute_force_has_k4_minor,
     find_k23,
     find_twins,
     find_unbalanced_unfriendly,

@@ -7,11 +7,13 @@ the orbit of an earlier one under the parent's automorphisms (the
 generators the canonical-form search finds) is skipped (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998).  Hereditary
 properties (bipartite, no K4 minor: both closed under vertex deletion) are
-tested once per new class, after canonicalization.  When only connected
-graphs are wanted, the last level skips a subset that misses a component
-of its parent before building the child.  No shortcut skips the first child
-of a kept class in (parent, subset) order, so the representatives are
-those of the plain every-child search.  Exhaustive and exact, which is the
+tested on each child before it is canonicalized, which costs far less, so a
+rejected child is never canonicalized; isomorphic children share the
+verdict, so a class is kept or dropped whole.  When only connected graphs
+are wanted, the last level skips a subset that misses a component of its
+parent before building the child.  No shortcut skips the first child of a
+kept class in (parent, subset) order, so the representatives are those of
+the plain every-child search.  Exhaustive and exact, which is the
 point; the hard cap keeps the cost honest.
 """
 
@@ -24,7 +26,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph_core import Graph, components, is_bipartite
-from .structure import find_k23, is_k4_minor_free
+from .structure import _k4_free_by_elimination, find_k23
 
 HARD_CAP = 12
 
@@ -238,7 +240,7 @@ _LEVEL_CACHE: dict[tuple[int, int | None, frozenset[str], bool], list[_Class]] =
 def _passes_hereditary(g: Graph, hered: frozenset[str]) -> bool:
     if "bipartite" in hered and not is_bipartite(g):
         return False
-    if "k4-minor-free" in hered and not is_k4_minor_free(g)[0]:
+    if "k4-minor-free" in hered and not _k4_free_by_elimination(g):
         return False
     return True
 
@@ -262,8 +264,7 @@ def _level(
     else:
         parents = _level(n - 1, max_degree, hered, False, stats)
         found: dict[bytes, _Class] = {}
-        rejected: set[bytes] = set()
-        built = skipped = disconnected = tested = 0
+        built = skipped = disconnected = tested = keyed = 0
         for parent, gens in parents:
             if max_degree is None:
                 eligible = list(range(n - 1))
@@ -301,18 +302,17 @@ def _level(
                                     orbit.append(image)
                     child = parent.with_vertex(subset)
                     built += 1
-                    child_gens: list[tuple[int, ...]] = []
-                    ck = canonical_key(child, child_gens)
-                    if ck in found or ck in rejected:
-                        continue
                     # a new vertex of degree <= 1 keeps every hereditary
                     # property the parent has: it adds no cycle and no minor
                     if size > 1 and hered:
                         tested += 1
                         if not _passes_hereditary(child, hered):
-                            rejected.add(ck)
                             continue
-                    found[ck] = (child, tuple(child_gens))
+                    child_gens: list[tuple[int, ...]] = []
+                    ck = canonical_key(child, child_gens)
+                    keyed += 1
+                    if ck not in found:
+                        found[ck] = (child, tuple(child_gens))
         out = [found[k] for k in sorted(found)]
         if stats is not None:
             stats.update(
@@ -320,6 +320,7 @@ def _level(
                 disconnected_skipped=disconnected,
                 orbit_skipped=skipped,
                 hereditary_tests=tested,
+                canonical_forms=keyed,
             )
     _LEVEL_CACHE[key] = out
     return out
@@ -331,8 +332,8 @@ def enumerate_graphs(spec: GenSpec, stats: Counter | None = None) -> list[Graph]
 
     The graphs are fresh copies: facts a caller computes on them never
     reach the level cache.  Levels built by this call (not cached ones) add
-    their ``children``, ``disconnected_skipped``, ``orbit_skipped`` and
-    ``hereditary_tests`` counts to ``stats``.
+    their ``children``, ``disconnected_skipped``, ``orbit_skipped``,
+    ``hereditary_tests`` and ``canonical_forms`` counts to ``stats``.
     """
     spec.validate()
     if "even-order" in spec.filters and spec.n % 2:

@@ -380,9 +380,11 @@ def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
     pass verdict follows from it.
 
     Returns True iff each step's re-evaluated outcome matches what was
-    recorded, every child trace replays against its named host vertices,
-    a pass trace (children included) concludes (see _concludes), and a
-    fail trace has a step that did not hold or a child that did not pass.
+    recorded, every child trace replays against its named host vertices, a
+    series-parallel-bound trace (child or not) is not-applicable exactly
+    when its host fails that theorem's precondition, a pass trace (children
+    included) concludes (see _concludes), and a fail trace has a step that
+    did not hold or a child that did not pass.
     A malformed trace (a step whose data cannot be evaluated, a child host
     vertex outside g) replays False rather than raising.  Replay works on a
     copy of g with an empty fact record, so every count is recomputed
@@ -428,6 +430,11 @@ def _concludes(g: Graph, trace: WitnessTrace) -> bool:
 
 
 def _replay(g: Graph, trace: WitnessTrace) -> bool:
+    # an sp trace is not-applicable exactly where the precondition fails
+    if trace.theorem == "series-parallel-bound" and (
+        (trace.verdict == NOT_APPLICABLE) == _sp_applies(g)
+    ):
+        return False
     for step in trace.steps:
         evaluator, mode = _EVALUATORS.get(step.kind, (None, None))
         if evaluator is None or mode != step.mode:
@@ -1107,6 +1114,11 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
     return steps, named, "two-connected", ()
 
 
+def _sp_applies(g: Graph) -> bool:
+    """The sp theorem's precondition: non-empty, max degree 3, no K4 minor."""
+    return g.n > 0 and g.max_degree() <= 3 and k4_minor_free(g)
+
+
 def verify_theorem_sp(g: Graph) -> WitnessTrace:
     """Replay the induction that treewidth-2 graphs of max degree 3 keep both
     median eigenvalues in [-1, 1], on one concrete graph.
@@ -1117,9 +1129,7 @@ def verify_theorem_sp(g: Graph) -> WitnessTrace:
     so a flaw anywhere surfaces as a failing step.
     """
     theorem = "series-parallel-bound"
-    if g.n == 0:
-        return WitnessTrace(theorem, "precondition", {}, (), NOT_APPLICABLE)
-    if g.max_degree() > 3 or not k4_minor_free(g):
+    if not _sp_applies(g):
         return WitnessTrace(theorem, "precondition", {}, (), NOT_APPLICABLE)
 
     if not is_connected(g):

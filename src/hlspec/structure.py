@@ -1,10 +1,10 @@
 """Combinatorial structure: partitions, twins, subdivisions of K_{2,3},
-treewidth-2 recognition by reduction, a brute-force minor oracle, and
-longest cycles.
+K4-minor recognition, and longest cycles.
 
-The reducer and the minor oracle answer the same question by unrelated
-methods; keeping both honest against each other is part of the test
-contract, so neither may call the other.
+K4-minor-freeness has two deciders: a reducer that records every step for
+replay, and a bitmask elimination that returns only the verdict.  Tests
+check both against a brute-force contraction oracle kept out of the
+package (tests/oracle.py).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph_core import Graph, Multigraph, components
+from .graph_core import Graph, Multigraph
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +336,46 @@ def is_k4_minor_free(g: Graph) -> tuple[bool, SPReductionTrace]:
     return trace.reduced_to_empty, trace
 
 
-def k4_minor_free(g: Graph) -> bool:
-    """is_k4_minor_free's verdict, kept on g's fact record.
+def _k4_free_by_elimination(g: Graph) -> bool:
+    """Whether g has no K4 minor, by eliminating vertices of degree <= 2 on
+    neighbour bitmasks: a vertex of degree <= 1 is deleted, and one of
+    degree 2 is deleted after its two neighbours are joined.
 
-    Only the verdict is kept: a reduction trace on every graph would hold
-    far more memory than the one call it saves.
+    These are the reducer's rules on a simple graph: joining the neighbours
+    is a suppression, and OR-ing the masks merges the parallel edge it may
+    make.  Each rule keeps the presence and absence of a K4 minor, and a
+    non-empty graph that admits none has minimum degree >= 3, so it has a
+    K4 minor (Dirac 1952; Duffin 1965).  So g is K4-minor-free iff every
+    vertex goes, in whatever order.  Only the verdict is kept; the reducer
+    (is_k4_minor_free) records the steps.
     """
-    return g.fact("k4-minor-free", lambda: is_k4_minor_free(g)[0])
+    nbrs = [g.neighbor_mask(v) for v in range(g.n)]
+    alive = (1 << g.n) - 1
+    work = list(range(g.n))
+    while work:
+        v = work.pop()
+        m = nbrs[v]
+        if not (alive >> v) & 1 or m.bit_count() > 2:
+            continue
+        alive ^= 1 << v
+        low = m & -m  # 0 when v is isolated
+        high = m ^ low  # 0 unless v has degree 2
+        for end, other in ((low, high), (high, low)):
+            if end:
+                u = end.bit_length() - 1
+                nbrs[u] = (nbrs[u] ^ (1 << v)) | other
+                work.append(u)
+    return not alive
+
+
+def k4_minor_free(g: Graph) -> bool:
+    """Whether g has no K4 minor, kept on g's fact record.
+
+    The verdict comes from _k4_free_by_elimination, which builds no
+    multigraph and records no step; the reducer (is_k4_minor_free) runs
+    only where its trace is wanted: recognize --trace and replay_reduction.
+    """
+    return g.fact("k4-minor-free", lambda: _k4_free_by_elimination(g))
 
 
 def replay_reduction(g: Graph, trace: SPReductionTrace) -> bool:
@@ -370,91 +403,6 @@ def replay_reduction(g: Graph, trace: SPReductionTrace) -> bool:
         and mg.total_multiplicity == trace.final_multiplicity
         and trace.reduced_to_empty == (mg.n_vertices == 0)
     )
-
-
-# ---------------------------------------------------------------------------
-# brute-force minor oracle
-# ---------------------------------------------------------------------------
-
-def brute_force_has_k4_minor(g: Graph) -> bool:
-    """Decide K4-minor presence by exhaustive contraction search.
-
-    A K4 minor exists iff some sequence of edge contractions produces a
-    graph with four pairwise-adjacent vertices (the four merged blocks being
-    the branch sets; untouched vertices ride along as deletable extras).
-    States are partitions of the vertex set into connected blocks, memoized
-    as frozensets.  Deliberately unrelated to the reduction recognizer.
-    """
-    if g.n > 12:
-        raise ValueError("brute-force minor search is capped at n = 12")
-    if g.n < 4 or g.m < 6:
-        return False
-
-    def block_adjacency(blocks: tuple[frozenset[int], ...]) -> list[int]:
-        k = len(blocks)
-        masks = [sum(1 << v for v in blk) for blk in blocks]
-        nbr = []
-        for blk in blocks:
-            out = 0
-            for v in blk:
-                out |= g.neighbor_mask(v)
-            nbr.append(out)
-        adj = [0] * k
-        for i in range(k):
-            for j in range(i + 1, k):
-                if nbr[i] & masks[j]:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        return adj
-
-    def adjacency_has_k4(adj: list[int]) -> bool:
-        # four pairwise-adjacent indices: a triangle (i, j, k) plus a common
-        # neighbor of all three strictly above k
-        k = len(adj)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not (adj[i] >> j) & 1:
-                    continue
-                common = adj[i] & adj[j] & ~((1 << (j + 1)) - 1)
-                c = common
-                while c:
-                    low = c & -c
-                    v = low.bit_length() - 1
-                    if adj[v] & common & ~((1 << (v + 1)) - 1):
-                        return True
-                    c ^= low
-        return False
-
-    seen: set[frozenset[frozenset[int]]] = set()
-
-    def search(blocks: tuple[frozenset[int], ...]) -> bool:
-        if len(blocks) < 4:
-            return False
-        key = frozenset(blocks)
-        if key in seen:
-            return False
-        seen.add(key)
-        adj = block_adjacency(blocks)
-        if adjacency_has_k4(adj):
-            return True
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if not (adj[i] >> j) & 1:
-                    continue
-                merged = blocks[i] | blocks[j]
-                nxt = tuple(
-                    sorted(
-                        [b for idx, b in enumerate(blocks) if idx not in (i, j)]
-                        + [merged],
-                        key=min,
-                    )
-                )
-                if search(nxt):
-                    return True
-        return False
-
-    start = tuple(sorted((frozenset([v]) for v in range(g.n)), key=min))
-    return search(start)
 
 
 # ---------------------------------------------------------------------------

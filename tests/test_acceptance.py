@@ -19,7 +19,6 @@ from hlspec import (
     GenSpec,
     Graph,
     SQRT2,
-    brute_force_has_k4_minor,
     certify_R_le,
     check_lemma_odd,
     check_lemma_twins,
@@ -37,8 +36,9 @@ from hlspec import (
     verify_theorem_sp,
 )
 from hlspec.graph_core import Multigraph
+from hlspec.structure import _k4_free_by_elimination
 
-from oracle import adjacency_rows
+from oracle import adjacency_rows, brute_force_has_k4_minor
 
 
 def float_spectrum(g):
@@ -103,16 +103,19 @@ def test_criterion_05_n4_census_has_five_classes():
 
 
 def test_criterion_06_reducer_matches_brute_force_oracle_n7():
-    disagreements = 0
+    # both recognizers: the traced reducer and the verdict-only elimination
+    disagreements = elimination_disagreements = 0
     total = 0
     for n in range(1, 8):
         for g in enumerate_graphs(GenSpec(n, max_degree=None)):
             fast = reduce_multigraph(Multigraph.from_graph(g)).reduced_to_empty
             slow = not brute_force_has_k4_minor(g)
             disagreements += fast != slow
+            elimination_disagreements += _k4_free_by_elimination(g) != slow
             total += 1
     assert total == 1 + 2 + 4 + 11 + 34 + 156 + 1044
     assert disagreements == 0
+    assert elimination_disagreements == 0
 
 
 def test_criterion_07_lemma_suite():

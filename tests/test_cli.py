@@ -288,6 +288,7 @@ def test_gen_stdout_frozen_and_summary_on_stderr():
         "disconnected children skipped",
         "subsets skipped by orbit",
         "hereditary tests",
+        "canonical forms",
         "wall",
     ):
         assert key in summary
@@ -299,6 +300,32 @@ def test_gen_n10_connected_k4_minor_free_matches_frozen_corpus():
     assert proc.returncode == 0
     frozen = (REPO / "perfbench" / "data" / "k4mf_n10.g6").read_bytes()
     assert proc.stdout.encode() == frozen
+
+
+def test_gen_and_verify_sp_never_run_the_reducer(tmp_path, capsys, monkeypatch):
+    # the K4-minor verdict of gen's filter and of verify sp's precondition
+    # comes from the bitmask elimination; only recognize --trace reduces
+    import hlspec.enumeration as enumeration
+    import hlspec.structure as structure
+
+    def refuse(mg):
+        raise AssertionError("the reducer ran")
+
+    monkeypatch.setattr(structure, "reduce_multigraph", refuse)
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    code, out, _ = run_main(["gen", "n=9", "--k4-minor-free"], capsys)
+    assert code == 0 and len(out.splitlines()) == 847
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d18fb26b8959c19d798965bc8ef0ae0d17f79fa366442c5d1b0413b213895a71"
+    )
+    path = tmp_path / "k4mf_n9.g6"
+    path.write_text(out)
+    code, out, _ = run_main(["verify", "sp", "--jobs", "1", str(path)], capsys)
+    assert code == 0
+    assert {rep["verdict"] for rep in json_lines(out)} == {"pass"}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7ad9c58c2b6720949dce9ed7769d8b96c0bf08f04ca81249c8e740842680e0c5"
+    )
 
 
 def test_gen_rejects_malformed_count():
@@ -451,8 +478,9 @@ def test_verify_exit_code_1_on_failure(monkeypatch, capsys):
 
 
 def test_verify_sp_computes_each_fact_once(monkeypatch):
-    # counted, not timed: the reducer runs once per graph and the char-poly
-    # once per distinct subject the trace names (the full graph included)
+    # counted, not timed: the K4-minor verdict runs once per graph, the
+    # reducer never, and the char-poly once per distinct subject the trace
+    # names (the full graph included)
     import collections
 
     import hlspec.spectra as spectra
@@ -460,9 +488,14 @@ def test_verify_sp_computes_each_fact_once(monkeypatch):
     from hlspec import GenSpec, enumerate_graphs
 
     calls: collections.Counter = collections.Counter()
-    reduce_, charpoly = structure.is_k4_minor_free, spectra._charpoly
+    verdict_, reduce_ = structure._k4_free_by_elimination, structure.reduce_multigraph
+    charpoly = spectra._charpoly
     monkeypatch.setattr(
-        structure, "is_k4_minor_free", lambda g: calls.update(["reduce"]) or reduce_(g)
+        structure, "_k4_free_by_elimination",
+        lambda g: calls.update(["verdict"]) or verdict_(g),
+    )
+    monkeypatch.setattr(
+        structure, "reduce_multigraph", lambda mg: calls.update(["reduce"]) or reduce_(mg)
     )
     monkeypatch.setattr(
         spectra, "_charpoly", lambda g: calls.update(["charpoly"]) or charpoly(g)
@@ -484,7 +517,8 @@ def test_verify_sp_computes_each_fact_once(monkeypatch):
         calls.clear()
         rep = cli._verify_report((line_no, to_graph6(g), "sp", True, False))
         assert rep["verdict"] == "pass"
-        assert calls["reduce"] == 1
+        assert calls["verdict"] == 1
+        assert calls["reduce"] == 0
         assert calls["charpoly"] == len(subjects(rep["witness"]))
 
 
@@ -622,21 +656,31 @@ def test_recognize_trace_shows_reduction():
 
 
 def test_recognize_runs_the_reducer_once_per_graph(monkeypatch):
+    # without --trace the verdict alone answers the predicate; with it the
+    # reducer's trace answers it and the verdict never runs
+    import collections
+
     import hlspec.structure as structure
 
-    calls = []
-    reduce_ = structure.reduce_multigraph
+    calls: collections.Counter = collections.Counter()
+    verdict_, reduce_ = structure._k4_free_by_elimination, structure.reduce_multigraph
     monkeypatch.setattr(
-        structure, "reduce_multigraph", lambda mg: calls.append(1) or reduce_(mg)
+        structure, "_k4_free_by_elimination",
+        lambda g: calls.update(["verdict"]) or verdict_(g),
+    )
+    monkeypatch.setattr(
+        structure, "reduce_multigraph", lambda mg: calls.update(["reduce"]) or reduce_(mg)
     )
     corpus = (heawood_graph(), cycle_graph(6), complete_bipartite(2, 3))
     for with_trace in (False, True):
         for line_no, g in enumerate(corpus, start=1):
             calls.clear()
             rep = cli._recognize_report((line_no, to_graph6(g), with_trace))
-            assert len(calls) == 1
             if with_trace:
+                assert calls == {"reduce": 1}
                 assert rep["k4_minor_free"] == rep["reduction"]["reduced_to_empty"]
+            else:
+                assert calls == {"verdict": 1}
 
 
 def test_hl_and_recognize_summaries_on_stderr():

@@ -33,7 +33,9 @@ from hlspec import (
 )
 from hlspec import enumeration
 from hlspec.enumeration import _refine
-from hlspec.structure import brute_force_has_k4_minor, find_k23
+from hlspec.structure import find_k23
+
+from oracle import brute_force_has_k4_minor
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

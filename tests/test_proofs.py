@@ -373,8 +373,16 @@ def test_replay_rejects_pass_with_a_failed_step():
         dataclasses.replace(failed, ok=False),
     ), PASS)
     assert forged.steps[0].kind == "certify-r-le" and not certify_R_le(g, "1").holds
-    assert replay_trace(g, dataclasses.replace(forged, verdict=FAIL)) is True
     assert replay_trace(g, forged) is False
+    # Heawood has a K4 minor, so the theorem does not apply: even the fail
+    # verdict that the failed step supports does not replay there
+    assert replay_trace(g, dataclasses.replace(forged, verdict=FAIL)) is False
+    # on a host the theorem covers, R(C6) = 1 > 1/2: the step honestly
+    # fails, and replays as failed under a fail verdict but not a pass
+    half = dataclasses.replace(failed, data={**failed.data, "bound": "1/2"}, ok=False)
+    forged_half = dataclasses.replace(forged, steps=(half,))
+    assert replay_trace(cycle_graph(6), dataclasses.replace(forged_half, verdict=FAIL)) is True
+    assert replay_trace(cycle_graph(6), forged_half) is False
     # the same on a genuine trace: a true extra step replays, a false one not
     h = cycle_graph(6)
     trace = verify_theorem_sp(h)
@@ -384,6 +392,56 @@ def test_replay_rejects_pass_with_a_failed_step():
         )
         steps = (extra,) + trace.steps
         assert replay_trace(h, dataclasses.replace(trace, steps=steps)) is verdict
+
+
+def test_replay_rejects_sp_trace_on_a_host_with_a_k4_minor():
+    # every step of this base-n4 trace holds on K4 and it ends in the exact
+    # R <= 1 claim, but K4 is its own K4 minor: verify_theorem_sp says
+    # not-applicable, so a pass (or a fail) is a forgery
+    g = complete_graph(4)
+    full = {"kind": "full"}
+    base = verify_theorem_sp(cycle_graph(4))
+    assert base.case == "base-n4"
+    assert [(s.kind, s.data) for s in base.steps] == [
+        ("degree-le", {"subject": full, "bound": 3}),
+        ("certify-r-le", {"subject": full, "bound": "1"}),
+    ]
+    assert certify_R_le(g, "1").holds and verify_theorem_sp(g).verdict == NOT_APPLICABLE
+    forged = WitnessTrace("series-parallel-bound", "base-n4", {}, base.steps, PASS)
+    assert replay_trace(g, forged) is False
+    assert replay_trace(g, dataclasses.replace(forged, verdict=FAIL)) is False
+    assert replay_trace(g, verify_theorem_sp(g)) is True
+    # and above max degree 3, with no K4 minor
+    star = star_graph(4)
+    assert star.max_degree() == 4
+    star_steps = (dataclasses.replace(
+        base.steps[1], ok=certify_R_le(star, "1").holds
+    ),)
+    assert replay_trace(star, WitnessTrace(
+        "series-parallel-bound", "cut-vertex", {}, star_steps, PASS
+    )) is False
+    assert replay_trace(star, verify_theorem_sp(star)) is True
+
+
+def test_replay_rejects_not_applicable_sp_trace_where_it_applies():
+    # C6 is subcubic and K4-minor-free, so the sp theorem applies to it
+    forged = WitnessTrace("series-parallel-bound", "precondition", {}, (), NOT_APPLICABLE)
+    assert replay_trace(cycle_graph(6), forged) is False
+    # an sp child claiming not-applicable on a component that meets the
+    # precondition is caught as well
+    g = Graph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)])
+    trace = verify_theorem_sp(g)
+    child = dataclasses.replace(
+        forged, named={"host-vertices": trace.children[0].named["host-vertices"]}
+    )
+    assert replay_trace(g, dataclasses.replace(
+        trace, children=(child,) + trace.children[1:], verdict=FAIL
+    )) is False
+    # the genuine not-applicable traces still replay: no vertices, a K4
+    # minor, max degree above 3
+    for host in (Graph(0), complete_graph(4), star_graph(4)):
+        trace = verify_theorem_sp(host)
+        assert trace.verdict == NOT_APPLICABLE and replay_trace(host, trace) is True
 
 
 def test_replay_rejects_fail_whose_steps_and_children_hold():

@@ -1,7 +1,8 @@
 """Partitions, twin and subgraph search, minor recognition, longest cycles.
 
-Dual routes stay separate throughout: the reduction-based recognizer is
-checked against the contraction-search oracle, partition searches against
+Dual routes stay separate throughout: both K4-minor recognizers (the
+traced reducer and the verdict-only elimination) are checked against the
+contraction-search oracle in tests/oracle.py, partition searches against
 exhaustive set enumeration, and longest cycles against a permutation
 brute force.
 """
@@ -30,7 +31,7 @@ from hlspec.named import (
 from hlspec.structure import (
     _APPLIERS,
     Partition,
-    brute_force_has_k4_minor,
+    _k4_free_by_elimination,
     find_k23,
     find_twins,
     find_unbalanced_unfriendly,
@@ -41,6 +42,8 @@ from hlspec.structure import (
     replay_reduction,
     unfriendly_partition,
 )
+
+from oracle import brute_force_has_k4_minor
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -228,6 +231,34 @@ def test_reduction_strategies_agree(seed):
     g = random_graph(rng.randint(2, 10), rng.uniform(0.2, 0.6), seed=seed + 550)
     reversed_g = Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
     assert is_k4_minor_free(g)[0] == is_k4_minor_free(reversed_g)[0]
+
+
+def test_elimination_verdict_matches_reducer_on_small_classes():
+    # every subcubic class on n <= 10 and every class on n <= 7
+    graphs = [g for n in range(1, 11) for g in enumerate_graphs(GenSpec(n))]
+    graphs += [g for n in range(1, 8) for g in enumerate_graphs(GenSpec(n, max_degree=None))]
+    assert len(graphs) == 5389 + 1252
+    verdicts = [_k4_free_by_elimination(g) for g in graphs]
+    assert verdicts == [is_k4_minor_free(g)[0] for g in graphs]
+    assert 0 < sum(verdicts) < len(graphs)
+
+
+def test_elimination_verdict_matches_oracle_and_relabelling():
+    # seeded random graphs on 4..12 vertices, with n - 1 to 2n - 2 edges so
+    # that both verdicts are common; reversing the labels makes the worklist
+    # eliminate in another order
+    free = 0
+    for seed in range(100):
+        rng = random.Random(seed + 12000)
+        n = rng.randint(4, 12)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, min(rng.randint(n - 1, 2 * n - 2), len(pairs))))
+        reversed_g = Graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges()])
+        verdict = _k4_free_by_elimination(g)
+        assert verdict == (not brute_force_has_k4_minor(g)), sorted(g.edges())
+        assert verdict == _k4_free_by_elimination(reversed_g), sorted(g.edges())
+        free += verdict
+    assert 20 < free < 80
 
 
 def test_k4mf_is_hereditary_under_deletion():
