@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -31,7 +33,7 @@ from .proofs import (
     verify_theorem_k23,
     verify_theorem_sp,
 )
-from .spectra import SQRT2, certify_R_le, hl_index
+from .spectra import SQRT2, certify_R_le, hl_index, prime
 from .structure import find_k23, is_k4_minor_free, k4_minor_free
 
 THEOREMS = ("k23", "sp", "lemma-odd", "survey")
@@ -148,14 +150,13 @@ def _predicates(g: Graph) -> dict:
     }
 
 
-def _head(line_no: int, text: str) -> tuple[Graph, dict]:
-    """The graph and the fields every report starts with."""
-    g = parse_graph6(text)
-    return g, {"graph6": text, "line": line_no, "n": g.n, "m": g.m}
+def _head(g: Graph, line_no: int, text: str) -> dict:
+    """The fields every report starts with."""
+    return {"graph6": text, "line": line_no, "n": g.n, "m": g.m}
 
 
-def _hl_report(task: tuple[int, str]) -> dict:
-    g, rep = _head(*task)
+def _hl_report(g: Graph, line_no: int, text: str) -> dict:
+    rep = _head(g, line_no, text)
     rep.update(_index_fields(g))
     return rep
 
@@ -181,13 +182,15 @@ _VERIFIERS = {
 }
 
 
-def _verify_report(task: tuple[int, str, str, bool, bool]) -> dict:
+def _verify_report(
+    g: Graph, line_no: int, text: str, theorem: str, witness: bool, timing: bool
+) -> dict:
     """One verify row.  The survey passes a subcubic graph iff R <= sqrt2 is
     certified; it skips any other graph, with the index fields and all
-    predicates but subcubic null."""
-    line_no, text, theorem, witness, timing = task
+    predicates but subcubic null.  The timing covers the row, not the
+    chunk's parsing and batched spectra."""
     start = time.perf_counter()
-    g, rep = _head(line_no, text)
+    rep = _head(g, line_no, text)
     rep["theorem"] = theorem
     if g.n == 0:
         rep.update(_index_fields(g), case="empty", verdict="skipped", predicates=_predicates(g))
@@ -214,9 +217,8 @@ def _verify_report(task: tuple[int, str, str, bool, bool]) -> dict:
     return rep
 
 
-def _recognize_report(task: tuple[int, str, bool]) -> dict:
-    line_no, text, with_trace = task
-    g, rep = _head(line_no, text)
+def _recognize_report(g: Graph, line_no: int, text: str, with_trace: bool) -> dict:
+    rep = _head(g, line_no, text)
     if with_trace:
         # the traced run also answers the predicate, so the reducer runs once
         free, trace = is_k4_minor_free(g)
@@ -233,18 +235,37 @@ def _recognize_report(task: tuple[int, str, bool]) -> dict:
     return rep
 
 
-def _map_tasks(worker, tasks: list, jobs: int) -> Iterator[dict]:
-    """Run tasks through the worker, in order, optionally across processes.
+def _report_chunk(report, spectral_degree: float | None, chunk: list[tuple]) -> list[dict]:
+    """The rows of a chunk of (line number, graph6 text, *options) tasks:
+    every line is parsed, the spectral facts of the graphs whose rows read
+    them (max degree at most spectral_degree; None: no row does) are
+    computed in one batch, then report builds each row."""
+    graphs = [parse_graph6(task[1]) for task in chunk]
+    if spectral_degree is not None:
+        prime([g for g in graphs if g.max_degree() <= spectral_degree])
+    graphs.reverse()  # each popped as its row is built, so its facts die with the row
+    return [report(graphs.pop(), *task) for task in chunk]
 
-    The pool never has more workers than CPUs or tasks."""
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+
+def _map_tasks(worker, tasks: list, jobs: int) -> Iterator[dict]:
+    """Run chunks of 1, 2, 4, ..., 64, 64, ... tasks through the worker, in
+    order, optionally across processes, and yield each chunk's results.  The
+    first chunk is one task, so the first row waits for one graph.
+
+    The pool never has more workers than CPUs or chunks."""
+    chunks, start, size = [], 0, 1
+    while start < len(tasks):
+        chunks.append(tasks[start : start + size])
+        start, size = start + size, min(2 * size, 64)
+    workers = min(jobs, os.cpu_count() or 1, len(chunks))
     if workers <= 1:
-        for t in tasks:
-            yield worker(t)
+        for chunk in chunks:
+            yield from worker(chunk)
         return
     ctx = multiprocessing.get_context()
     with ctx.Pool(processes=workers) as pool:
-        yield from pool.imap(worker, tasks, chunksize=8)
+        for rows in pool.imap(worker, chunks):
+            yield from rows
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +324,8 @@ def _summary(command: str, graphs: int, skipped: int, start: float) -> None:
 def cmd_hl(args) -> int:
     start = time.perf_counter()
     tasks, bad = _collect_graphs(args.files, args.strict)
-    for _ in _emit(_map_tasks(_hl_report, tasks, args.jobs), args.csv, "hl"):
+    worker = functools.partial(_report_chunk, _hl_report, math.inf)
+    for _ in _emit(_map_tasks(worker, tasks, args.jobs), args.csv, "hl"):
         pass
     _summary("hl", len(tasks), bad, start)
     return 0
@@ -330,7 +352,11 @@ def cmd_verify(args) -> int:
     ]
     totals = {"pass": 0, "fail": 0, "skipped": 0}
     max_r: float | None = None
-    for rep in _emit(_map_tasks(_verify_report, tasks, args.jobs), args.csv, "verify"):
+    # the survey skips a graph of max degree above 3 without its index
+    worker = functools.partial(
+        _report_chunk, _verify_report, 3 if args.theorem == "survey" else math.inf
+    )
+    for rep in _emit(_map_tasks(worker, tasks, args.jobs), args.csv, "verify"):
         verdict = rep["verdict"]
         if verdict == PASS:
             totals["pass"] += 1
@@ -384,7 +410,8 @@ def cmd_recognize(args) -> int:
     start = time.perf_counter()
     inputs, bad = _collect_graphs(args.files, args.strict)
     tasks = [(line_no, text, args.trace) for line_no, text in inputs]
-    for _ in _emit(_map_tasks(_recognize_report, tasks, args.jobs), args.csv, "recognize"):
+    worker = functools.partial(_report_chunk, _recognize_report, None)
+    for _ in _emit(_map_tasks(worker, tasks, args.jobs), args.csv, "recognize"):
         pass
     _summary("recognize", len(tasks), bad, start)
     return 0

@@ -125,7 +125,7 @@ class Graph:
         return tuple(len(s) for s in self._adj)
 
     def max_degree(self) -> int:
-        return max((len(s) for s in self._adj), default=0)
+        return max(map(len, self._adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]

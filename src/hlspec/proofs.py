@@ -381,7 +381,7 @@ def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
 
     Returns True iff each step's re-evaluated outcome matches what was
     recorded, every child trace replays against its named host vertices, a
-    series-parallel-bound trace (child or not) is not-applicable exactly
+    trace of a theorem in _APPLIES (child or not) is not-applicable exactly
     when its host fails that theorem's precondition, a pass trace (children
     included) concludes (see _concludes), and a fail trace has a step that
     did not hold or a child that did not pass.
@@ -429,11 +429,27 @@ def _concludes(g: Graph, trace: WitnessTrace) -> bool:
     return (last.kind, last.data) == _CONCLUSIONS.get((trace.theorem, trace.case), _R_LE_ONE)
 
 
+def _sp_applies(g: Graph) -> bool:
+    """The sp theorem's precondition: non-empty, max degree 3, no K4 minor."""
+    return g.n > 0 and g.max_degree() <= 3 and k4_minor_free(g)
+
+
+def _odd_applies(g: Graph) -> bool:
+    return g.n % 2 == 1 and g.max_degree() <= 3
+
+
+# Each theorem's precondition, where its verifier answers not-applicable
+# exactly when it fails (not-found counts as applicable).
+_APPLIES = {
+    "series-parallel-bound": _sp_applies,
+    "k23-bound": lambda g: g.max_degree() <= 3 and find_k23(g) is not None,
+    "odd-order": _odd_applies,
+}
+
+
 def _replay(g: Graph, trace: WitnessTrace) -> bool:
-    # an sp trace is not-applicable exactly where the precondition fails
-    if trace.theorem == "series-parallel-bound" and (
-        (trace.verdict == NOT_APPLICABLE) == _sp_applies(g)
-    ):
+    applies = _APPLIES.get(trace.theorem)
+    if applies is not None and (trace.verdict == NOT_APPLICABLE) == applies(g):
         return False
     for step in trace.steps:
         evaluator, mode = _EVALUATORS.get(step.kind, (None, None))
@@ -514,7 +530,7 @@ def check_lemma_twins(g: Graph) -> WitnessTrace:
 
 def check_lemma_odd(g: Graph) -> WitnessTrace:
     """Odd-order graphs with max degree 3 keep the median pair within [-1, 1]."""
-    if g.n % 2 == 0 or g.max_degree() > 3:
+    if not _odd_applies(g):
         return WitnessTrace(
             theorem="odd-order",
             case="precondition",
@@ -1112,11 +1128,6 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
     steps += _count_bound_steps(g, del_xv, "two-vertex deletion", (n - 6) // 2)
     steps += _interlace_steps(g, del_xv["vertices"], "two-vertex deletion")
     return steps, named, "two-connected", ()
-
-
-def _sp_applies(g: Graph) -> bool:
-    """The sp theorem's precondition: non-empty, max degree 3, no K4 minor."""
-    return g.n > 0 and g.max_degree() <= 3 and k4_minor_free(g)
 
 
 def verify_theorem_sp(g: Graph) -> WitnessTrace:

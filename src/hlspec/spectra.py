@@ -13,24 +13,29 @@ certificates and proof steps rest on, and it never touches a float:
   Descartes' rule of signs is exact: the sign changes in the coefficients of
   p(x + t) count the eigenvalues above t, and the index of the lowest
   nonzero coefficient is the multiplicity of t.  A threshold
-  t = (a + b*sqrt2) / d is shifted in by Horner's rule: in plain integers
-  when b = 0, else over integer pairs, so every coefficient stays in
-  Z[sqrt2] and its sign is an integer test.
+  t = (a + b*sqrt2) / d is shifted in as p's coefficient row times an
+  integer matrix, two when b != 0 (the rational and the sqrt2 parts), so
+  every coefficient stays in Z[sqrt2] and its sign is an integer test.
 
-The polynomial, the Z[sqrt2] shifts, the counts per threshold, the float
-spectrum and the edge positions both kernels' matrices are filled from are
-kept on the graph's fact record (Graph.fact), so each is computed once per
-graph.  numpy is imported inside those two kernels, not at module level, so
-gen, recognize and --help, which compute no spectrum, never load it.
+One kernel stacks the adjacency matrices of graphs of one order, takes
+their powers by batched products and, when asked, diagonalizes the stack;
+prime(graphs) runs it per order and fills the counts at +-1 with one shift
+product per sign, and a single fact request is a batch of one.  Each fact
+(polynomial, Z[sqrt2] shift, counts per threshold, float spectrum) is kept
+on the graph's fact record (Graph.fact), so it is computed once per graph.
+numpy is imported inside the kernel and the shift, so gen, recognize and
+--help, which compute no spectrum, never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import ne
-from typing import Union
+from functools import lru_cache
+from itertools import chain
+from math import comb, lcm
+from operator import mul, ne
+from typing import Iterable, Sequence, Union
 
 from .graph_core import Graph
 
@@ -101,44 +106,70 @@ class InertiaCount:
     below: int
 
 
-def _edge_index(g: Graph) -> list[int]:
-    """Flat positions u*n + v (u < v) of g's edges in an n x n matrix, as a
-    list: numpy reads a tuple as one index per axis."""
-    return list(g.fact("edge-index", lambda: tuple(u * g.n + v for u, v in g.edges())))
-
-
-def _charpoly(g: Graph) -> list[int]:
-    """Coefficients of det(xI - A), leading 1 first, by Newton's identities.
+def _adjacency_facts(graphs: Sequence[Graph], with_spectrum: bool = False) -> list[tuple]:
+    """The characteristic polynomial (leading 1 first) and, with_spectrum,
+    the float spectrum of each of graphs, which share one order n, from one
+    stacked adjacency array; each is also stored on its graph's fact record.
 
     A is symmetric, so tr(A^(i+j)) is the sum of the entrywise product of
     A^i and A^j: the powers A^1..A^h, h = ceil(n/2), flattened into rows,
-    give every trace up to n from two matrix-vector products.
+    give every trace up to n from two batched matrix-vector products.  Every
+    trace, and every partial sum of one, is at most n * D^n for the batch's
+    largest degree D, so the stack is int64 while n * D^n < 2^62 and Python
+    ints (dtype object) otherwise.  Newton's identities run in Python ints.
     """
-    import numpy as np
+    n = graphs[0].n
+    traces = values = [[]] * len(graphs)
+    if n:
+        import numpy as np
 
-    n = g.n
-    if n == 0:
-        return [1]
-    dtype = np.int64 if n * max(g.max_degree(), 1) ** n < 2 ** 62 else object
-    adj = np.zeros(n * n, dtype=dtype)
-    adj[_edge_index(g)] = 1
-    adj = adj.reshape(n, n)
-    adj = adj + adj.T
-    h = (n + 1) // 2
-    powers = [adj]
-    for _ in range(h - 1):
-        powers.append(powers[-1].dot(adj))
-    flat = np.array(powers).reshape(h, n * n)
-    # traces[k] = tr(A^(k+1)): tr(A) = 0, then A^1..A^h against A^1, then
-    # A^2..A^(n-h) against A^h; every entry is at most tr(A^n) <= n * D^n
-    traces = [0] + (flat @ flat[0]).tolist() + (flat[1 : n - h] @ flat[-1]).tolist()
-    coeffs = [1]
-    for k in range(1, n + 1):
-        total = 0
-        for i in range(k):
-            total += coeffs[i] * traces[k - 1 - i]
-        coeffs.append(-total // k)
-    return coeffs
+        size = n * n
+        degree = max(max(g.max_degree() for g in graphs), 1)
+        adj = np.zeros(len(graphs) * size, dtype=np.int64 if n * degree ** n < 2 ** 62 else object)
+        adj[[b * size + u * n + v for b, g in enumerate(graphs) for u, v in g.edges()]] = 1
+        adj = adj.reshape(-1, n, n)
+        adj = adj + adj.transpose(0, 2, 1)
+        h = (n + 1) // 2
+        powers = [adj]
+        for _ in range(h - 1):
+            powers.append(powers[-1] @ adj)
+        flat = np.stack(powers, axis=1).reshape(-1, h, size)
+        # tr(A^2)..tr(A^(h+1)) from A^1..A^h against A^1, then
+        # tr(A^(h+2))..tr(A^n) from A^2..A^(n-h) against A^h
+        first = (flat @ flat[:, 0, :, None])[..., 0]
+        rest = (flat[:, 1 : n - h] @ flat[:, -1, :, None])[..., 0]
+        traces = np.concatenate((first, rest), axis=1).tolist()
+        if with_spectrum:
+            values = np.linalg.eigvalsh(adj.astype(np.float64))[:, ::-1].tolist()
+    out = []
+    for g, row, vals in zip(graphs, traces, values):
+        sums, coeffs = [0, *row], [1]  # sums[k - 1] = tr(A^k)
+        for k in range(1, n + 1):
+            coeffs.append(-sum(map(mul, coeffs, sums[k - 1 :: -1])) // k)
+        out.append((g.fact("charpoly", lambda: coeffs),
+                    g.fact("spectrum", lambda: Spectrum(tuple(vals))) if with_spectrum else None))
+    return out
+
+
+def _charpoly(g: Graph) -> list[int]:
+    """g's characteristic polynomial, computed as a batch of one if not known."""
+    return g.fact("charpoly", lambda: _adjacency_facts([g])[0][0])
+
+
+def prime(graphs: Iterable[Graph]) -> None:
+    """Store what a report row reads on each graph's fact record, batched by
+    order: the polynomial and the float spectrum from one kernel run, the
+    counts at +1 and at -1 from one shift product each.  Graphs without
+    vertices are skipped."""
+    by_order: dict[int, list[Graph]] = {}
+    for g in graphs:
+        if g.n:
+            by_order.setdefault(g.n, []).append(g)
+    for same in by_order.values():
+        polys = [poly for poly, _ in _adjacency_facts(same, with_spectrum=True)]
+        for t in ((1, 0, 1), (-1, 0, 1)):
+            for g, row in zip(same, _shift(polys, *t)):
+                g.fact(("inertia", *t), lambda: _read_counts(row, t))
 
 
 def _sign(a: int, b: int) -> int:
@@ -153,7 +184,7 @@ def _sign(a: int, b: int) -> int:
 
 
 # A threshold t = (a + b*sqrt2) / d is handled as the integer triple
-# (a, b, d), d > 0 minimal: the Horner shift's input and the memo key of its
+# (a, b, d), d > 0 minimal: the shift's input and the memo key of its
 # counts.  The tokens the verifiers and the CLI name are parsed once, here.
 Scaled = tuple[int, int, int]
 _TOKEN_SCALED: dict[str, Scaled] = {
@@ -176,46 +207,62 @@ def _scaled(t: ExactNumber | str) -> Scaled:
     return t.a.numerator * (d // t.a.denominator), t.b.numerator * (d // t.b.denominator), d
 
 
-def _shift_int(coeffs: list[int], a: int, d: int) -> list[int]:
-    """Coefficients of d^n p((z + a) / d), by a Horner Taylor shift."""
-    n = len(coeffs) - 1
-    shifted = [c * d ** k for k, c in enumerate(coeffs)] if d != 1 else list(coeffs)
-    for stop in range(n, 0, -1):
-        prev = shifted[0]
-        for j in range(1, stop + 1):
-            prev = shifted[j] = shifted[j] + prev * a
-    return shifted
+@lru_cache(maxsize=64)
+def _shift_matrices(n: int, a: int, b: int, d: int) -> tuple[tuple, tuple | None, int]:
+    """The shift at t = (a + b*sqrt2) / d as integer matrices R, and S when
+    b != 0, with d^n p((z + a + b*sqrt2) / d) = c R + sqrt2 c S for p's
+    coefficient row c (length n + 1, leading first): as object arrays, as
+    int64 arrays when they fit, and the largest column sum of |R| and |S|.
 
-
-def _shift_pairs(coeffs: list[int], a: int, b: int, d: int) -> list[tuple[int, int]]:
-    """Coefficients of d^n p((z + a + b*sqrt2) / d), which lie in Z[sqrt2],
-    as (rational, sqrt2) integer pairs."""
-    n = len(coeffs) - 1
-    shifted = [(c * d ** k, 0) for k, c in enumerate(coeffs)]
-    for stop in range(n, 0, -1):
-        for j in range(1, stop + 1):
-            u, v = shifted[j - 1]
-            x, y = shifted[j]
-            shifted[j] = (x + u * a + 2 * v * b, y + u * b + v * a)
-    return shifted
-
-
-def _inertia(g: Graph, t: Scaled) -> InertiaCount:
-    """Count the roots of g's characteristic polynomial p against t.
-
-    The coefficients of p(x + t), scaled by d^n, have the sign pattern
-    Descartes' rule reads (leading sign +1); a rational t takes the
-    plain-integer shift.  Those of p(x + a - b*sqrt2) are the conjugates
-    (u, -v) of those at a + b*sqrt2, so one shift, kept on g's fact
-    record, serves both signs of b.
+    Row k is d^k (z + tau)^(n - k), tau = a + b*sqrt2: its entry in column
+    i >= k is d^k C(n - k, i - k) tau^(i - k), and tau^e = A_e + B_e sqrt2
+    with integers A_e, B_e.
     """
-    a, b, d = t
-    coeffs = g.fact("charpoly", lambda: _charpoly(g))
-    if b == 0:
-        signs = [(c > 0) - (c < 0) for c in _shift_int(coeffs, a, d)]
+    import numpy as np
+
+    tau = [(1, 0)]
+    for _ in range(n):
+        tau.append((tau[-1][0] * a + 2 * tau[-1][1] * b, tau[-1][0] * b + tau[-1][1] * a))
+    exact = tuple(np.array([[d ** k * comb(n - k, i - k) * tau[i - k][part] if i >= k else 0
+                             for i in range(n + 1)] for k in range(n + 1)], dtype=object)
+                  for part in ((0, 1) if b else (0,)))
+    column_sum = max(sum(map(abs, column)) for m in exact for column in m.T)
+    fast = tuple(m.astype(np.int64) for m in exact) if column_sum < 2 ** 63 else None
+    for m in exact + (fast or ()):
+        m.flags.writeable = False  # shared by every caller through the cache
+    return exact, fast, column_sum
+
+
+def _shift(rows: list[list[int]], a: int, b: int, d: int) -> list[list]:
+    """Coefficients of d^n p((z + a + b*sqrt2) / d) for each coefficient row
+    p of rows (all of length n + 1): integers when b = 0, else (rational,
+    sqrt2) integer pairs, from one product with each shift matrix M.
+
+    Each coefficient is a sum of c_k M[k, i], so it, and every partial sum
+    of it, is at most max|c| times the largest column sum of |M| in absolute
+    value: the product runs in int64 when that bound is below 2^63 and in
+    Python ints (dtype object) otherwise.
+    """
+    import numpy as np
+
+    exact, fast, column_sum = _shift_matrices(len(rows[0]) - 1, a, b, d)
+    if max(map(abs, chain.from_iterable(rows))) * column_sum < 2 ** 63:
+        coeffs, mats = np.array(rows, dtype=np.int64), fast
     else:
-        pairs = g.fact(("shift", a, abs(b), d), lambda: _shift_pairs(coeffs, a, abs(b), d))
-        signs = [_sign(u, v if b > 0 else -v) for u, v in pairs]
+        coeffs, mats = np.array(rows, dtype=object), exact
+    parts = [(coeffs @ m).tolist() for m in mats]
+    return parts[0] if b == 0 else [list(zip(*row)) for row in zip(*parts)]
+
+
+def _read_counts(row: list, t: Scaled) -> InertiaCount:
+    """Descartes' counts against t from the shifted coefficients: integers
+    when t is rational, else the pairs at a + |b|*sqrt2, whose conjugates
+    (u, -v) are the coefficients at a - |b|*sqrt2.  The leading one is 1."""
+    a, b, d = t
+    if b == 0:
+        signs = [(c > 0) - (c < 0) for c in row]
+    else:
+        signs = [_sign(u, v if b > 0 else -v) for u, v in row]
     n = last = len(signs) - 1
     while not signs[last]:
         last -= 1
@@ -223,6 +270,21 @@ def _inertia(g: Graph, t: Scaled) -> InertiaCount:
     above = sum(map(ne, nonzero, nonzero[1:]))
     token = _SCALED_TOKEN.get(t) or threshold_token(Sqrt2Rational(Fraction(a, d), Fraction(b, d)))
     return InertiaCount(threshold=token, above=above, at=n - last, below=last - above)
+
+
+def _inertia(g: Graph, t: Scaled) -> InertiaCount:
+    """Count the roots of g's characteristic polynomial p against t.
+
+    A rational t takes the plain-integer shift.  The coefficients of
+    p(x + a - b*sqrt2) are the conjugates of those at a + b*sqrt2, so one
+    shift, kept on g's fact record, serves both signs of b.
+    """
+    a, b, d = t
+    coeffs = _charpoly(g)
+    if b == 0:
+        return _read_counts(_shift([coeffs], a, 0, d)[0], t)
+    pairs = g.fact(("shift", a, abs(b), d), lambda: _shift([coeffs], a, abs(b), d)[0])
+    return _read_counts(pairs, t)
 
 
 def _counts(g: Graph, t: Scaled) -> InertiaCount:
@@ -258,19 +320,7 @@ class Spectrum:
 
 
 def spectrum(g: Graph) -> Spectrum:
-    return g.fact("spectrum", lambda: _spectrum(g))
-
-
-def _spectrum(g: Graph) -> Spectrum:
-    import numpy as np
-
-    n = g.n
-    if n == 0:
-        return Spectrum(())
-    adj = np.zeros((n, n))
-    adj.flat[_edge_index(g)] = 1.0
-    vals = np.linalg.eigvalsh(adj + adj.T)
-    return Spectrum(tuple(vals[::-1].tolist()))
+    return g.fact("spectrum", lambda: _adjacency_facts([g], with_spectrum=True)[0][1])
 
 
 def median_positions(n: int) -> tuple[int, int]:

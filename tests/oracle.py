@@ -1,6 +1,7 @@
 """Oracles for the tests, independent of hlspec's own code paths: a dense
 adjacency matrix built from the edge list, so the spectral oracles share no
-matrix code with hlspec, and a brute-force K4-minor search that shares
+matrix code with hlspec, Horner's Taylor shift, the reference for hlspec's
+shift-matrix products, and a brute-force K4-minor search that shares
 nothing with either K4-minor recognizer."""
 
 
@@ -10,6 +11,30 @@ def adjacency_rows(g) -> list[list[int]]:
     for u, v in g.edges():
         rows[u][v] = rows[v][u] = 1
     return rows
+
+
+def shift_int(coeffs: list[int], a: int, d: int) -> list[int]:
+    """Coefficients of d^n p((z + a) / d), by a Horner Taylor shift."""
+    n = len(coeffs) - 1
+    shifted = [c * d ** k for k, c in enumerate(coeffs)]
+    for stop in range(n, 0, -1):
+        prev = shifted[0]
+        for j in range(1, stop + 1):
+            prev = shifted[j] = shifted[j] + prev * a
+    return shifted
+
+
+def shift_pairs(coeffs: list[int], a: int, b: int, d: int) -> list[tuple[int, int]]:
+    """Coefficients of d^n p((z + a + b*sqrt2) / d), which lie in Z[sqrt2],
+    as (rational, sqrt2) integer pairs, by a Horner Taylor shift."""
+    n = len(coeffs) - 1
+    shifted = [(c * d ** k, 0) for k, c in enumerate(coeffs)]
+    for stop in range(n, 0, -1):
+        for j in range(1, stop + 1):
+            u, v = shifted[j - 1]
+            x, y = shifted[j]
+            shifted[j] = (x + u * a + 2 * v * b, y + u * b + v * a)
+    return shifted
 
 
 def brute_force_has_k4_minor(g) -> bool:

@@ -157,14 +157,14 @@ def test_hl_shifts_over_sqrt2_only_without_le_one(tmp_path, capsys, monkeypatch)
     path = tmp_path / "corpus.g6"
     path.write_text("\n".join(lines) + "\n")
     calls = []
-    shift = spectra._shift_pairs
-    monkeypatch.setattr(spectra, "_shift_pairs", lambda *a: calls.append(a) or shift(*a))
+    shift = spectra._shift
+    monkeypatch.setattr(spectra, "_shift", lambda *a: calls.append(a) or shift(*a))
     code, out, _ = run_main(["hl", str(path)], capsys)
     assert code == 0
     reports = json_lines(out)
     assert len(reports) == len(lines)
     assert [r["graph6"] for r in reports if not r["certified_le_one"]] == lines[-3:]
-    assert len(calls) == 3
+    assert len([a for a in calls if a[2] != 0]) == 3  # b != 0: over Z[sqrt2]
 
 
 def test_hl_strict_malformed_exits_2():
@@ -489,7 +489,7 @@ def test_verify_sp_computes_each_fact_once(monkeypatch):
 
     calls: collections.Counter = collections.Counter()
     verdict_, reduce_ = structure._k4_free_by_elimination, structure.reduce_multigraph
-    charpoly = spectra._charpoly
+    kernel = spectra._adjacency_facts
     monkeypatch.setattr(
         structure, "_k4_free_by_elimination",
         lambda g: calls.update(["verdict"]) or verdict_(g),
@@ -498,7 +498,8 @@ def test_verify_sp_computes_each_fact_once(monkeypatch):
         structure, "reduce_multigraph", lambda mg: calls.update(["reduce"]) or reduce_(mg)
     )
     monkeypatch.setattr(
-        spectra, "_charpoly", lambda g: calls.update(["charpoly"]) or charpoly(g)
+        spectra, "_adjacency_facts",
+        lambda graphs, **kw: calls.update({"charpoly": len(graphs)}) or kernel(graphs, **kw),
     )
 
     def subjects(trace: dict) -> set[str]:
@@ -515,7 +516,8 @@ def test_verify_sp_computes_each_fact_once(monkeypatch):
     assert len(classes) == 138
     for line_no, g in enumerate(classes, start=1):
         calls.clear()
-        rep = cli._verify_report((line_no, to_graph6(g), "sp", True, False))
+        task = (line_no, to_graph6(g), "sp", True, False)
+        rep = cli._report_chunk(cli._verify_report, math.inf, [task])[0]
         assert rep["verdict"] == "pass"
         assert calls["verdict"] == 1
         assert calls["reduce"] == 0
@@ -599,22 +601,96 @@ def test_map_tasks_clamps_workers_to_cpus_and_tasks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, worker, tasks, chunksize=1):
-            return map(worker, tasks)
+        def imap(self, worker, chunks, chunksize=1):
+            return map(worker, chunks)
 
     class FakeContext:
         Pool = FakePool
 
+    chunks = []
+
+    def worker(chunk):
+        chunks.append(chunk)
+        return [str(t) for t in chunk]
+
     monkeypatch.setattr(cli.multiprocessing, "get_context", lambda: FakeContext())
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert list(cli._map_tasks(str, [1, 2, 3], 10_000)) == ["1", "2", "3"]
-    assert list(cli._map_tasks(str, list(range(10)), 10_000)) == [str(i) for i in range(10)]
-    assert list(cli._map_tasks(str, list(range(10)), 2)) == [str(i) for i in range(10)]
-    assert started == [3, 4, 2]
+    # 3 tasks are 2 chunks, so 2 workers
+    assert list(cli._map_tasks(worker, [1, 2, 3], 10_000)) == ["1", "2", "3"]
+    assert chunks == [[1], [2, 3]]
+    chunks.clear()
+    assert list(cli._map_tasks(worker, list(range(10)), 10_000)) == [str(i) for i in range(10)]
+    assert chunks == [[0], [1, 2], [3, 4, 5, 6], [7, 8, 9]]
+    assert list(cli._map_tasks(worker, list(range(10)), 2)) == [str(i) for i in range(10)]
+    assert started == [2, 4, 2]
     # an unknown CPU count means one CPU: no pool at all
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert list(cli._map_tasks(str, list(range(10)), 8)) == [str(i) for i in range(10)]
-    assert started == [3, 4, 2]
+    assert list(cli._map_tasks(worker, list(range(10)), 8)) == [str(i) for i in range(10)]
+    assert started == [2, 4, 2]
+    # one chunk, one task: no pool either
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert list(cli._map_tasks(worker, [7], 8)) == ["7"]
+    assert started == [2, 4, 2]
+
+
+def chunking_corpus() -> str:
+    """Lines of mixed orders, the n = 0 line ?, a blank and malformed lines."""
+    import random
+
+    from hlspec import GenSpec, enumerate_graphs
+
+    lines = [to_graph6(g) for n in range(1, 8) for g in enumerate_graphs(GenSpec(n))]
+    random.Random(12).shuffle(lines)
+    lines[5:5] = ["?", "!!bad", ""]
+    lines[150:150] = ["?", "A_\x1f", "Bw"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", [["hl"], ["verify", "sp"]])
+def test_stdout_byte_identical_across_jobs_on_mixed_chunks(command):
+    corpus = chunking_corpus()
+    procs = [run_cli([*command, "--jobs", jobs], stdin_text=corpus) for jobs in ("1", "2")]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert procs[0].stdout == procs[1].stdout
+    reports = json_lines(procs[0].stdout)
+    assert len(reports) == corpus.count("\n") - 3  # a blank and two malformed lines
+    assert {r["n"] for r in reports} == set(range(8))
+
+
+def test_prime_sees_doubling_batches(tmp_path, capsys, monkeypatch):
+    # the first row is written after one graph; chunks then double up to 64
+    sizes = []
+    prime = cli.prime
+    monkeypatch.setattr(cli, "prime", lambda graphs: sizes.append(len(graphs)) or prime(graphs))
+    path = tmp_path / "corpus.g6"
+    path.write_text(chunking_corpus())
+    for command in (["hl"], ["verify", "sp"]):
+        sizes.clear()
+        code, out, _ = run_main([*command, str(path)], capsys)
+        assert code == 0
+        rows = len(json_lines(out))
+        assert sizes[:8] == [1, 2, 4, 8, 16, 32, 64, 64]
+        assert all(s == 64 for s in sizes[6:-1]) and 0 < sizes[-1] <= 64
+        assert sum(sizes) == rows
+
+
+def test_survey_computes_no_spectrum_of_a_skipped_graph(tmp_path, capsys, monkeypatch):
+    # a survey row of max degree above 3 is skipped without its index, so
+    # its graph is not primed; hl rows read the index at every degree
+    from hlspec import complete_graph
+
+    primed = []
+    prime = cli.prime
+    monkeypatch.setattr(cli, "prime", lambda graphs: primed.extend(graphs) or prime(graphs))
+    path = tmp_path / "corpus.g6"
+    path.write_text("\n".join(to_graph6(g) for g in (complete_graph(9), cycle_graph(5))) + "\n")
+    code, out, _ = run_main(["verify", "survey", str(path)], capsys)
+    assert code == 0
+    assert [r["verdict"] for r in json_lines(out)] == ["skipped", "pass"]
+    assert [g.n for g in primed] == [5]
+    primed.clear()
+    code, out, _ = run_main(["hl", str(path)], capsys)
+    assert code == 0 and [g.n for g in primed] == [9, 5]
 
 
 def test_jobs_below_one_exits_2():
@@ -675,7 +751,8 @@ def test_recognize_runs_the_reducer_once_per_graph(monkeypatch):
     for with_trace in (False, True):
         for line_no, g in enumerate(corpus, start=1):
             calls.clear()
-            rep = cli._recognize_report((line_no, to_graph6(g), with_trace))
+            task = (line_no, to_graph6(g), with_trace)
+            rep = cli._report_chunk(cli._recognize_report, None, [task])[0]
             if with_trace:
                 assert calls == {"reduce": 1}
                 assert rep["k4_minor_free"] == rep["reduction"]["reduced_to_empty"]
@@ -778,8 +855,8 @@ def test_hl_validates_every_line_and_decodes_each_kept_line_once(tmp_path, capsy
 
 
 def test_hl_walks_each_graphs_edges_once(tmp_path, capsys, monkeypatch):
-    # the char-poly and the float spectrum fill their matrices from one
-    # edge walk, kept on the graph's fact record
+    # one batched kernel fills the char-poly's and the float spectrum's
+    # matrices from one edge walk per graph
     import random
 
     rng = random.Random(9)

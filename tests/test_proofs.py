@@ -45,7 +45,7 @@ from hlspec import (
     verify_theorem_k23,
     verify_theorem_sp,
 )
-from hlspec.cli import _verify_report
+from hlspec.cli import _report_chunk, _verify_report
 from hlspec.structure import find_k23
 
 SQRT2 = math.sqrt(2.0)
@@ -444,6 +444,59 @@ def test_replay_rejects_not_applicable_sp_trace_where_it_applies():
         assert trace.verdict == NOT_APPLICABLE and replay_trace(host, trace) is True
 
 
+def test_replay_rejects_k23_and_odd_order_traces_where_they_do_not_apply():
+    # the full-graph R <= 1 step holds on C6 and is each theorem's exact
+    # claim, but C6 has no K2,3 subgraph and even order: both verifiers say
+    # not-applicable there, so a pass (or a fail) is a forgery
+    g = cycle_graph(6)
+    certify = verify_theorem_sp(g).steps[-1]
+    assert (certify.kind, certify.data, certify.ok) == (
+        "certify-r-le", {"subject": {"kind": "full"}, "bound": "1"}, True
+    )
+    assert verify_theorem_k23(g).verdict == NOT_APPLICABLE
+    assert check_lemma_odd(g).verdict == NOT_APPLICABLE
+    for theorem, case in (("k23-bound", "k23"), ("odd-order", "odd-order")):
+        forged = WitnessTrace(theorem, case, {}, (certify,), PASS)
+        assert replay_trace(g, forged) is False, theorem
+        assert replay_trace(g, dataclasses.replace(forged, verdict=FAIL)) is False, theorem
+    # above max degree 3 neither theorem applies, K2,3 or odd order or not
+    for host in (complete_graph(5), complete_bipartite(2, 4)):
+        assert host.max_degree() > 3
+        for theorem, case in (("k23-bound", "k23"), ("odd-order", "odd-order")):
+            step = dataclasses.replace(certify, ok=certify_R_le(host, "1").holds)
+            assert replay_trace(host, WitnessTrace(theorem, case, {}, (step,), PASS)) is False
+
+
+def test_replay_rejects_not_applicable_k23_and_odd_order_traces_where_they_apply():
+    # K2,3 is subcubic, contains itself and has odd order, so both apply
+    g = complete_bipartite(2, 3)
+    assert verify_theorem_k23(g).verdict == PASS and check_lemma_odd(g).verdict == PASS
+    for theorem in ("k23-bound", "odd-order"):
+        forged = WitnessTrace(theorem, "precondition", {}, (), NOT_APPLICABLE)
+        assert replay_trace(g, forged) is False, theorem
+    # a forged not-applicable odd-order child of an sp trace is caught too
+    c5 = cycle_graph(5)
+    trace = verify_theorem_sp(c5)
+    assert trace.case == "odd-order" and trace.children[0].theorem == "odd-order"
+    child = WitnessTrace("odd-order", "precondition", {}, (), NOT_APPLICABLE)
+    assert replay_trace(c5, dataclasses.replace(trace, children=(child,), verdict=FAIL)) is False
+    # the genuine not-applicable traces still replay: even order, no K2,3,
+    # max degree above 3, no vertices
+    for host in (Graph(0), cycle_graph(6), complete_graph(5), star_graph(4)):
+        for check in (verify_theorem_k23, check_lemma_odd):
+            trace = check(host)
+            assert trace.verdict == NOT_APPLICABLE and replay_trace(host, trace) is True
+
+
+def test_replay_accepts_not_found_k23_traces():
+    # not-found counts as applicable: it passes the precondition check on
+    # K2,3, which has a K2,3 subgraph, and fails it on C6, which has none
+    g = complete_bipartite(2, 3)
+    trace = WitnessTrace("k23-bound", "partition-search", {}, (), NOT_FOUND)
+    assert replay_trace(g, trace) is True
+    assert replay_trace(cycle_graph(6), trace) is False
+
+
 def test_replay_rejects_fail_whose_steps_and_children_hold():
     # a pass flipped to fail: every step still re-evaluates as ok and every
     # child still passes, so nothing the trace records makes it fail
@@ -569,10 +622,13 @@ def test_count_steps_check_their_inequalities_exactly():
 def test_verifiers_and_replay_compute_no_float_spectrum(monkeypatch):
     import hlspec.spectra as spectra
 
-    def no_floats(g):
-        raise AssertionError("a float spectrum was computed")
+    kernel = spectra._adjacency_facts
 
-    monkeypatch.setattr(spectra, "_spectrum", no_floats)
+    def no_floats(graphs, with_spectrum=False):
+        assert not with_spectrum, "a float spectrum was computed"
+        return kernel(graphs, with_spectrum)
+
+    monkeypatch.setattr(spectra, "_adjacency_facts", no_floats)
     checkers = (verify_theorem_sp, verify_theorem_k23, check_lemma_odd,
                 check_lemma_twins, check_lemma_unbalanced)
     verdicts = collections.Counter()
@@ -592,17 +648,18 @@ def test_replay_recomputes_every_count(monkeypatch):
     import hlspec.spectra as spectra
 
     calls: collections.Counter = collections.Counter()
-    charpoly, inertia = spectra._charpoly, spectra._inertia
+    kernel, inertia = spectra._adjacency_facts, spectra._inertia
 
-    def counting_charpoly(g):
-        calls["charpoly", g.n, tuple(g.edges())] += 1
-        return charpoly(g)
+    def counting_kernel(graphs, with_spectrum=False):
+        for g in graphs:
+            calls["charpoly", g.n, tuple(g.edges())] += 1
+        return kernel(graphs, with_spectrum)
 
     def counting_inertia(g, t):
         calls["inertia", g.n, tuple(g.edges()), t] += 1
         return inertia(g, t)
 
-    monkeypatch.setattr(spectra, "_charpoly", counting_charpoly)
+    monkeypatch.setattr(spectra, "_adjacency_facts", counting_kernel)
     monkeypatch.setattr(spectra, "_inertia", counting_inertia)
     classes = enumerate_graphs(GenSpec(n=8, connected=True, filters=("k4-minor-free",)))
     graphs = [g for g, _ in sample_traces()] + classes[:40]
@@ -658,7 +715,8 @@ def test_trace_rebuilds_from_json_and_replays():
 
 
 def survey_row(g):
-    return _verify_report((1, to_graph6(g), "survey", False, False))
+    # as `verify survey` runs it: only a subcubic graph's spectra are batched
+    return _report_chunk(_verify_report, 3, [(1, to_graph6(g), "survey", False, False)])[0]
 
 
 def test_survey_record_heawood_is_extremal():

@@ -29,22 +29,24 @@ from hlspec.named import (
 )
 from hlspec.spectra import (
     SQRT2,
+    _adjacency_facts,
     _charpoly,
     _inertia,
-    _shift_int,
-    _shift_pairs,
+    _shift,
+    _shift_matrices,
     _sign,
     certify_R_le,
     count_at_threshold,
     hl_index,
     median_positions,
     parse_threshold,
+    prime,
     spectrum,
     threshold_token,
 )
 from hlspec.graph_core import induced_delete, spanning_subgraph
 
-from oracle import adjacency_rows
+from oracle import adjacency_rows, shift_int, shift_pairs
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -401,11 +403,11 @@ def test_integer_shift_matches_pair_shift(monkeypatch):
         g = random_graph(3 + seed % 10, 0.35, seed=seed)
         coeffs = _charpoly(g)
         for token, (a, d) in thresholds.items():
-            assert [(c, 0) for c in _shift_int(coeffs, a, d)] == _shift_pairs(coeffs, a, 0, d)
+            assert [(c, 0) for c in _shift([coeffs], a, 0, d)[0]] == shift_pairs(coeffs, a, 0, d)
             by_int = _inertia(g, (a, 0, d))
             with monkeypatch.context() as m:
-                m.setattr(spectra, "_shift_int",
-                          lambda c, a, d: [u for u, _ in _shift_pairs(c, a, 0, d)])
+                m.setattr(spectra, "_shift",
+                          lambda rows, a, b, d: [[u for u, _ in shift_pairs(rows[0], a, b, d)]])
                 assert _inertia(g, (a, 0, d)) == by_int
             assert by_int == count_at_threshold(g, token)
             assert (by_int.above, by_int.at, by_int.below) == oracle_counts(g, Fraction(a, d))
@@ -417,8 +419,8 @@ def test_certify_sqrt2_runs_one_pair_shift(monkeypatch):
     import hlspec.spectra as spectra
 
     calls = []
-    shift = spectra._shift_pairs
-    monkeypatch.setattr(spectra, "_shift_pairs", lambda *args: calls.append(args[1:]) or shift(*args))
+    shift = spectra._shift
+    monkeypatch.setattr(spectra, "_shift", lambda *args: calls.append(args[1:]) or shift(*args))
     for tag, make in sorted(NAMED.items()):
         g = make()
         calls.clear()
@@ -442,6 +444,85 @@ def test_counts_below_minus_sqrt2_from_conjugates_match_direct_shift_and_oracle(
     minus_sqrt2 = -sympy.sqrt(2)
     for g in subcubic + dense:
         coeffs = _charpoly(g)
-        assert _shift_pairs(coeffs, 0, -1, 1) == [(u, -v) for u, v in _shift_pairs(coeffs, 0, 1, 1)]
+        assert _shift([coeffs], 0, -1, 1) == [[(u, -v) for u, v in _shift([coeffs], 0, 1, 1)[0]]]
         count = count_at_threshold(g, "-sqrt2")
         assert (count.above, count.at, count.below) == oracle_counts(g, minus_sqrt2), g
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel and the shift matrices against their references
+# ---------------------------------------------------------------------------
+
+def fresh(g: Graph) -> Graph:
+    """A copy of g with an empty fact record."""
+    return Graph(g.n, g.edges())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_charpoly_matches_batch_of_one_and_sympy(seed):
+    # a seeded batch mixing orders 1-13, K16 and K17 (the object-dtype route)
+    # in with graphs of their orders; prime groups it by order
+    rng = random.Random(7000 + seed)
+    graphs = [random_graph(rng.randint(1, 13), rng.uniform(0.1, 0.7), seed=rng.randrange(10 ** 6))
+              for _ in range(30)]
+    graphs += [complete_graph(16), random_graph(16, 0.3, seed=seed), complete_graph(17),
+               random_graph(17, 0.3, seed=seed)]
+    assert 16 * 15 ** 16 > 2 ** 62 and 17 * 16 ** 17 > 2 ** 62
+    batch = [fresh(g) for g in graphs]
+    prime(batch)
+    for g, primed in zip(graphs, batch):
+        one = fresh(g)
+        expected = [int(c) for c in sympy.Matrix(adjacency_rows(g)).charpoly(_X).all_coeffs()]
+        assert _charpoly(primed) == _adjacency_facts([one])[0][0] == expected, g.n
+        for t in ((1, 0, 1), (-1, 0, 1)):
+            assert count_at_threshold(primed, Fraction(t[0])) == _inertia(fresh(g), t)
+        assert spectrum(primed) == spectrum(one)
+
+
+def test_matrix_shift_matches_horner_oracle():
+    # 0, +-1, +-sqrt2, 1/2, -7/3 and 1/2 - sqrt2/3 as (a, b, d), batched rows
+    thresholds = [(0, 0, 1), (1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (1, 0, 2),
+                  (-7, 0, 3), (3, -2, 6)]
+    rng = random.Random(31)
+    by_order: dict[int, list[list[int]]] = {}
+    for _ in range(60):
+        n = rng.randint(1, 13)
+        by_order.setdefault(n, []).append(_charpoly(random_graph(n, rng.uniform(0.1, 0.8), seed=rng.randrange(10 ** 6))))
+    by_order[17] = [_charpoly(complete_graph(17)), _charpoly(random_graph(17, 0.5, seed=3))]
+    routes = set()
+    for rows in by_order.values():
+        n = len(rows[0]) - 1
+        for a, b, d in thresholds:
+            column_sum = _shift_matrices(n, a, b, d)[2]
+            routes.add(max(abs(c) for row in rows for c in row) * column_sum < 2 ** 63)
+            shifted = _shift(rows, a, b, d)
+            for row, got in zip(rows, shifted):
+                if b == 0:
+                    assert got == shift_int(row, a, d), (n, a, b, d)
+                else:
+                    assert got == shift_pairs(row, a, b, d), (n, a, b, d)
+    assert routes == {True, False}  # both the int64 and the object route ran
+    # K17 at 1/2 - sqrt2/3 must leave int64
+    k17 = _charpoly(complete_graph(17))
+    assert max(map(abs, k17)) * _shift_matrices(17, 3, -2, 6)[2] >= 2 ** 63
+
+
+def corpus_graphs(name: str) -> list[Graph]:
+    from hlspec.graph_core import parse_graph6
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / name
+    return [parse_graph6(line) for line in path.read_text().split()]
+
+
+@pytest.mark.parametrize("name", ["subcubic_n11.g6", "k4mf_n10.g6"])
+def test_stacked_eigvalsh_matches_per_graph_call(name):
+    # bit for bit, in the batches of 64 the CLI hands out
+    import numpy as np
+
+    graphs = corpus_graphs(name)
+    assert len(graphs) in (5524, 1028)
+    for start in range(0, len(graphs), 64):
+        batch = graphs[start : start + 64]
+        for g, (_, stacked) in zip(batch, _adjacency_facts(batch, with_spectrum=True)):
+            adj = np.array(adjacency_rows(g), dtype=np.float64)
+            assert stacked.values == tuple(np.linalg.eigvalsh(adj)[::-1].tolist())
