@@ -14,7 +14,6 @@ import csv
 import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
@@ -22,19 +21,9 @@ from collections import Counter
 from contextlib import nullcontext
 from typing import Iterable, Iterator, Sequence
 
-from .enumeration import GenSpec, canonical_key, enumerate_graphs
+# the other hlspec modules are imported by the commands and chunk workers
+# that run them, so each command loads only what it uses
 from .graph_core import Graph, Graph6Error, check_graph6, is_bipartite, parse_graph6, to_graph6
-from .named import heawood_graph
-from .proofs import (
-    FAIL,
-    NOT_FOUND,
-    PASS,
-    check_lemma_odd,
-    verify_theorem_k23,
-    verify_theorem_sp,
-)
-from .spectra import SQRT2, certify_R_le, hl_index, prime
-from .structure import find_k23, is_k4_minor_free, k4_minor_free
 
 THEOREMS = ("k23", "sp", "lemma-odd", "survey")
 
@@ -88,6 +77,8 @@ def _collect_graphs(
 
 def _parse_gen_string(spec: str) -> GenSpec:
     """Parse a generation spec like "n=8,connected", each key at most once."""
+    from .enumeration import GenSpec
+
     n = None
     connected = False
     max_degree = 3
@@ -113,41 +104,56 @@ def _parse_gen_string(spec: str) -> GenSpec:
 
 
 def _gen_inputs(gen: GenSpec) -> list[tuple[int, str]]:
+    from .enumeration import enumerate_graphs
+
     return [(i, to_graph6(g)) for i, g in enumerate(enumerate_graphs(gen), start=1)]
 
 
 # ---------------------------------------------------------------------------
-# per-graph workers (top level so they pickle for worker pools)
+# row builders, called once per chunk: each imports the modules its rows
+# read and returns the function that builds a row from (graph, line number,
+# graph6 text), or, for _index_fields and _predicates, part of a row from
+# the graph
 # ---------------------------------------------------------------------------
 
 _INDEX_FIELDS = ("r", "h", "l", "certified_le_one", "certified_le_sqrt2")
 
 
-def _index_fields(g: Graph) -> dict:
+def _index_fields():
     """R(G), the median positions and the exact <= 1 / <= sqrt2 certificates
     (the second from the first when that holds, else from the counts at
-    +-sqrt2); all null for the empty graph."""
-    if g.n == 0:
-        return dict.fromkeys(_INDEX_FIELDS)
-    idx = hl_index(g)
-    le_one = certify_R_le(g, 1).holds
-    return {
-        "r": idx.value,
-        "h": idx.h,
-        "l": idx.l,
-        "certified_le_one": le_one,
-        # N>sqrt2 <= N>1 <= h - 1 and N<-sqrt2 <= N<-1 <= n - l
-        "certified_le_sqrt2": le_one or certify_R_le(g, SQRT2).holds,
-    }
+    +-sqrt2) of a graph; all null for the empty graph."""
+    from .spectra import SQRT2, certify_R_le, hl_index
+
+    def fields(g: Graph) -> dict:
+        if g.n == 0:
+            return dict.fromkeys(_INDEX_FIELDS)
+        idx = hl_index(g)
+        le_one = certify_R_le(g, 1).holds
+        return {
+            "r": idx.value,
+            "h": idx.h,
+            "l": idx.l,
+            "certified_le_one": le_one,
+            # N>sqrt2 <= N>1 <= h - 1 and N<-sqrt2 <= N<-1 <= n - l
+            "certified_le_sqrt2": le_one or certify_R_le(g, SQRT2).holds,
+        }
+
+    return fields
 
 
-def _predicates(g: Graph) -> dict:
-    return {
-        "subcubic": g.max_degree() <= 3,
-        "bipartite": is_bipartite(g),
-        "k4_minor_free": k4_minor_free(g),
-        "contains_k23": find_k23(g) is not None,
-    }
+def _predicates():
+    from .structure import find_k23, k4_minor_free
+
+    def predicates(g: Graph) -> dict:
+        return {
+            "subcubic": g.max_degree() <= 3,
+            "bipartite": is_bipartite(g),
+            "k4_minor_free": k4_minor_free(g),
+            "contains_k23": find_k23(g) is not None,
+        }
+
+    return predicates
 
 
 def _head(g: Graph, line_no: int, text: str) -> dict:
@@ -155,96 +161,106 @@ def _head(g: Graph, line_no: int, text: str) -> dict:
     return {"graph6": text, "line": line_no, "n": g.n, "m": g.m}
 
 
-def _hl_report(g: Graph, line_no: int, text: str) -> dict:
-    rep = _head(g, line_no, text)
-    rep.update(_index_fields(g))
-    return rep
+def _hl_rows():
+    index_fields = _index_fields()
+    return lambda g, line_no, text: {**_head(g, line_no, text), **index_fields(g)}
 
 
-_EXTREMAL_KEY: bytes | None = None
+@functools.cache
+def _extremal_key() -> bytes:
+    """The canonical key of the Heawood graph, the known extremal subcubic
+    graph (R = sqrt2)."""
+    from .enumeration import canonical_key
+    from .named import heawood_graph
+
+    return canonical_key(heawood_graph())
 
 
-def _is_known_extremal(g: Graph) -> bool:
-    """Whether g is isomorphic to the Heawood graph, the known extremal
-    subcubic graph (R = sqrt2)."""
-    global _EXTREMAL_KEY
-    if g.n != 14 or g.m != 21:
-        return False
-    if _EXTREMAL_KEY is None:
-        _EXTREMAL_KEY = canonical_key(heawood_graph())
-    return canonical_key(g) == _EXTREMAL_KEY
-
-
-_VERIFIERS = {
-    "k23": verify_theorem_k23,
-    "sp": verify_theorem_sp,
-    "lemma-odd": check_lemma_odd,
-}
-
-
-def _verify_report(
-    g: Graph, line_no: int, text: str, theorem: str, witness: bool, timing: bool
-) -> dict:
-    """One verify row.  The survey passes a subcubic graph iff R <= sqrt2 is
+def _verify_rows(theorem: str, witness: bool, timing: bool):
+    """Verify rows.  The survey passes a subcubic graph iff R <= sqrt2 is
     certified; it skips any other graph, with the index fields and all
     predicates but subcubic null.  The timing covers the row, not the
     chunk's parsing and batched spectra."""
-    start = time.perf_counter()
-    rep = _head(g, line_no, text)
-    rep["theorem"] = theorem
-    if g.n == 0:
-        rep.update(_index_fields(g), case="empty", verdict="skipped", predicates=_predicates(g))
-        return rep
-    if theorem != "survey":
-        trace = _VERIFIERS[theorem](g)
-        rep.update(_index_fields(g), case=trace.case, verdict=trace.verdict,
-                   predicates=_predicates(g))
-        if witness:
-            rep["witness"] = trace.to_json_dict()
-    elif g.max_degree() > 3:
-        rep.update(
-            dict.fromkeys(_INDEX_FIELDS), case="survey", verdict="skipped",
-            skipped="not-subcubic", known_extremal=False,
-            predicates={"subcubic": False, "bipartite": None,
-                        "k4_minor_free": None, "contains_k23": None},
-        )
+    from .proofs import FAIL, PASS, check_lemma_odd, verify_theorem_k23, verify_theorem_sp
+
+    index_fields, predicates = _index_fields(), _predicates()
+    if theorem == "survey":
+        from .enumeration import canonical_key
     else:
-        rep.update(_index_fields(g), case="survey", predicates=_predicates(g),
-                   known_extremal=_is_known_extremal(g))
-        rep["verdict"] = PASS if rep["certified_le_sqrt2"] else FAIL
-    if timing:
-        rep["ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-    return rep
+        verify = {"k23": verify_theorem_k23, "sp": verify_theorem_sp,
+                  "lemma-odd": check_lemma_odd}[theorem]
+
+    def row(g: Graph, line_no: int, text: str) -> dict:
+        start = time.perf_counter()
+        rep = _head(g, line_no, text)
+        rep["theorem"] = theorem
+        if g.n == 0:
+            rep.update(index_fields(g), case="empty", verdict="skipped", predicates=predicates(g))
+            return rep
+        if theorem != "survey":
+            trace = verify(g)
+            rep.update(index_fields(g), case=trace.case, verdict=trace.verdict,
+                       predicates=predicates(g))
+            if witness:
+                rep["witness"] = trace.to_json_dict()
+        elif g.max_degree() > 3:
+            rep.update(
+                dict.fromkeys(_INDEX_FIELDS), case="survey", verdict="skipped",
+                skipped="not-subcubic", known_extremal=False,
+                predicates={"subcubic": False, "bipartite": None,
+                            "k4_minor_free": None, "contains_k23": None},
+            )
+        else:
+            rep.update(index_fields(g), case="survey", predicates=predicates(g),
+                       known_extremal=g.n == 14 and g.m == 21
+                       and canonical_key(g) == _extremal_key())
+            rep["verdict"] = PASS if rep["certified_le_sqrt2"] else FAIL
+        if timing:
+            rep["ms"] = round((time.perf_counter() - start) * 1000.0, 3)
+        return rep
+
+    return row
 
 
-def _recognize_report(g: Graph, line_no: int, text: str, with_trace: bool) -> dict:
-    rep = _head(g, line_no, text)
-    if with_trace:
-        # the traced run also answers the predicate, so the reducer runs once
-        free, trace = is_k4_minor_free(g)
-        g.fact("k4-minor-free", lambda: free)
-        rep["reduction"] = {
-            "reduced_to_empty": trace.reduced_to_empty,
-            "final_vertices": trace.final_vertices,
-            "final_multiplicity": trace.final_multiplicity,
-            "steps": [
-                {"rule": s.rule, "vertices": list(s.vertices)} for s in trace.steps
-            ],
-        }
-    rep.update(_predicates(g))
-    return rep
+def _recognize_rows(with_trace: bool):
+    from .structure import is_k4_minor_free
+
+    predicates = _predicates()
+
+    def row(g: Graph, line_no: int, text: str) -> dict:
+        rep = _head(g, line_no, text)
+        if with_trace:
+            # the traced run also answers the predicate, so the reducer runs once
+            free, trace = is_k4_minor_free(g)
+            g.fact("k4-minor-free", lambda: free)
+            rep["reduction"] = {
+                "reduced_to_empty": trace.reduced_to_empty,
+                "final_vertices": trace.final_vertices,
+                "final_multiplicity": trace.final_multiplicity,
+                "steps": [
+                    {"rule": s.rule, "vertices": list(s.vertices)} for s in trace.steps
+                ],
+            }
+        rep.update(predicates(g))
+        return rep
+
+    return row
 
 
-def _report_chunk(report, spectral_degree: float | None, chunk: list[tuple]) -> list[dict]:
-    """The rows of a chunk of (line number, graph6 text, *options) tasks:
-    every line is parsed, the spectral facts of the graphs whose rows read
-    them (max degree at most spectral_degree; None: no row does) are
-    computed in one batch, then report builds each row."""
-    graphs = [parse_graph6(task[1]) for task in chunk]
+def _report_chunk(rows, spectral_degree: float | None, chunk: list[tuple[int, str]]) -> list[dict]:
+    """The rows of a chunk of (line number, graph6 text) inputs (top level,
+    so it pickles for worker pools): every line is parsed, the spectral
+    facts of the graphs whose rows read them (max degree at most
+    spectral_degree; None: no row does) are computed in one batch, then the
+    row builder rows() builds each row."""
+    graphs = [parse_graph6(text) for _, text in chunk]
     if spectral_degree is not None:
+        from .spectra import prime
+
         prime([g for g in graphs if g.max_degree() <= spectral_degree])
+    row = rows()
     graphs.reverse()  # each popped as its row is built, so its facts die with the row
-    return [report(graphs.pop(), *task) for task in chunk]
+    return [row(graphs.pop(), line_no, text) for line_no, text in chunk]
 
 
 def _map_tasks(worker, tasks: list, jobs: int) -> Iterator[dict]:
@@ -262,6 +278,8 @@ def _map_tasks(worker, tasks: list, jobs: int) -> Iterator[dict]:
         for chunk in chunks:
             yield from worker(chunk)
         return
+    import multiprocessing
+
     ctx = multiprocessing.get_context()
     with ctx.Pool(processes=workers) as pool:
         for rows in pool.imap(worker, chunks):
@@ -323,11 +341,11 @@ def _summary(command: str, graphs: int, skipped: int, start: float) -> None:
 
 def cmd_hl(args) -> int:
     start = time.perf_counter()
-    tasks, bad = _collect_graphs(args.files, args.strict)
-    worker = functools.partial(_report_chunk, _hl_report, math.inf)
-    for _ in _emit(_map_tasks(worker, tasks, args.jobs), args.csv, "hl"):
+    inputs, bad = _collect_graphs(args.files, args.strict)
+    worker = functools.partial(_report_chunk, _hl_rows, math.inf)
+    for _ in _emit(_map_tasks(worker, inputs, args.jobs), args.csv, "hl"):
         pass
-    _summary("hl", len(tasks), bad, start)
+    _summary("hl", len(inputs), bad, start)
     return 0
 
 
@@ -346,17 +364,16 @@ def cmd_verify(args) -> int:
         inputs, bad = _gen_inputs(spec), 0
     else:
         inputs, bad = _collect_graphs(args.files, args.strict)
-    tasks = [
-        (line_no, text, args.theorem, args.witness, args.timing)
-        for line_no, text in inputs
-    ]
+    from .proofs import FAIL, NOT_FOUND, PASS
+
     totals = {"pass": 0, "fail": 0, "skipped": 0}
     max_r: float | None = None
     # the survey skips a graph of max degree above 3 without its index
     worker = functools.partial(
-        _report_chunk, _verify_report, 3 if args.theorem == "survey" else math.inf
+        _report_chunk, functools.partial(_verify_rows, args.theorem, args.witness, args.timing),
+        3 if args.theorem == "survey" else math.inf,
     )
-    for rep in _emit(_map_tasks(worker, tasks, args.jobs), args.csv, "verify"):
+    for rep in _emit(_map_tasks(worker, inputs, args.jobs), args.csv, "verify"):
         verdict = rep["verdict"]
         if verdict == PASS:
             totals["pass"] += 1
@@ -369,7 +386,7 @@ def cmd_verify(args) -> int:
     wall = time.perf_counter() - start
     max_r_text = "n/a" if max_r is None else f"{max_r:.9f}"
     print(
-        f"verify {args.theorem}: {len(tasks)} graphs, {bad} skipped lines, "
+        f"verify {args.theorem}: {len(inputs)} graphs, {bad} skipped lines, "
         f"{totals['pass']} pass, {totals['fail']} fail, {totals['skipped']} skipped, "
         f"max R = {max_r_text}, wall {wall:.2f}s",
         file=sys.stderr,
@@ -385,6 +402,8 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad vertex count in {args.n!r}") from exc
     filters = tuple(f for f in _GEN_FLAG_FILTERS if getattr(args, f.replace("-", "_")))
+    from .enumeration import GenSpec, enumerate_graphs
+
     start = time.perf_counter()
     stats: Counter = Counter()
     try:
@@ -409,11 +428,10 @@ def cmd_gen(args) -> int:
 def cmd_recognize(args) -> int:
     start = time.perf_counter()
     inputs, bad = _collect_graphs(args.files, args.strict)
-    tasks = [(line_no, text, args.trace) for line_no, text in inputs]
-    worker = functools.partial(_report_chunk, _recognize_report, None)
-    for _ in _emit(_map_tasks(worker, tasks, args.jobs), args.csv, "recognize"):
+    worker = functools.partial(_report_chunk, functools.partial(_recognize_rows, args.trace), None)
+    for _ in _emit(_map_tasks(worker, inputs, args.jobs), args.csv, "recognize"):
         pass
-    _summary("recognize", len(tasks), bad, start)
+    _summary("recognize", len(inputs), bad, start)
     return 0
 
 

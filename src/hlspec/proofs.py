@@ -438,12 +438,24 @@ def _odd_applies(g: Graph) -> bool:
     return g.n % 2 == 1 and g.max_degree() <= 3
 
 
+def _unbalanced_applies(g: Graph) -> bool:
+    """Max degree 3 and an unbalanced unfriendly partition under either
+    reading; the search is deterministic, so replay finds what the verifier
+    found."""
+    return g.max_degree() <= 3 and any(
+        find_unbalanced_unfriendly(g, allow_empty_side=empty).partition is not None
+        for empty in (True, False)
+    )
+
+
 # Each theorem's precondition, where its verifier answers not-applicable
 # exactly when it fails (not-found counts as applicable).
 _APPLIES = {
     "series-parallel-bound": _sp_applies,
     "k23-bound": lambda g: g.max_degree() <= 3 and find_k23(g) is not None,
     "odd-order": _odd_applies,
+    "twins": lambda g: bool(find_twins(g)),
+    "unbalanced-partition": _unbalanced_applies,
 }
 
 

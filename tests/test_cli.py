@@ -3,10 +3,13 @@ streams, exit codes, JSON/CSV shapes, schema conformance, and determinism
 across worker counts."""
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
+import multiprocessing
+import os
 import pathlib
 import subprocess
 import sys
@@ -29,8 +32,6 @@ SCHEMAS = REPO / "schemas"
 
 
 def cli_env():
-    import os
-
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", str(REPO / "src"))
     return env
@@ -468,7 +469,9 @@ def test_verify_exit_code_1_on_failure(monkeypatch, capsys):
     def fake_verify(g):
         return WitnessTrace("series-parallel-bound", "stub", {}, (), FAIL)
 
-    monkeypatch.setitem(cli._VERIFIERS, "sp", fake_verify)
+    import hlspec.proofs as proofs
+
+    monkeypatch.setattr(proofs, "verify_theorem_sp", fake_verify)
     monkeypatch.setattr(sys, "stdin", io.StringIO("A_\n"))
     code = cli.main(["verify", "sp"])
     out, err = capsys.readouterr()
@@ -516,8 +519,8 @@ def test_verify_sp_computes_each_fact_once(monkeypatch):
     assert len(classes) == 138
     for line_no, g in enumerate(classes, start=1):
         calls.clear()
-        task = (line_no, to_graph6(g), "sp", True, False)
-        rep = cli._report_chunk(cli._verify_report, math.inf, [task])[0]
+        rows = functools.partial(cli._verify_rows, "sp", True, False)
+        rep = cli._report_chunk(rows, math.inf, [(line_no, to_graph6(g))])[0]
         assert rep["verdict"] == "pass"
         assert calls["verdict"] == 1
         assert calls["reduce"] == 0
@@ -613,7 +616,7 @@ def test_map_tasks_clamps_workers_to_cpus_and_tasks(monkeypatch):
         chunks.append(chunk)
         return [str(t) for t in chunk]
 
-    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda: FakeContext())
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: FakeContext())
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     # 3 tasks are 2 chunks, so 2 workers
     assert list(cli._map_tasks(worker, [1, 2, 3], 10_000)) == ["1", "2", "3"]
@@ -659,9 +662,13 @@ def test_stdout_byte_identical_across_jobs_on_mixed_chunks(command):
 
 def test_prime_sees_doubling_batches(tmp_path, capsys, monkeypatch):
     # the first row is written after one graph; chunks then double up to 64
+    import hlspec.spectra as spectra
+
     sizes = []
-    prime = cli.prime
-    monkeypatch.setattr(cli, "prime", lambda graphs: sizes.append(len(graphs)) or prime(graphs))
+    prime = spectra.prime
+    monkeypatch.setattr(
+        spectra, "prime", lambda graphs: sizes.append(len(graphs)) or prime(graphs)
+    )
     path = tmp_path / "corpus.g6"
     path.write_text(chunking_corpus())
     for command in (["hl"], ["verify", "sp"]):
@@ -677,11 +684,12 @@ def test_prime_sees_doubling_batches(tmp_path, capsys, monkeypatch):
 def test_survey_computes_no_spectrum_of_a_skipped_graph(tmp_path, capsys, monkeypatch):
     # a survey row of max degree above 3 is skipped without its index, so
     # its graph is not primed; hl rows read the index at every degree
+    import hlspec.spectra as spectra
     from hlspec import complete_graph
 
     primed = []
-    prime = cli.prime
-    monkeypatch.setattr(cli, "prime", lambda graphs: primed.extend(graphs) or prime(graphs))
+    prime = spectra.prime
+    monkeypatch.setattr(spectra, "prime", lambda graphs: primed.extend(graphs) or prime(graphs))
     path = tmp_path / "corpus.g6"
     path.write_text("\n".join(to_graph6(g) for g in (complete_graph(9), cycle_graph(5))) + "\n")
     code, out, _ = run_main(["verify", "survey", str(path)], capsys)
@@ -751,8 +759,8 @@ def test_recognize_runs_the_reducer_once_per_graph(monkeypatch):
     for with_trace in (False, True):
         for line_no, g in enumerate(corpus, start=1):
             calls.clear()
-            task = (line_no, to_graph6(g), with_trace)
-            rep = cli._report_chunk(cli._recognize_report, None, [task])[0]
+            rows = functools.partial(cli._recognize_rows, with_trace)
+            rep = cli._report_chunk(rows, None, [(line_no, to_graph6(g))])[0]
             if with_trace:
                 assert calls == {"reduce": 1}
                 assert rep["k4_minor_free"] == rep["reduction"]["reduced_to_empty"]
@@ -875,41 +883,90 @@ def test_hl_walks_each_graphs_edges_once(tmp_path, capsys, monkeypatch):
     assert len(json_lines(out)) == len(calls) == len(lines)
 
 
+# run in a fresh interpreter per command, so no command's imports can hide
+# another's; the last stderr line is the exit code and the watched modules
+# the command loaded
 IMPORT_BOUNDARY_SCRIPT = """
+import json
 import sys
 import hlspec.cli as cli
 
-def run(*args):
-    try:
-        code = cli.main(list(args))
-    except SystemExit as exc:
-        code = exc.code
-    print(args[0], code, "numpy" in sys.modules, file=sys.stderr)
-    return "numpy" in sys.modules
-
-assert "numpy" not in sys.modules
-assert not run("gen", "n=7", "--connected", "--k4-minor-free")
-assert not run("recognize", sys.argv[1])
-assert not run("--help")
-assert not run("verify", "sp", "--gen", "n=7,bogus")
-assert not run("hl", "--strict", sys.argv[2])
-assert run("hl", sys.argv[1])
+watched = ["numpy", "multiprocessing"] + [
+    "hlspec." + m for m in ("spectra", "structure", "enumeration", "proofs", "named")
+]
+assert not any(m in sys.modules for m in watched)
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, [m for m in watched if m in sys.modules]]), file=sys.stderr)
 """
 
 
 def test_gen_recognize_help_and_usage_errors_never_import_numpy(tmp_path):
-    # a fresh interpreter, because this one has imported numpy already;
-    # the last hl run shows the check is not vacuous
+    # and each command loads only the modules it runs; the hl and verify
+    # runs show the check is not vacuous
     corpus = tmp_path / "c.g6"
     corpus.write_text("A_\nBw\nCr\n")
     bad = tmp_path / "bad.g6"
     bad.write_text("A_\n!!bad\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, str(corpus), str(bad)],
-        capture_output=True, text=True, env=cli_env(), timeout=300,
+
+    def loaded(*args):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, *args],
+            capture_output=True, text=True, env=cli_env(), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stderr.splitlines()[-1])
+        return code, {m.removeprefix("hlspec.") for m in modules}
+
+    assert loaded("--help") == (0, set())
+    assert loaded("gen", "n=7", "--connected", "--k4-minor-free") == (
+        0, {"enumeration", "structure"}
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.count(" False\n") == 5 and "hl 0 True\n" in proc.stderr
+    assert loaded("recognize", str(corpus)) == (0, {"structure"})
+    assert loaded("verify", "sp", "--gen", "n=7,bogus") == (2, {"enumeration", "structure"})
+    assert loaded("hl", "--strict", str(bad)) == (2, set())
+    assert loaded("hl", "--jobs", "1", str(corpus)) == (0, {"spectra", "numpy"})
+    assert loaded("verify", "sp", str(corpus)) == (
+        0, {"proofs", "spectra", "structure", "numpy"}
+    )
+    if (os.cpu_count() or 1) >= 2:
+        # three lines are two chunks, so a pool starts, and the rows are
+        # built in its workers
+        assert loaded("hl", "--jobs", "2", str(corpus)) == (0, {"multiprocessing"})
+
+
+# a fresh interpreter whose pools spawn their workers, so each worker starts
+# from a bare import of hlspec.cli and must import what its rows read
+SPAWN_SCRIPT = """
+import multiprocessing
+import os
+import sys
+
+multiprocessing.set_start_method("spawn")
+os.cpu_count = lambda: 2  # so a pool starts on any host
+import hlspec.cli as cli
+
+code = cli.main(sys.argv[1:])
+print(code, multiprocessing.get_start_method(), "hlspec.spectra" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command", [["hl"], ["verify", "sp"]])
+def test_spawned_workers_import_what_they_run(command):
+    corpus = chunking_corpus()
+    serial = run_cli([*command, "--jobs", "1"], stdin_text=corpus)
+    spawned = subprocess.run(
+        [sys.executable, "-c", SPAWN_SCRIPT, *command, "--jobs", "2"],
+        input=corpus, capture_output=True, text=True, env=cli_env(), timeout=300,
+    )
+    assert serial.returncode == spawned.returncode == 0, spawned.stderr
+    assert spawned.stdout == serial.stdout
+    code, method, spectra_in_parent = spawned.stderr.splitlines()[-1].split()
+    assert (code, method) == ("0", "spawn")
+    # hl's parent reads no spectra: its workers built every row
+    assert spectra_in_parent == ("False" if command == ["hl"] else "True")
 
 
 def test_ingestion_reports_stripped_text(tmp_path, capsys):

@@ -8,6 +8,7 @@ predicates computed directly in the test.
 
 import collections
 import dataclasses
+import functools
 import json
 import math
 import pathlib
@@ -45,7 +46,7 @@ from hlspec import (
     verify_theorem_k23,
     verify_theorem_sp,
 )
-from hlspec.cli import _report_chunk, _verify_report
+from hlspec.cli import _report_chunk, _verify_rows
 from hlspec.structure import find_k23
 
 SQRT2 = math.sqrt(2.0)
@@ -497,6 +498,27 @@ def test_replay_accepts_not_found_k23_traces():
     assert replay_trace(cycle_graph(6), trace) is False
 
 
+def test_replay_rejects_not_applicable_twins_and_unbalanced_traces_where_they_apply():
+    # C4 has twins and P3 an unbalanced unfriendly partition, so a
+    # not-applicable trace of either lemma on them is forged
+    c4, p3 = cycle_graph(4), path_graph(3)
+    assert check_lemma_twins(c4).verdict == PASS and check_lemma_unbalanced(p3).verdict == PASS
+    forged = WitnessTrace("twins", "no-twins", {}, (), NOT_APPLICABLE)
+    assert replay_trace(c4, forged) is False
+    forged = WitnessTrace("unbalanced-partition", "no-partition", {}, (), NOT_APPLICABLE)
+    assert replay_trace(p3, forged) is False
+    # every genuine trace of both lemmas on the subcubic classes still replays
+    verdicts = collections.Counter()
+    for n in range(1, 9):
+        for g in enumerate_graphs(GenSpec(n)):
+            for check in (check_lemma_twins, check_lemma_unbalanced):
+                trace = check(g)
+                verdicts[trace.theorem, trace.verdict] += 1
+                assert replay_trace(g, trace) is True, (to_graph6(g), trace.theorem)
+    assert set(verdicts) == {(theorem, verdict) for theorem in ("twins", "unbalanced-partition")
+                             for verdict in (PASS, NOT_APPLICABLE)}
+
+
 def test_replay_rejects_fail_whose_steps_and_children_hold():
     # a pass flipped to fail: every step still re-evaluates as ok and every
     # child still passes, so nothing the trace records makes it fail
@@ -716,7 +738,8 @@ def test_trace_rebuilds_from_json_and_replays():
 
 def survey_row(g):
     # as `verify survey` runs it: only a subcubic graph's spectra are batched
-    return _report_chunk(_verify_report, 3, [(1, to_graph6(g), "survey", False, False)])[0]
+    rows = functools.partial(_verify_rows, "survey", False, False)
+    return _report_chunk(rows, 3, [(1, to_graph6(g))])[0]
 
 
 def test_survey_record_heawood_is_extremal():
