@@ -31,7 +31,6 @@ from .structure import (
     Partition,
     find_k23,
     find_twins,
-    find_unbalanced_unfriendly,
     is_unfriendly,
     k4_minor_free,
     longest_cycle,
@@ -43,6 +42,7 @@ PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 NOT_FOUND = "not-found"
+_VERDICTS = (PASS, FAIL, NOT_APPLICABLE, NOT_FOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +232,6 @@ def _eval_unfriendly_shape(g: Graph, data: dict) -> bool:
     part = Partition.of(g, side_a)
     if not is_unfriendly(g, part):
         return False
-    if data.get("nonempty") and (not part.side_a or not part.side_b):
-        return False
-    if data.get("unbalanced") and part.is_balanced():
-        return False
     same = data.get("same_side")
     other = data.get("other_side")
     if same is not None and not set(same) <= side_a:
@@ -379,10 +375,11 @@ def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
     """Re-run every step of a trace against the host graph and check that a
     pass verdict follows from it.
 
-    Returns True iff each step's re-evaluated outcome matches what was
-    recorded, every child trace replays against its named host vertices, a
-    trace of a theorem in _APPLIES (child or not) is not-applicable exactly
-    when its host fails that theorem's precondition, a pass trace (children
+    Returns True iff each trace (child or not) names a theorem this package
+    emits (a key of _APPLIES) and one of the four verdicts and is
+    not-applicable exactly when its host fails that theorem's precondition,
+    each step's re-evaluated outcome matches what was recorded, every child
+    trace replays against its named host vertices, a pass trace (children
     included) concludes (see _concludes), and a fail trace has a step that
     did not hold or a child that did not pass.
     A malformed trace (a step whose data cannot be evaluated, a child host
@@ -438,16 +435,6 @@ def _odd_applies(g: Graph) -> bool:
     return g.n % 2 == 1 and g.max_degree() <= 3
 
 
-def _unbalanced_applies(g: Graph) -> bool:
-    """Max degree 3 and an unbalanced unfriendly partition under either
-    reading; the search is deterministic, so replay finds what the verifier
-    found."""
-    return g.max_degree() <= 3 and any(
-        find_unbalanced_unfriendly(g, allow_empty_side=empty).partition is not None
-        for empty in (True, False)
-    )
-
-
 # Each theorem's precondition, where its verifier answers not-applicable
 # exactly when it fails (not-found counts as applicable).
 _APPLIES = {
@@ -455,13 +442,14 @@ _APPLIES = {
     "k23-bound": lambda g: g.max_degree() <= 3 and find_k23(g) is not None,
     "odd-order": _odd_applies,
     "twins": lambda g: bool(find_twins(g)),
-    "unbalanced-partition": _unbalanced_applies,
 }
 
 
 def _replay(g: Graph, trace: WitnessTrace) -> bool:
-    applies = _APPLIES.get(trace.theorem)
-    if applies is not None and (trace.verdict == NOT_APPLICABLE) == applies(g):
+    applies = _APPLIES.get(trace.theorem) if type(trace.theorem) is str else None
+    if applies is None or trace.verdict not in _VERDICTS:
+        return False
+    if (trace.verdict == NOT_APPLICABLE) == applies(g):
         return False
     for step in trace.steps:
         evaluator, mode = _EVALUATORS.get(step.kind, (None, None))
@@ -570,78 +558,6 @@ def check_lemma_odd(g: Graph) -> WitnessTrace:
         theorem="odd-order",
         case="odd-order",
         named={},
-        steps=tuple(steps),
-        verdict=_verdict_from(steps),
-    )
-
-
-def check_lemma_unbalanced(g: Graph) -> WitnessTrace:
-    """An unequal-sides partition with every vertex unfriendly forces the
-    median pair into [-1, 1] for max-degree-3 graphs.
-
-    Whether a partition with an empty side counts is ambiguous, so both
-    readings are searched and reported; the certificate itself does not
-    depend on which partition witnessed applicability.
-    """
-    if g.max_degree() > 3:
-        return WitnessTrace(
-            theorem="unbalanced-partition",
-            case="precondition",
-            named={},
-            steps=(),
-            verdict=NOT_APPLICABLE,
-        )
-    with_empty = find_unbalanced_unfriendly(g, allow_empty_side=True)
-    nonempty_only = find_unbalanced_unfriendly(g, allow_empty_side=False)
-    named: dict = {
-        "reading-with-empty-side": (
-            sorted(with_empty.partition.side_a) if with_empty.partition else None
-        ),
-        "reading-nonempty-only": (
-            sorted(nonempty_only.partition.side_a) if nonempty_only.partition else None
-        ),
-        "exhaustive": with_empty.exhaustive,
-    }
-    if with_empty.partition is None and nonempty_only.partition is None:
-        return WitnessTrace(
-            theorem="unbalanced-partition",
-            case="no-partition",
-            named=named,
-            steps=(),
-            verdict=NOT_APPLICABLE,
-        )
-    steps = [
-        _step(g, "max degree at most 3", "degree-le", {"subject": {"kind": "full"}, "bound": 3}),
-    ]
-    for label, result, nonempty in (
-        ("empty side allowed", with_empty, False),
-        ("sides must be nonempty", nonempty_only, True),
-    ):
-        if result.partition is not None:
-            steps.append(
-                _step(
-                    g,
-                    f"unbalanced unfriendly partition found ({label})",
-                    "unfriendly-shape",
-                    {
-                        "side_a": sorted(result.partition.side_a),
-                        "unbalanced": True,
-                        "nonempty": nonempty,
-                    },
-                )
-            )
-    steps.append(
-        _step(
-            g,
-            "median eigenvalues certified within [-1, 1]",
-            "certify-r-le",
-            {"subject": {"kind": "full"}, "bound": "1"},
-        )
-    )
-    return WitnessTrace(
-        theorem="unbalanced-partition",
-        case="unbalanced",
-        named=named,
         steps=tuple(steps),
         verdict=_verdict_from(steps),
     )

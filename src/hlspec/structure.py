@@ -1,5 +1,6 @@
-"""Combinatorial structure: partitions, twins, subdivisions of K_{2,3},
-K4-minor recognition, and longest cycles.
+"""Combinatorial structure: unfriendly vertex bipartitions and their flip
+search (the k23 verifier's shaped-partition search runs on these), twins,
+subdivisions of K_{2,3}, K4-minor recognition, and longest cycles.
 
 K4-minor-freeness has two deciders: a reducer that records every step for
 replay, and a bitmask elimination that returns only the verdict.  Tests
@@ -9,7 +10,6 @@ package (tests/oracle.py).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -22,15 +22,10 @@ from .graph_core import Graph, Multigraph
 
 @dataclass(frozen=True)
 class Partition:
-    """An unordered bipartition of the vertex set, with its cut size.
-
-    Either side may be empty.  cut_size is always the direct recount of
-    edges with one end in each side.
-    """
+    """An unordered bipartition of the vertex set.  Either side may be empty."""
 
     side_a: frozenset[int]
     side_b: frozenset[int]
-    cut_size: int
 
     @classmethod
     def of(cls, g: Graph, side_a: Iterable[int]) -> "Partition":
@@ -38,12 +33,7 @@ class Partition:
         for v in a:
             if not (0 <= v < g.n):
                 raise ValueError(f"vertex {v} out of range for n={g.n}")
-        b = frozenset(range(g.n)) - a
-        cut = sum(1 for u, v in g.edges() if (u in a) != (v in a))
-        return cls(side_a=a, side_b=b, cut_size=cut)
-
-    def is_balanced(self) -> bool:
-        return len(self.side_a) == len(self.side_b)
+        return cls(side_a=a, side_b=frozenset(range(g.n)) - a)
 
 
 def _first_violator(g: Graph, a_mask: int) -> int | None:
@@ -76,78 +66,6 @@ def _flip_search(g: Graph, a_mask: int) -> int:
         if v is None:
             return a_mask
         a_mask ^= 1 << v
-
-
-def unfriendly_partition(g: Graph) -> Partition:
-    """A partition where every vertex has >= as many neighbors across.
-
-    Flip local search from the everything-on-side-b start, moving the
-    smallest violating vertex each round.  The result is re-verified by
-    direct neighbor counting before being returned.
-    """
-    a_mask = _flip_search(g, 0)
-    part = Partition.of(g, [v for v in range(g.n) if (a_mask >> v) & 1])
-    if not is_unfriendly(g, part):
-        raise RuntimeError("flip search converged to a non-unfriendly partition")
-    return part
-
-
-@dataclass(frozen=True)
-class UnbalancedSearch:
-    """Result of looking for an unfriendly partition with unequal sides.
-
-    proven_absent is only ever True on the exhaustive path; on the heuristic
-    path a miss just means the search did not find one.
-    """
-
-    partition: Partition | None
-    proven_absent: bool
-    exhaustive: bool
-
-
-def find_unbalanced_unfriendly(
-    g: Graph,
-    exhaustive_limit: int = 12,
-    allow_empty_side: bool = True,
-    flip_seeds: int = 8,
-) -> UnbalancedSearch:
-    """Search for an unfriendly partition whose sides differ in size.
-
-    For n <= exhaustive_limit every one of the 2^(n-1) unordered bipartitions
-    is tested, so absence is a proof.  Beyond that, flip searches from
-    deterministic seeds are tried and absence is inconclusive.  The trivial
-    partition with one empty side counts only when allow_empty_side is set.
-    """
-    n = g.n
-    if n <= exhaustive_limit:
-        found = None
-        for mask in range(1 << max(n - 1, 0)):
-            if not allow_empty_side and mask == 0:
-                continue
-            if 2 * mask.bit_count() == n:
-                continue
-            if _first_violator(g, mask) is None:
-                found = mask
-                break
-        if found is None:
-            return UnbalancedSearch(None, proven_absent=True, exhaustive=True)
-        part = Partition.of(g, [v for v in range(n) if (found >> v) & 1])
-        return UnbalancedSearch(part, proven_absent=False, exhaustive=True)
-
-    starts = [0, sum(1 << v for v in range(0, n, 2))]
-    for seed in range(flip_seeds):
-        rng = random.Random(seed)
-        starts.append(rng.getrandbits(n))
-    for start in starts:
-        a_mask = _flip_search(g, start)
-        size_a = a_mask.bit_count()
-        if 2 * size_a == n:
-            continue
-        if not allow_empty_side and (size_a == 0 or size_a == n):
-            continue
-        part = Partition.of(g, [v for v in range(n) if (a_mask >> v) & 1])
-        return UnbalancedSearch(part, proven_absent=False, exhaustive=False)
-    return UnbalancedSearch(None, proven_absent=False, exhaustive=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Oracles for the tests, independent of hlspec's own code paths: a dense
 adjacency matrix built from the edge list, so the spectral oracles share no
 matrix code with hlspec, Horner's Taylor shift, the reference for hlspec's
-shift-matrix products, and a brute-force K4-minor search that shares
-nothing with either K4-minor recognizer."""
+shift-matrix products, a brute-force K4-minor search that shares nothing
+with either K4-minor recognizer, and set-based unfriendly-partition checks
+that share no bitmask code with the flip and shaped-partition searches."""
+
+import itertools
 
 
 def adjacency_rows(g) -> list[list[int]]:
@@ -116,3 +119,23 @@ def brute_force_has_k4_minor(g) -> bool:
 
     start = tuple(sorted((frozenset([v]) for v in range(g.n)), key=min))
     return search(start)
+
+
+def is_unfriendly_side(g, side) -> bool:
+    """Every vertex has at least as many neighbors across the bipartition
+    (side, the rest) as on its own side, by direct neighbor counts."""
+    return all(
+        2 * sum((w in side) == (v in side) for w in g.neighbors(v)) <= g.degree(v)
+        for v in range(g.n)
+    )
+
+
+def brute_force_shaped_unfriendly(g, xs, ys) -> bool:
+    """Whether some unfriendly bipartition has all of xs on one side and all
+    of ys on the other: tries every side that holds xs and misses ys."""
+    free = [v for v in range(g.n) if v not in xs and v not in ys]
+    return any(
+        is_unfriendly_side(g, set(xs).union(extra))
+        for k in range(len(free) + 1)
+        for extra in itertools.combinations(free, k)
+    )

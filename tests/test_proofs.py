@@ -27,7 +27,6 @@ from hlspec import (
     certify_R_le,
     check_lemma_odd,
     check_lemma_twins,
-    check_lemma_unbalanced,
     complete_bipartite,
     complete_graph,
     count_at_threshold,
@@ -47,7 +46,10 @@ from hlspec import (
     verify_theorem_sp,
 )
 from hlspec.cli import _report_chunk, _verify_rows
-from hlspec.structure import find_k23
+from hlspec.proofs import _APPLIES, _shaped_partition
+from hlspec.structure import _flip_search, find_k23
+
+from oracle import brute_force_shaped_unfriendly, is_unfriendly_side
 
 SQRT2 = math.sqrt(2.0)
 
@@ -115,51 +117,6 @@ def test_odd_lemma_sweep_all_subcubic_n7():
         assert hl_index(g).value <= 1.0 + 1e-9
 
 
-# unbalanced-partition lemma
-
-
-def test_unbalanced_lemma_on_path():
-    trace = check_lemma_unbalanced(path_graph(5))
-    assert trace.verdict == PASS
-    assert trace.named["reading-nonempty-only"] is not None
-
-
-def test_unbalanced_lemma_k1_distinguishes_readings():
-    trace = check_lemma_unbalanced(Graph(1, []))
-    # a single vertex only has the empty-side partition
-    assert trace.named["reading-with-empty-side"] is not None
-    assert trace.named["reading-nonempty-only"] is None
-    assert trace.verdict == PASS
-
-
-def test_unbalanced_lemma_not_applicable_on_balanced_only_graph():
-    trace = check_lemma_unbalanced(cycle_graph(4))
-    assert trace.verdict == NOT_APPLICABLE
-    assert trace.case == "no-partition"
-    assert trace.named["exhaustive"] is True
-
-
-def test_unbalanced_lemma_not_applicable_on_high_degree():
-    assert check_lemma_unbalanced(complete_graph(5)).verdict == NOT_APPLICABLE
-
-
-def test_unbalanced_lemma_partitions_are_genuinely_unfriendly():
-    for g in enumerate_graphs(GenSpec(6, connected=True)):
-        trace = check_lemma_unbalanced(g)
-        if trace.verdict != PASS:
-            continue
-        for key in ("reading-with-empty-side", "reading-nonempty-only"):
-            side = trace.named[key]
-            if side is None:
-                continue
-            a = set(side)
-            for v in range(g.n):
-                nbrs = set(g.neighbors(v))
-                same = len(nbrs & a) if v in a else len(nbrs - a)
-                assert 2 * same <= len(nbrs)
-            assert len(a) != g.n - len(a)
-
-
 # trio theorem
 
 
@@ -211,6 +168,57 @@ def test_k23_theorem_final_bound_is_exact():
     assert final.kind == "certify-r-le"
     assert final.mode == "exact"
     assert final.data["bound"] == "1"
+
+
+def planted_k23_graph(n: int, seed: int) -> Graph:
+    """A seeded random subcubic graph on n vertices holding a K2,3, with
+    its vertices shuffled."""
+    rng = random.Random(seed)
+    edges = {(x, y) for x in (0, 1) for y in (2, 3, 4)}
+    degree = [3, 3, 2, 2, 2] + [0] * (n - 5)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if degree[u] < 3 and degree[v] < 3 and rng.random() < 0.6:
+            edges.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    perm = rng.sample(range(n), n)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def check_shaped_partition(g, xs, ys, exact=True) -> bool:
+    """Check _shaped_partition on one shape against brute force, and return
+    whether the first flip search missed the shape, so that the exhaustive
+    search (n <= 12) or the seeded flips (n > 12) ran."""
+    got = _shaped_partition(g, xs, ys)
+    if got is not None:
+        assert set(xs) <= got and not got & set(ys) and is_unfriendly_side(g, got)
+    if exact:
+        assert (got is not None) == brute_force_shaped_unfriendly(g, xs, ys), (to_graph6(g), xs, ys)
+    first = _flip_search(g, 0)
+    return len({(first >> x) & 1 for x in xs} | {1 - ((first >> y) & 1) for y in ys}) > 1
+
+
+def test_shaped_partition_matches_brute_force():
+    # the k23 verifier's calls: every subcubic class with a K2,3 on n <= 9
+    # and seeded random subcubic graphs with a planted K2,3 on 13 and 14
+    # vertices, each under its find_k23 embedding
+    graphs = [g for n in range(5, 10) for g in enumerate_graphs(GenSpec(n)) if find_k23(g)]
+    planted = [planted_k23_graph(13 + seed % 2, seed) for seed in range(40)]
+    for g in graphs + planted:
+        emb = find_k23(g)
+        check_shaped_partition(g, (emb.x1, emb.x2), (emb.y1, emb.y2, emb.y3))
+    # arbitrary shapes also reach the searches that run when the first flip
+    # search misses: the exhaustive one is exact, while the seeded flips
+    # beyond n = 12 find only true partitions but may miss one
+    rng = random.Random(7)
+    misses = 0
+    for g in graphs[::4] + planted:
+        picked = rng.sample(range(g.n), 5)
+        misses += check_shaped_partition(g, tuple(picked[:2]), tuple(picked[2:]),
+                                         exact=g.n <= 12)
+    assert misses > 20
 
 
 # series-parallel theorem
@@ -498,25 +506,53 @@ def test_replay_accepts_not_found_k23_traces():
     assert replay_trace(cycle_graph(6), trace) is False
 
 
-def test_replay_rejects_not_applicable_twins_and_unbalanced_traces_where_they_apply():
-    # C4 has twins and P3 an unbalanced unfriendly partition, so a
-    # not-applicable trace of either lemma on them is forged
-    c4, p3 = cycle_graph(4), path_graph(3)
-    assert check_lemma_twins(c4).verdict == PASS and check_lemma_unbalanced(p3).verdict == PASS
+def test_replay_rejects_not_applicable_twins_traces_where_they_apply():
+    # C4 has twins, so a not-applicable twins trace on it is forged
+    c4 = cycle_graph(4)
+    assert check_lemma_twins(c4).verdict == PASS
     forged = WitnessTrace("twins", "no-twins", {}, (), NOT_APPLICABLE)
     assert replay_trace(c4, forged) is False
-    forged = WitnessTrace("unbalanced-partition", "no-partition", {}, (), NOT_APPLICABLE)
-    assert replay_trace(p3, forged) is False
-    # every genuine trace of both lemmas on the subcubic classes still replays
+    # every genuine twins trace on the subcubic classes still replays
     verdicts = collections.Counter()
     for n in range(1, 9):
         for g in enumerate_graphs(GenSpec(n)):
-            for check in (check_lemma_twins, check_lemma_unbalanced):
-                trace = check(g)
-                verdicts[trace.theorem, trace.verdict] += 1
-                assert replay_trace(g, trace) is True, (to_graph6(g), trace.theorem)
-    assert set(verdicts) == {(theorem, verdict) for theorem in ("twins", "unbalanced-partition")
-                             for verdict in (PASS, NOT_APPLICABLE)}
+            trace = check_lemma_twins(g)
+            verdicts[trace.verdict] += 1
+            assert replay_trace(g, trace) is True, to_graph6(g)
+    assert set(verdicts) == {PASS, NOT_APPLICABLE}
+
+
+def test_replay_rejects_unknown_theorems_and_verdicts():
+    # every step of both forgeries holds on C6, and the first even ends in
+    # the exact R <= 1 claim; but no verifier emits that theorem, and no
+    # verdict is "bogus"
+    c6 = cycle_graph(6)
+    certify = verify_theorem_sp(c6).steps[-1]
+    assert certify.kind == "certify-r-le" and certify.ok
+    made_up = WitnessTrace("made-up", "any", {}, (certify,), PASS)
+    assert replay_trace(c6, made_up) is False
+    bogus = WitnessTrace("series-parallel-bound", "x", {}, (), "bogus")
+    assert replay_trace(c6, bogus) is False
+    # a theorem that is not a string, as a hand-edited witness may carry
+    listed = trace_from_json_dict({**bogus.to_json_dict(), "theorem": ["twins"], "verdict": PASS})
+    assert replay_trace(c6, listed) is False
+    # a child with a bogus verdict sinks its parent
+    g = Graph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)])
+    trace = verify_theorem_sp(g)
+    assert trace.case == "components" and replay_trace(g, trace) is True
+    child = dataclasses.replace(trace.children[0], verdict="bogus")
+    forged = dataclasses.replace(trace, children=(child,) + trace.children[1:])
+    assert replay_trace(g, forged) is False
+
+
+def test_witness_schema_enums_match_what_replay_accepts():
+    schema = json.loads(
+        pathlib.Path(__file__).resolve().parent.parent.joinpath(
+            "schemas", "witness-trace.schema.json"
+        ).read_text()
+    )
+    assert set(schema["properties"]["theorem"]["enum"]) == set(_APPLIES)
+    assert set(schema["properties"]["verdict"]["enum"]) == {PASS, FAIL, NOT_APPLICABLE, NOT_FOUND}
 
 
 def test_replay_rejects_fail_whose_steps_and_children_hold():
@@ -651,8 +687,7 @@ def test_verifiers_and_replay_compute_no_float_spectrum(monkeypatch):
         return kernel(graphs, with_spectrum)
 
     monkeypatch.setattr(spectra, "_adjacency_facts", no_floats)
-    checkers = (verify_theorem_sp, verify_theorem_k23, check_lemma_odd,
-                check_lemma_twins, check_lemma_unbalanced)
+    checkers = (verify_theorem_sp, verify_theorem_k23, check_lemma_odd, check_lemma_twins)
     verdicts = collections.Counter()
     for n in range(1, 9):
         for g in enumerate_graphs(GenSpec(n)):

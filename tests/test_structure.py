@@ -2,8 +2,8 @@
 
 Dual routes stay separate throughout: both K4-minor recognizers (the
 traced reducer and the verdict-only elimination) are checked against the
-contraction-search oracle in tests/oracle.py, partition searches against
-exhaustive set enumeration, and longest cycles against a permutation
+contraction-search oracle in tests/oracle.py, the flip search against a
+set-based neighbor recount, and longest cycles against a permutation
 brute force.
 """
 
@@ -31,19 +31,18 @@ from hlspec.named import (
 from hlspec.structure import (
     _APPLIERS,
     Partition,
+    _flip_search,
     _k4_free_by_elimination,
     find_k23,
     find_twins,
-    find_unbalanced_unfriendly,
     is_k4_minor_free,
     is_unfriendly,
     longest_cycle,
     reduce_multigraph,
     replay_reduction,
-    unfriendly_partition,
 )
 
-from oracle import brute_force_has_k4_minor
+from oracle import brute_force_has_k4_minor, is_unfriendly_side
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -63,69 +62,25 @@ def all_graphs(n: int):
 # unfriendly partitions
 # ---------------------------------------------------------------------------
 
-def oracle_is_unfriendly(g: Graph, side_a: set[int]) -> bool:
-    """Independent set-based recount of the partition predicate."""
-    for v in range(g.n):
-        same = sum(1 for w in g.neighbors(v) if (w in side_a) == (v in side_a))
-        if 2 * same > g.degree(v):
-            return False
-    return True
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_unfriendly_partition_random(seed):
+    # the flip search from the everything-on-side-b start, which the k23
+    # verifier's shaped-partition search runs first
     g = random_graph(random.Random(seed).randint(1, 11), 0.4, seed=seed + 50)
-    part = unfriendly_partition(g)
-    assert oracle_is_unfriendly(g, set(part.side_a))
+    a_mask = _flip_search(g, 0)
+    part = Partition.of(g, [v for v in range(g.n) if (a_mask >> v) & 1])
+    assert is_unfriendly_side(g, set(part.side_a))
     assert is_unfriendly(g, part)
 
 
-def test_partition_of_recounts_cut():
+def test_partition_of_splits_sides_and_checks_range():
     g = cycle_graph(4)
     part = Partition.of(g, {0, 1})
-    assert part.cut_size == 2
-    assert part.is_balanced()
-
-
-def oracle_unbalanced_search(g: Graph, allow_empty: bool):
-    """Exhaustive reference: any unfriendly partition with unequal sides."""
-    for bits in range(1 << g.n):
-        side = {v for v in range(g.n) if (bits >> v) & 1}
-        if not allow_empty and (not side or len(side) == g.n):
-            continue
-        if len(side) * 2 == g.n:
-            continue
-        if oracle_is_unfriendly(g, side):
-            return True
-    return False
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_unbalanced_search_matches_oracle(seed):
-    rng = random.Random(seed + 12)
-    g = random_graph(rng.randint(1, 9), rng.uniform(0.2, 0.7), seed=seed + 150)
-    for allow_empty in (True, False):
-        got = find_unbalanced_unfriendly(g, allow_empty_side=allow_empty)
-        want = oracle_unbalanced_search(g, allow_empty)
-        assert (got.partition is not None) == want
-        assert got.exhaustive
-        assert got.proven_absent == (not want)
-        if got.partition is not None:
-            assert oracle_is_unfriendly(g, set(got.partition.side_a))
-            assert not got.partition.is_balanced()
-
-
-def test_unbalanced_c4_proven_absent():
-    got = find_unbalanced_unfriendly(cycle_graph(4))
-    assert got.partition is None and got.proven_absent and got.exhaustive
-
-
-def test_unbalanced_single_vertex_readings_differ():
-    # the only unbalanced unfriendly partition of K1 has an empty side
-    with_empty = find_unbalanced_unfriendly(empty_graph(1), allow_empty_side=True)
-    assert with_empty.partition is not None
-    nonempty = find_unbalanced_unfriendly(empty_graph(1), allow_empty_side=False)
-    assert nonempty.partition is None and nonempty.proven_absent
+    assert part.side_a == {0, 1} and part.side_b == {2, 3}
+    assert Partition.of(g, []).side_b == {0, 1, 2, 3}
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            Partition.of(g, {0, bad})
 
 
 # ---------------------------------------------------------------------------
