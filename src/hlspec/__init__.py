@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "graph_core": (
-        "Graph", "Graph6Error", "Multigraph", "bipartition", "components", "cut_vertices",
+        "Graph", "Graph6Error", "bipartition", "components", "cut_vertices",
         "induced_delete", "induced_subgraph", "is_bipartite", "is_connected", "parse_graph6",
         "spanning_subgraph", "to_graph6",
     ),
@@ -30,8 +30,7 @@ _EXPORTS = {
     ),
     "structure": (
         "K23Embedding", "Partition", "SPReductionTrace", "find_k23", "find_twins",
-        "is_k4_minor_free", "is_unfriendly", "longest_cycle", "reduce_multigraph",
-        "replay_reduction",
+        "is_k4_minor_free", "is_unfriendly", "longest_cycle", "replay_reduction",
     ),
     "enumeration": ("HARD_CAP", "GenSpec", "canonical_key", "enumerate_graphs"),
     "proofs": (

@@ -230,7 +230,7 @@ def _recognize_rows(with_trace: bool):
     def row(g: Graph, line_no: int, text: str) -> dict:
         rep = _head(g, line_no, text)
         if with_trace:
-            # the traced run also answers the predicate, so the reducer runs once
+            # the traced run also answers the predicate, so the reduction runs once
             free, trace = is_k4_minor_free(g)
             g.fact("k4-minor-free", lambda: free)
             rep["reduction"] = {

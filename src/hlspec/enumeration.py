@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph_core import Graph, components, is_bipartite
-from .structure import _k4_free_by_elimination, find_k23
+from .structure import _reduction, find_k23
 
 HARD_CAP = 12
 
@@ -240,7 +240,7 @@ _LEVEL_CACHE: dict[tuple[int, int | None, frozenset[str], bool], list[_Class]] =
 def _passes_hereditary(g: Graph, hered: frozenset[str]) -> bool:
     if "bipartite" in hered and not is_bipartite(g):
         return False
-    if "k4-minor-free" in hered and not _k4_free_by_elimination(g):
+    if "k4-minor-free" in hered and _reduction(g)[1]:
         return False
     return True
 

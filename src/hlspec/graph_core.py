@@ -1,8 +1,7 @@
 """Small immutable graphs, a graph6 codec, and basic structural queries.
 
-Vertices are always 0..n-1.  Graph is simple and undirected; Multigraph
-(loops and parallel edges allowed) exists to drive reduction algorithms
-that create them.  Everything downstream builds on this module.
+Vertices are always 0..n-1 and every graph is simple and undirected.
+Everything downstream builds on this module.
 """
 
 from __future__ import annotations
@@ -389,117 +388,3 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
 
 def is_bipartite(g: Graph) -> bool:
     return bipartition(g) is not None
-
-
-# ---------------------------------------------------------------------------
-# multigraphs
-# ---------------------------------------------------------------------------
-
-class Multigraph:
-    """Mutable multigraph: loops and parallel edges allowed, vertices deletable.
-
-    Each vertex keeps an incidence map (neighbor -> edge multiplicity, with
-    a loop stored under the vertex itself) and a running degree, so degree,
-    multiplicity and neighbor queries cost O(1) or O(degree).  A loop
-    contributes 2 to its vertex's degree.
-    """
-
-    def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
-        self.vertices: set[int] = set(vertices)
-        self._inc: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
-        self._deg: dict[int, int] = dict.fromkeys(self.vertices, 0)
-        self._total = 0
-        for u, v in edges:
-            self.add_edge(u, v)
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "Multigraph":
-        mg = cls(range(g.n))
-        for u, v in g.edges():
-            mg.add_edge(u, v)
-        return mg
-
-    def add_edge(self, u: int, v: int, count: int = 1) -> None:
-        if u not in self.vertices or v not in self.vertices:
-            raise ValueError(f"edge ({u},{v}) touches a missing vertex")
-        inc = self._inc
-        inc[u][v] = inc[u].get(v, 0) + count
-        if u != v:
-            inc[v][u] = inc[v].get(u, 0) + count
-        self._deg[u] += count
-        self._deg[v] += count
-        self._total += count
-
-    def remove_edge(self, u: int, v: int, count: int = 1) -> None:
-        have = self.multiplicity(u, v)
-        if have < count:
-            key = (u, v) if u <= v else (v, u)
-            raise ValueError(f"removing {count} copies of {key}, only {have} present")
-        inc = self._inc
-        if have == count:
-            del inc[u][v]
-            if u != v:
-                del inc[v][u]
-        else:
-            inc[u][v] = have - count
-            if u != v:
-                inc[v][u] = have - count
-        self._deg[u] -= count
-        self._deg[v] -= count
-        self._total -= count
-
-    def multiplicity(self, u: int, v: int) -> int:
-        nbrs = self._inc.get(u)
-        return nbrs.get(v, 0) if nbrs else 0
-
-    def delete_vertex(self, v: int) -> None:
-        if v not in self.vertices:
-            raise ValueError(f"vertex {v} not present")
-        for w, mult in self._inc.pop(v).items():
-            if w != v:
-                del self._inc[w][v]
-                self._deg[w] -= mult
-            self._total -= mult
-        del self._deg[v]
-        self.vertices.remove(v)
-
-    def degree(self, v: int) -> int:
-        return self._deg.get(v, 0)
-
-    def neighbors(self, v: int) -> set[int]:
-        """Distinct neighbors other than v itself."""
-        return {w for w in self._inc.get(v, ()) if w != v}
-
-    def loop_count(self, v: int) -> int:
-        return self.multiplicity(v, v)
-
-    def edge_items(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(
-            ((u, w), mult)
-            for u, nbrs in self._inc.items()
-            for w, mult in nbrs.items()
-            if u <= w
-        )
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def total_multiplicity(self) -> int:
-        return self._total
-
-    def copy(self) -> "Multigraph":
-        mg = Multigraph()
-        mg.vertices = set(self.vertices)
-        mg._inc = {v: dict(nbrs) for v, nbrs in self._inc.items()}
-        mg._deg = dict(self._deg)
-        mg._total = self._total
-        return mg
-
-    def signature(self) -> tuple[int, int]:
-        """(vertex count, total edge multiplicity): a cheap state fingerprint."""
-        return (len(self.vertices), self._total)
-
-    def __repr__(self) -> str:
-        return f"Multigraph(vertices={sorted(self.vertices)}, edges={self.edge_items()})"

@@ -569,36 +569,43 @@ def check_lemma_odd(g: Graph) -> WitnessTrace:
 
 def _shaped_partition(g: Graph, xs: tuple[int, int], ys: tuple[int, int, int]) -> frozenset[int] | None:
     """An unfriendly partition with both xs on one side and all ys on the
-    other, as the xs side; None if the search exhausts without finding one."""
+    other, as the xs side; None if the search exhausts without finding one.
 
-    def shaped(a_mask: int) -> frozenset[int] | None:
-        x_bits = sum(1 << x for x in xs)
-        y_bits = sum(1 << y for y in ys)
-        if (a_mask & x_bits) == x_bits and (a_mask & y_bits) == 0:
-            return frozenset(v for v in range(g.n) if (a_mask >> v) & 1)
-        comp = ~a_mask & ((1 << g.n) - 1)
-        if (comp & x_bits) == x_bits and (comp & y_bits) == 0:
-            return frozenset(v for v in range(g.n) if (comp >> v) & 1)
+    The flip search from the empty side comes first.  If it misses the
+    shape, every xs side (xs plus a subset of the n - 5 other vertices) is
+    tried through n = 16, so the answer there is exact; beyond, only flip
+    searches from 32 seeded sides are tried.
+    """
+    x_bits = sum(1 << x for x in xs)
+    y_bits = sum(1 << y for y in ys)
+    full = (1 << g.n) - 1
+
+    def members(mask: int) -> frozenset[int]:
+        return frozenset(v for v in range(g.n) if (mask >> v) & 1)
+
+    def shaped(fixpoint: int) -> frozenset[int] | None:
+        for side in (fixpoint, full ^ fixpoint):
+            if side & x_bits == x_bits and not side & y_bits:
+                return members(side)
         return None
 
-    converged = _flip_search(g, 0)
-    got = shaped(converged)
-    if got is not None and _first_violator(g, converged) is None:
+    got = shaped(_flip_search(g, 0))
+    if got is not None:
         return got
-    if g.n <= 12:
-        for mask in range(1 << max(g.n - 1, 0)):
-            if _first_violator(g, mask) is not None:
-                continue
-            got = shaped(mask)
+    if g.n > 16:
+        for seed in range(32):
+            got = shaped(_flip_search(g, random.Random(seed).getrandbits(g.n)))
             if got is not None:
                 return got
         return None
-    for seed in range(32):
-        mask = _flip_search(g, random.Random(seed).getrandbits(g.n))
-        got = shaped(mask)
-        if got is not None and _first_violator(g, mask) is None:
-            return got
-    return None
+    free = full ^ x_bits ^ y_bits
+    extra = 0
+    while True:  # the subsets of free in increasing order
+        if _first_violator(g, x_bits | extra) is None:
+            return members(x_bits | extra)
+        extra = (extra - free) & free
+        if not extra:
+            return None
 
 
 def verify_theorem_k23(g: Graph) -> WitnessTrace:

@@ -2,10 +2,9 @@
 search (the k23 verifier's shaped-partition search runs on these), twins,
 subdivisions of K_{2,3}, K4-minor recognition, and longest cycles.
 
-K4-minor-freeness has two deciders: a reducer that records every step for
-replay, and a bitmask elimination that returns only the verdict.  Tests
-check both against a brute-force contraction oracle kept out of the
-package (tests/oracle.py).
+K4-minor-freeness has one decider, a reduction on neighbor bitmasks that
+records its steps; tests check it against a brute-force contraction oracle
+kept out of the package (tests/oracle.py).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph_core import Graph, Multigraph
+from .graph_core import Graph
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +125,10 @@ def find_k23(g: Graph) -> K23Embedding | None:
 class ReductionStep:
     """One applied reduction rule, with enough detail to replay it.
 
-    vertices is rule-specific: loop-delete (v,), parallel-merge (u, v),
-    leaf-delete (v,), suppress (v, a, b) where a, b are the neighbors the
-    replacement edge joins.  after is the (vertex count, edge multiplicity)
-    signature of the state the step produced.
+    vertices is rule-specific: leaf-delete (v,), suppress (v, a, b) where
+    a < b are the neighbors the replacement edge joins, parallel-merge
+    (a, b) of the double edge that suppress made.  after is the (vertex
+    count, edge multiplicity) signature of the state the step produced.
     """
 
     rule: str
@@ -146,181 +145,95 @@ class SPReductionTrace:
     reduced_to_empty: bool
 
 
-def _apply_loop_delete(mg: Multigraph, v: int) -> ReductionStep:
-    if mg.loop_count(v) < 1:
-        raise ValueError(f"no loop at {v}")
-    mg.remove_edge(v, v)
-    return ReductionStep("loop-delete", (v,), None, mg.signature())
+def _reduction(g: Graph) -> tuple[list[tuple], int, int]:
+    """Reduce g on neighbor bitmasks by deleting vertices of degree <= 1
+    and suppressing vertices of degree 2, recording each step.
 
+    Each step takes the smallest vertex of degree <= 1, else the smallest
+    of degree 2 (one candidate mask each, rechecked only at the vertices
+    whose degree a step lowers).  A suppress (v, a, b) joins a and b; if
+    they were already adjacent the multigraph it stands for has a double
+    edge, and a parallel-merge (a, b) of multiplicity 2 follows at once, so
+    no loop and no other double edge ever arises.  Each rule keeps
+    the presence and absence of a K4 minor, and a non-empty graph that
+    admits none has minimum degree >= 3, so it has a K4 minor (Dirac 1952;
+    Duffin 1965): g is K4-minor-free iff no vertex is left.
 
-def _apply_parallel_merge(mg: Multigraph, u: int, v: int) -> ReductionStep:
-    mult = mg.multiplicity(u, v)
-    if u == v or mult < 2:
-        raise ValueError(f"({u},{v}) is not a parallel edge bundle")
-    mg.remove_edge(u, v, mult - 1)
-    return ReductionStep("parallel-merge", (u, v), mult, mg.signature())
-
-
-def _apply_leaf_delete(mg: Multigraph, v: int) -> ReductionStep:
-    if mg.degree(v) > 1:
-        raise ValueError(f"vertex {v} has degree > 1")
-    mg.delete_vertex(v)
-    return ReductionStep("leaf-delete", (v,), None, mg.signature())
-
-
-def _apply_suppress(mg: Multigraph, v: int) -> ReductionStep:
-    if mg.loop_count(v) != 0 or mg.degree(v) != 2:
-        raise ValueError(f"vertex {v} is not suppressible")
-    nbrs = sorted(mg.neighbors(v))
-    if len(nbrs) == 1:
-        # double edge to one neighbor: the replacement is a loop there
-        a = b = nbrs[0]
-        mg.remove_edge(v, a, 2)
-    else:
-        a, b = nbrs
-        mg.remove_edge(v, a)
-        mg.remove_edge(v, b)
-    mg.delete_vertex(v)
-    mg.add_edge(a, b)
-    return ReductionStep("suppress", (v, a, b), None, mg.signature())
-
-
-_APPLIERS = {
-    "loop-delete": _apply_loop_delete,
-    "parallel-merge": _apply_parallel_merge,
-    "leaf-delete": _apply_leaf_delete,
-    "suppress": _apply_suppress,
-}
-
-
-def _update_candidates(mg: Multigraph, cands: tuple[set, ...], touched: Iterable[int]) -> None:
-    """Recompute at each touched vertex whether it has a loop, has degree
-    <= 1, or is loopless of degree 2; a deleted vertex has none of these."""
-    loops, _, leaves, suppress = cands
-    for x in touched:
-        alive = x in mg.vertices
-        loop, deg = mg.multiplicity(x, x), mg.degree(x)
-        (loops.add if alive and loop else loops.discard)(x)
-        (leaves.add if alive and deg <= 1 else leaves.discard)(x)
-        (suppress.add if alive and deg == 2 and not loop else suppress.discard)(x)
-
-
-def reduce_multigraph(mg: Multigraph) -> SPReductionTrace:
-    """Apply the four reduction rules to a fixpoint, recording every step.
-
-    Each step applies the first rule in _APPLIERS' order with a candidate
-    (kept in one set per rule) to its smallest.  A step changes only edges
-    among its first vertex v and v's neighbors, so only those and the pairs
-    among them are looked at again.  Each step strictly decreases vertex
-    count plus edge multiplicity, so the loop terminates.  The input
-    multigraph is consumed (mutated).
+    Returns the (rule, vertices, multiplicity, after) steps, the mask of
+    vertices left and the number of edges left.
     """
-    pairs = {e for e, mult in mg.edge_items() if e[0] != e[1] and mult >= 2}
-    cands = (set(), pairs, set(), set())
-    _update_candidates(mg, cands, mg.vertices)
-    steps: list[ReductionStep] = []
-    while True:
-        for (rule, applier), found in zip(_APPLIERS.items(), cands):
-            if found:
-                break
+    nbrs = [g.neighbor_mask(v) for v in range(g.n)]
+    alive, left, edges = (1 << g.n) - 1, g.n, 0
+    low = two = 0  # vertices of degree <= 1, of degree 2
+    for v, m in enumerate(nbrs):
+        deg = m.bit_count()
+        edges += deg
+        low |= (deg < 2) << v
+        two |= (deg == 2) << v
+    edges //= 2
+    steps: list[tuple] = []
+    while low or two:
+        pick = low or two
+        bit = pick & -pick
+        v = bit.bit_length() - 1
+        alive ^= bit
+        left -= 1
+        m = nbrs[v]
+        if low:
+            low ^= bit
+            lost = m  # its neighbor, if any, loses a degree
+            if m:
+                nbrs[m.bit_length() - 1] ^= bit
+                edges -= 1
+            steps.append(("leaf-delete", (v,), None, (left, edges)))
         else:
-            break
-        chosen = min(found)
-        args = chosen if rule == "parallel-merge" else (chosen,)
-        touched = sorted(mg.neighbors(args[0]) | {args[0]})
-        steps.append(applier(mg, *args))
-        _update_candidates(mg, cands, touched)
-        for i, x in enumerate(touched):
-            for y in touched[i + 1 :]:
-                (pairs.add if mg.multiplicity(x, y) >= 2 else pairs.discard)((x, y))
-    return SPReductionTrace(
-        steps=tuple(steps),
-        final_vertices=mg.n_vertices,
-        final_multiplicity=mg.total_multiplicity,
-        reduced_to_empty=(mg.n_vertices == 0),
-    )
+            two ^= bit
+            first = m & -m
+            a, b = first.bit_length() - 1, m.bit_length() - 1
+            merged = nbrs[a] & (m ^ first)
+            nbrs[a] = (nbrs[a] ^ bit) | (m ^ first)
+            nbrs[b] = (nbrs[b] ^ bit) | first
+            edges -= 1
+            steps.append(("suppress", (v, a, b), None, (left, edges)))
+            lost = 0  # a new edge ab keeps both degrees
+            if merged:  # the double edge ab merges: a and b each lose a degree
+                edges -= 1
+                steps.append(("parallel-merge", (a, b), 2, (left, edges)))
+                lost = m
+        while lost:
+            end = lost & -lost
+            lost ^= end
+            deg = nbrs[end.bit_length() - 1].bit_count()
+            if deg < 2:
+                low |= end
+                two &= ~end
+            elif deg == 2:
+                two |= end
+    return steps, alive, edges
 
 
 def is_k4_minor_free(g: Graph) -> tuple[bool, SPReductionTrace]:
-    """Recognize treewidth <= 2 by reduction to the empty multigraph.
-
-    Loop deletion, parallel merging, degree <= 1 deletion, and degree-2
-    suppression each preserve the presence and absence of a K4 minor, and a
-    nonempty multigraph admitting none of them is simple with minimum degree
-    >= 3, hence contains a K4 subdivision.  So the answer is exactly
-    "did the reduction empty the graph".
-    """
-    trace = reduce_multigraph(Multigraph.from_graph(g))
+    """Whether g has no K4 minor, with the steps of _reduction as a trace."""
+    steps, alive, edges = _reduction(g)
+    trace = SPReductionTrace(
+        steps=tuple(ReductionStep(*s) for s in steps),
+        final_vertices=alive.bit_count(),
+        final_multiplicity=edges,
+        reduced_to_empty=not alive,
+    )
     return trace.reduced_to_empty, trace
 
 
-def _k4_free_by_elimination(g: Graph) -> bool:
-    """Whether g has no K4 minor, by eliminating vertices of degree <= 2 on
-    neighbour bitmasks: a vertex of degree <= 1 is deleted, and one of
-    degree 2 is deleted after its two neighbours are joined.
-
-    These are the reducer's rules on a simple graph: joining the neighbours
-    is a suppression, and OR-ing the masks merges the parallel edge it may
-    make.  Each rule keeps the presence and absence of a K4 minor, and a
-    non-empty graph that admits none has minimum degree >= 3, so it has a
-    K4 minor (Dirac 1952; Duffin 1965).  So g is K4-minor-free iff every
-    vertex goes, in whatever order.  Only the verdict is kept; the reducer
-    (is_k4_minor_free) records the steps.
-    """
-    nbrs = [g.neighbor_mask(v) for v in range(g.n)]
-    alive = (1 << g.n) - 1
-    work = list(range(g.n))
-    while work:
-        v = work.pop()
-        m = nbrs[v]
-        if not (alive >> v) & 1 or m.bit_count() > 2:
-            continue
-        alive ^= 1 << v
-        low = m & -m  # 0 when v is isolated
-        high = m ^ low  # 0 unless v has degree 2
-        for end, other in ((low, high), (high, low)):
-            if end:
-                u = end.bit_length() - 1
-                nbrs[u] = (nbrs[u] ^ (1 << v)) | other
-                work.append(u)
-    return not alive
-
-
 def k4_minor_free(g: Graph) -> bool:
-    """Whether g has no K4 minor, kept on g's fact record.
-
-    The verdict comes from _k4_free_by_elimination, which builds no
-    multigraph and records no step; the reducer (is_k4_minor_free) runs
-    only where its trace is wanted: recognize --trace and replay_reduction.
-    """
-    return g.fact("k4-minor-free", lambda: _k4_free_by_elimination(g))
+    """Whether g has no K4 minor, kept on g's fact record.  No trace is
+    built; is_k4_minor_free builds one where it is wanted."""
+    return g.fact("k4-minor-free", lambda: not _reduction(g)[1])
 
 
 def replay_reduction(g: Graph, trace: SPReductionTrace) -> bool:
-    """Re-apply a recorded reduction step list and verify every signature.
-
-    Returns False if any step's preconditions fail on the evolving state or
-    any recorded signature (or the final state) disagrees.
-    """
-    mg = Multigraph.from_graph(g)
-    for step in trace.steps:
-        applier = _APPLIERS.get(step.rule)
-        if applier is None:
-            return False
-        args = step.vertices[:2] if step.rule == "parallel-merge" else step.vertices[:1]
-        try:
-            redone = applier(mg, *args)
-        except ValueError:
-            return False
-        if redone.vertices != step.vertices or redone.after != step.after:
-            return False
-        if redone.multiplicity != step.multiplicity:
-            return False
-    return (
-        mg.n_vertices == trace.final_vertices
-        and mg.total_multiplicity == trace.final_multiplicity
-        and trace.reduced_to_empty == (mg.n_vertices == 0)
-    )
+    """Whether trace is exactly the reduction is_k4_minor_free records on g:
+    every step, its order, its signature and the final state."""
+    return trace == is_k4_minor_free(g)[1]
 
 
 # ---------------------------------------------------------------------------

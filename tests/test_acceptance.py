@@ -29,14 +29,13 @@ from hlspec import (
     hl_index,
     induced_delete,
     is_bipartite,
-    reduce_multigraph,
+    is_k4_minor_free,
     replay_trace,
     to_graph6,
     verify_theorem_k23,
     verify_theorem_sp,
 )
-from hlspec.graph_core import Multigraph
-from hlspec.structure import _k4_free_by_elimination
+from hlspec.structure import k4_minor_free
 
 from oracle import adjacency_rows, brute_force_has_k4_minor
 
@@ -103,19 +102,19 @@ def test_criterion_05_n4_census_has_five_classes():
 
 
 def test_criterion_06_reducer_matches_brute_force_oracle_n7():
-    # both recognizers: the traced reducer and the verdict-only elimination
-    disagreements = elimination_disagreements = 0
+    # both entry points: the traced reduction and the fact-record verdict
+    disagreements = verdict_disagreements = 0
     total = 0
     for n in range(1, 8):
         for g in enumerate_graphs(GenSpec(n, max_degree=None)):
-            fast = reduce_multigraph(Multigraph.from_graph(g)).reduced_to_empty
+            fast = is_k4_minor_free(g)[0]
             slow = not brute_force_has_k4_minor(g)
             disagreements += fast != slow
-            elimination_disagreements += _k4_free_by_elimination(g) != slow
+            verdict_disagreements += k4_minor_free(g) != slow
             total += 1
     assert total == 1 + 2 + 4 + 11 + 34 + 156 + 1044
     assert disagreements == 0
-    assert elimination_disagreements == 0
+    assert verdict_disagreements == 0
 
 
 def test_criterion_07_lemma_suite():

@@ -304,15 +304,15 @@ def test_gen_n10_connected_k4_minor_free_matches_frozen_corpus():
 
 
 def test_gen_and_verify_sp_never_run_the_reducer(tmp_path, capsys, monkeypatch):
-    # the K4-minor verdict of gen's filter and of verify sp's precondition
-    # comes from the bitmask elimination; only recognize --trace reduces
+    # gen's filter and verify sp's precondition read the K4-minor verdict
+    # alone; only recognize --trace builds a reduction trace
     import hlspec.enumeration as enumeration
     import hlspec.structure as structure
 
-    def refuse(mg):
-        raise AssertionError("the reducer ran")
+    def refuse(**fields):
+        raise AssertionError("a reduction trace was built")
 
-    monkeypatch.setattr(structure, "reduce_multigraph", refuse)
+    monkeypatch.setattr(structure, "SPReductionTrace", refuse)
     monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
     code, out, _ = run_main(["gen", "n=9", "--k4-minor-free"], capsys)
     assert code == 0 and len(out.splitlines()) == 847
@@ -481,9 +481,9 @@ def test_verify_exit_code_1_on_failure(monkeypatch, capsys):
 
 
 def test_verify_sp_computes_each_fact_once(monkeypatch):
-    # counted, not timed: the K4-minor verdict runs once per graph, the
-    # reducer never, and the char-poly once per distinct subject the trace
-    # names (the full graph included)
+    # counted, not timed: the K4-minor reduction runs once per graph, no
+    # reduction trace is built, and the char-poly once per distinct subject
+    # the trace names (the full graph included)
     import collections
 
     import hlspec.spectra as spectra
@@ -491,14 +491,13 @@ def test_verify_sp_computes_each_fact_once(monkeypatch):
     from hlspec import GenSpec, enumerate_graphs
 
     calls: collections.Counter = collections.Counter()
-    verdict_, reduce_ = structure._k4_free_by_elimination, structure.reduce_multigraph
+    reduction_, trace_ = structure._reduction, structure.SPReductionTrace
     kernel = spectra._adjacency_facts
     monkeypatch.setattr(
-        structure, "_k4_free_by_elimination",
-        lambda g: calls.update(["verdict"]) or verdict_(g),
+        structure, "_reduction", lambda g: calls.update(["reduction"]) or reduction_(g)
     )
     monkeypatch.setattr(
-        structure, "reduce_multigraph", lambda mg: calls.update(["reduce"]) or reduce_(mg)
+        structure, "SPReductionTrace", lambda **kw: calls.update(["trace"]) or trace_(**kw)
     )
     monkeypatch.setattr(
         spectra, "_adjacency_facts",
@@ -522,8 +521,8 @@ def test_verify_sp_computes_each_fact_once(monkeypatch):
         rows = functools.partial(cli._verify_rows, "sp", True, False)
         rep = cli._report_chunk(rows, math.inf, [(line_no, to_graph6(g))])[0]
         assert rep["verdict"] == "pass"
-        assert calls["verdict"] == 1
-        assert calls["reduce"] == 0
+        assert calls["reduction"] == 1
+        assert calls["trace"] == 0
         assert calls["charpoly"] == len(subjects(rep["witness"]))
 
 
@@ -734,26 +733,25 @@ def test_recognize_trace_shows_reduction():
     red = rep["reduction"]
     assert red["reduced_to_empty"] is True
     assert all(step["rule"] in
-               ("loop-delete", "parallel-merge", "leaf-delete", "suppress")
+               ("parallel-merge", "leaf-delete", "suppress")
                for step in red["steps"])
     make_validator("recognize-report.schema.json").validate(rep)
 
 
 def test_recognize_runs_the_reducer_once_per_graph(monkeypatch):
     # without --trace the verdict alone answers the predicate; with it the
-    # reducer's trace answers it and the verdict never runs
+    # trace answers it, and either way the reduction runs once
     import collections
 
     import hlspec.structure as structure
 
     calls: collections.Counter = collections.Counter()
-    verdict_, reduce_ = structure._k4_free_by_elimination, structure.reduce_multigraph
+    reduction_, trace_ = structure._reduction, structure.SPReductionTrace
     monkeypatch.setattr(
-        structure, "_k4_free_by_elimination",
-        lambda g: calls.update(["verdict"]) or verdict_(g),
+        structure, "_reduction", lambda g: calls.update(["reduction"]) or reduction_(g)
     )
     monkeypatch.setattr(
-        structure, "reduce_multigraph", lambda mg: calls.update(["reduce"]) or reduce_(mg)
+        structure, "SPReductionTrace", lambda **kw: calls.update(["trace"]) or trace_(**kw)
     )
     corpus = (heawood_graph(), cycle_graph(6), complete_bipartite(2, 3))
     for with_trace in (False, True):
@@ -762,10 +760,10 @@ def test_recognize_runs_the_reducer_once_per_graph(monkeypatch):
             rows = functools.partial(cli._recognize_rows, with_trace)
             rep = cli._report_chunk(rows, None, [(line_no, to_graph6(g))])[0]
             if with_trace:
-                assert calls == {"reduce": 1}
+                assert calls == {"reduction": 1, "trace": 1}
                 assert rep["k4_minor_free"] == rep["reduction"]["reduced_to_empty"]
             else:
-                assert calls == {"verdict": 1}
+                assert calls == {"reduction": 1}
 
 
 def test_hl_and_recognize_summaries_on_stderr():

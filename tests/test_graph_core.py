@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from hlspec.graph_core import (
     Graph,
     Graph6Error,
-    Multigraph,
     bipartition,
     check_graph6,
     components,
@@ -501,76 +500,3 @@ def test_bipartite_matches_networkx(seed):
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges())
     assert is_bipartite(g) == nx.is_bipartite(nxg)
-
-
-# ---------------------------------------------------------------------------
-# Multigraph
-# ---------------------------------------------------------------------------
-
-def test_multigraph_loops_and_parallel_edges():
-    mg = Multigraph.from_graph(path_graph(2))
-    mg.add_edge(0, 1)
-    assert mg.multiplicity(0, 1) == 2
-    mg.add_edge(1, 1)
-    assert mg.loop_count(1) == 1
-    assert mg.degree(1) == 4  # loop counts twice
-    mg.remove_edge(0, 1)
-    assert mg.multiplicity(0, 1) == 1
-
-
-def test_multigraph_delete_vertex():
-    mg = Multigraph.from_graph(cycle_graph(4))
-    mg.delete_vertex(0)
-    assert mg.n_vertices == 3
-    assert mg.multiplicity(0, 1) == 0
-    assert mg.multiplicity(1, 2) == 1
-
-
-def test_multigraph_queries_match_edge_list_model():
-    # random edits mirrored on a plain multiset of sorted pairs; every query
-    # must agree with a full scan of that multiset
-    rng = random.Random(5)
-    for _ in range(30):
-        mg = Multigraph(range(7))
-        model: dict[tuple[int, int], int] = {}
-        alive = set(range(7))
-        for _ in range(60):
-            before, before_items = mg.copy(), sorted(model.items())
-            op = rng.random()
-            if op < 0.6 and alive:
-                u, v = rng.choice(sorted(alive)), rng.choice(sorted(alive))
-                mg.add_edge(u, v)
-                key = (min(u, v), max(u, v))
-                model[key] = model.get(key, 0) + 1
-            elif op < 0.9 and model:
-                key = rng.choice(sorted(model))
-                count = rng.randint(1, model[key])
-                mg.remove_edge(*key, count=count)
-                model[key] -= count
-                if not model[key]:
-                    del model[key]
-            elif len(alive) > 1:
-                v = rng.choice(sorted(alive))
-                mg.delete_vertex(v)
-                alive.discard(v)
-                model = {k: c for k, c in model.items() if v not in k}
-            assert before.edge_items() == before_items  # copies do not share state
-            for v in range(8):
-                assert mg.degree(v) == sum(
-                    c * ((a == v) + (b == v)) for (a, b), c in model.items()
-                )
-                assert mg.neighbors(v) == {
-                    a if b == v else b for (a, b) in model if v in (a, b) and a != b
-                }
-                assert mg.loop_count(v) == model.get((v, v), 0)
-            assert mg.edge_items() == sorted(model.items())
-            assert mg.signature() == (len(alive), sum(model.values()))
-    with pytest.raises(ValueError, match=r"removing 2 copies of \(0, 1\), only 0 present"):
-        Multigraph(range(2)).remove_edge(1, 0, 2)
-
-
-def test_multigraph_signature_tracks_size():
-    mg = Multigraph.from_graph(cycle_graph(3))
-    assert mg.signature() == (3, 3)
-    mg.add_edge(0, 1)
-    assert mg.signature() == (3, 4)

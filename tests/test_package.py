@@ -10,7 +10,7 @@ import hlspec
 # the public names by defining module, in export order
 EXPORTS = {
     "graph_core": [
-        "Graph", "Graph6Error", "Multigraph", "bipartition", "components", "cut_vertices",
+        "Graph", "Graph6Error", "bipartition", "components", "cut_vertices",
         "induced_delete", "induced_subgraph", "is_bipartite", "is_connected", "parse_graph6",
         "spanning_subgraph", "to_graph6",
     ],
@@ -25,8 +25,7 @@ EXPORTS = {
     ],
     "structure": [
         "K23Embedding", "Partition", "SPReductionTrace", "find_k23", "find_twins",
-        "is_k4_minor_free", "is_unfriendly", "longest_cycle", "reduce_multigraph",
-        "replay_reduction",
+        "is_k4_minor_free", "is_unfriendly", "longest_cycle", "replay_reduction",
     ],
     "enumeration": ["HARD_CAP", "GenSpec", "canonical_key", "enumerate_graphs"],
     "proofs": [

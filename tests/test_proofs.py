@@ -190,7 +190,7 @@ def planted_k23_graph(n: int, seed: int) -> Graph:
 def check_shaped_partition(g, xs, ys, exact=True) -> bool:
     """Check _shaped_partition on one shape against brute force, and return
     whether the first flip search missed the shape, so that the exhaustive
-    search (n <= 12) or the seeded flips (n > 12) ran."""
+    search (n <= 16) or the seeded flips (n > 16) ran."""
     got = _shaped_partition(g, xs, ys)
     if got is not None:
         assert set(xs) <= got and not got & set(ys) and is_unfriendly_side(g, got)
@@ -210,14 +210,15 @@ def test_shaped_partition_matches_brute_force():
         emb = find_k23(g)
         check_shaped_partition(g, (emb.x1, emb.x2), (emb.y1, emb.y2, emb.y3))
     # arbitrary shapes also reach the searches that run when the first flip
-    # search misses: the exhaustive one is exact, while the seeded flips
-    # beyond n = 12 find only true partitions but may miss one
+    # search misses: the exhaustive one is exact through n = 16, while the
+    # seeded flips beyond it find only true partitions but may miss one
     rng = random.Random(7)
     misses = 0
-    for g in graphs[::4] + planted:
+    beyond = [planted_k23_graph(17 + seed % 2, seed) for seed in range(20)]
+    for g in graphs[::4] + planted + beyond:
         picked = rng.sample(range(g.n), 5)
         misses += check_shaped_partition(g, tuple(picked[:2]), tuple(picked[2:]),
-                                         exact=g.n <= 12)
+                                         exact=g.n <= 16)
     assert misses > 20
 
 
@@ -242,7 +243,7 @@ def test_sp_theorem_base_cases():
 def test_sp_theorem_cut_vertex_case():
     # two triangles joined at a path: has a cut vertex
     g = Graph(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)])
-    assert not is_k4_minor_free(g)[0] is True or True
+    assert is_k4_minor_free(g)[0]
     trace = verify_theorem_sp(g)
     assert trace.case == "cut-vertex"
     assert trace.verdict == PASS
@@ -251,10 +252,10 @@ def test_sp_theorem_cut_vertex_case():
 
 
 def test_sp_theorem_two_connected_case():
+    # the prism contracts to K4 (one triangle to a vertex), so sp does not apply
     g = prism_graph()
-    if is_k4_minor_free(g)[0]:
-        trace = verify_theorem_sp(g)
-        assert trace.verdict == PASS
+    assert not is_k4_minor_free(g)[0]
+    assert verify_theorem_sp(g).verdict == NOT_APPLICABLE
     # a 2-connected k4-minor-free example: C6 plus a long chord path
     h = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 3)])
     trace = verify_theorem_sp(h)

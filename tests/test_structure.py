@@ -1,20 +1,23 @@
 """Partitions, twin and subgraph search, minor recognition, longest cycles.
 
-Dual routes stay separate throughout: both K4-minor recognizers (the
-traced reducer and the verdict-only elimination) are checked against the
-contraction-search oracle in tests/oracle.py, the flip search against a
+Dual routes stay separate throughout: the K4-minor reduction is checked
+against the contraction-search oracle in tests/oracle.py and its steps
+against a full rescan of an edge-multiset model, the flip search against a
 set-based neighbor recount, and longest cycles against a permutation
 brute force.
 """
 
 import hashlib
 import itertools
+import json
+import pathlib
 import random
+from collections import Counter
 
 import pytest
 
 from hlspec.enumeration import GenSpec, enumerate_graphs
-from hlspec.graph_core import Graph, Multigraph
+from hlspec.graph_core import Graph
 from hlspec.named import (
     complete_bipartite,
     complete_graph,
@@ -29,16 +32,14 @@ from hlspec.named import (
     star_graph,
 )
 from hlspec.structure import (
-    _APPLIERS,
     Partition,
     _flip_search,
-    _k4_free_by_elimination,
     find_k23,
     find_twins,
     is_k4_minor_free,
     is_unfriendly,
+    k4_minor_free,
     longest_cycle,
-    reduce_multigraph,
     replay_reduction,
 )
 
@@ -189,19 +190,25 @@ def test_reduction_strategies_agree(seed):
 
 
 def test_elimination_verdict_matches_reducer_on_small_classes():
-    # every subcubic class on n <= 10 and every class on n <= 7
+    # every subcubic class on n <= 10 and every class on n <= 7: the fact
+    # record's verdict is the trace's, and reversing the labels (another
+    # reduction order) keeps it
     graphs = [g for n in range(1, 11) for g in enumerate_graphs(GenSpec(n))]
     graphs += [g for n in range(1, 8) for g in enumerate_graphs(GenSpec(n, max_degree=None))]
     assert len(graphs) == 5389 + 1252
-    verdicts = [_k4_free_by_elimination(g) for g in graphs]
+    verdicts = [k4_minor_free(g) for g in graphs]
     assert verdicts == [is_k4_minor_free(g)[0] for g in graphs]
+    assert verdicts == [
+        k4_minor_free(Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]))
+        for g in graphs
+    ]
     assert 0 < sum(verdicts) < len(graphs)
 
 
 def test_elimination_verdict_matches_oracle_and_relabelling():
     # seeded random graphs on 4..12 vertices, with n - 1 to 2n - 2 edges so
-    # that both verdicts are common; reversing the labels makes the worklist
-    # eliminate in another order
+    # that both verdicts are common; reversing the labels makes the reduction
+    # take its steps in another order
     free = 0
     for seed in range(100):
         rng = random.Random(seed + 12000)
@@ -209,9 +216,9 @@ def test_elimination_verdict_matches_oracle_and_relabelling():
         pairs = list(itertools.combinations(range(n), 2))
         g = Graph(n, rng.sample(pairs, min(rng.randint(n - 1, 2 * n - 2), len(pairs))))
         reversed_g = Graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges()])
-        verdict = _k4_free_by_elimination(g)
+        verdict = k4_minor_free(g)
         assert verdict == (not brute_force_has_k4_minor(g)), sorted(g.edges())
-        assert verdict == _k4_free_by_elimination(reversed_g), sorted(g.edges())
+        assert verdict == k4_minor_free(reversed_g), sorted(g.edges())
         free += verdict
     assert 20 < free < 80
 
@@ -258,37 +265,87 @@ def test_reduction_traces_frozen():
     )
 
 
-def oracle_choice(mg: Multigraph):
-    """The rule and candidate a full rescan picks: the first rule, in
-    priority order, with any candidate, and its smallest candidate."""
-    vertices = sorted(mg.vertices)
-    for rule, cands in (
-        ("loop-delete", [(v,) for v in vertices if mg.loop_count(v)]),
-        ("parallel-merge", [e for e, mult in mg.edge_items() if e[0] != e[1] and mult >= 2]),
-        ("leaf-delete", [(v,) for v in vertices if mg.degree(v) <= 1]),
-        ("suppress", [(v,) for v in vertices if not mg.loop_count(v) and mg.degree(v) == 2]),
-    ):
-        if cands:
-            return rule, cands[0]
+def random_trace_corpus():
+    """Seeded random graphs on 0..14 vertices with up to 3n edges."""
+    for seed in range(2000):
+        rng = random.Random(seed + 15000)
+        n = rng.randint(0, 14)
+        pairs = list(itertools.combinations(range(n), 2))
+        yield Graph(n, rng.sample(pairs, rng.randint(0, min(3 * n, len(pairs)))))
+
+
+def test_reduction_traces_frozen_beyond_subcubic():
+    # sha256 over the repr of every reduction trace of the corpus above, one
+    # line per graph: degrees above 3 make long runs of suppressions and
+    # merges, so this pins the step order where the subcubic pin cannot
+    digest = hashlib.sha256()
+    free = 0
+    for g in random_trace_corpus():
+        verdict, trace = is_k4_minor_free(g)
+        free += verdict
+        digest.update(repr(trace).encode() + b"\n")
+    assert free == 1219
+    assert digest.hexdigest() == (
+        "b0b9f1855af675e0e182348e434c79b0fa4fcde3285bd1af86d21661179144b5"
+    )
+
+
+def test_recognize_schema_rules_are_the_rules_the_reduction_emits():
+    schema = json.loads(
+        pathlib.Path(__file__).resolve().parent.parent.joinpath(
+            "schemas", "recognize-report.schema.json"
+        ).read_text()
+    )
+    step = schema["properties"]["reduction"]["properties"]["steps"]["items"]
+    emitted = {s.rule for g in random_trace_corpus() for s in is_k4_minor_free(g)[1].steps}
+    assert set(step["properties"]["rule"]["enum"]) == emitted
+
+
+def rescan_step(vertices: set, edges: Counter):
+    """The step a full rescan of a multigraph (vertex set, edge multiset
+    keyed by sorted pairs) takes, applied to it: the smallest parallel pair,
+    else the smallest vertex of degree <= 1, else the smallest of degree 2.
+    Returns (rule, vertices, multiplicity), or None when none applies."""
+    degree = Counter({v: 0 for v in vertices})
+    for (a, b), mult in edges.items():
+        degree[a] += mult
+        degree[b] += mult
+    pairs = sorted(e for e, mult in edges.items() if mult >= 2)
+    if pairs:
+        mult = edges[pairs[0]]
+        edges[pairs[0]] = 1
+        return "parallel-merge", pairs[0], mult
+    for rule, wanted in (("leaf-delete", (0, 1)), ("suppress", (2,))):
+        found = sorted(v for v in vertices if degree[v] in wanted)
+        if found:
+            v = found[0]
+            ends = sorted(w for e in edges if v in e for w in e if w != v)
+            for e in [e for e in edges if v in e]:
+                del edges[e]
+            vertices.remove(v)
+            if rule == "leaf-delete":
+                return rule, (v,), None
+            assert len(ends) == 2  # no loop and no double edge at v
+            edges[tuple(ends)] += 1
+            return rule, (v, *ends), None
     return None
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_reducer_picks_what_a_full_rescan_picks(seed):
-    # multigraphs with loops and parallel edges from the start, which no
-    # simple input has: every step is the rescan's choice on the state it
-    # was taken from, and the reduction stops only when the rescan finds none
+    # every step is the one a full rescan of the multigraph it stands for
+    # picks, with the state's signature after it, and the reduction stops
+    # only when the rescan finds no step
     rng = random.Random(seed + 9100)
-    n = rng.randint(1, 9)
-    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
-    trace = reduce_multigraph(Multigraph(range(n), edges))
-    state = Multigraph(range(n), edges)
-    for step in trace.steps:
-        rule, cand = oracle_choice(state)
-        assert (step.rule, step.vertices[: len(cand)]) == (rule, cand)
-        _APPLIERS[rule](state, *cand)
-    assert oracle_choice(state) is None
-    assert trace.final_vertices == state.n_vertices
+    n = rng.randint(1, 12)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+    g = Graph(n, [(u, v) for u, v in pairs if u != v])
+    vertices, edges = set(range(n)), Counter(g.edges())
+    for step in is_k4_minor_free(g)[1].steps:
+        rule, picked, mult = rescan_step(vertices, edges)
+        assert (step.rule, step.vertices, step.multiplicity) == (rule, picked, mult)
+        assert step.after == (len(vertices), sum(edges.values()))
+    assert rescan_step(vertices, edges) is None
 
 
 def test_reduction_steps_monotone_shrink():
