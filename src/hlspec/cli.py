@@ -418,6 +418,7 @@ def cmd_gen(args) -> int:
         f"gen n={n}: {len(graphs)} classes, {stats['children']} children built, "
         f"{stats['disconnected_skipped']} disconnected children skipped, "
         f"{stats['orbit_skipped']} subsets skipped by orbit, "
+        f"{stats['earlier_parent_skipped']} children made by an earlier parent, "
         f"{stats['hereditary_tests']} hereditary tests, "
         f"{stats['canonical_forms']} canonical forms, wall {wall:.2f}s",
         file=sys.stderr,

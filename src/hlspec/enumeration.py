@@ -11,10 +11,27 @@ tested on each child before it is canonicalized, which costs far less, so a
 rejected child is never canonicalized; isomorphic children share the
 verdict, so a class is kept or dropped whole.  When only connected graphs
 are wanted, the last level skips a subset that misses a component of its
-parent before building the child.  No shortcut skips the first child of a
-kept class in (parent, subset) order, so the representatives are those of
-the plain every-child search.  Exhaustive and exact, which is the
-point; the hard cap keeps the cost honest.
+parent before building the child.
+
+Most of the other children are skipped before they are built, tested or
+canonicalized, because an earlier parent already made their class.  In
+every leaf of the canonical search the isolated vertices come first:
+_refine splits the unit cell by degree into ascending pieces, and later
+splits stay in place.  So a graph on n vertices with exactly k isolated
+vertices has zero rows 0..k-1 in its code and a 1 in row k, and more
+isolated vertices means a strictly smaller key.  If deleting an old vertex
+u from the child C = P + v leaves more isolated vertices than P has, C - u
+keys below P and comes earlier in the sorted parent level: it keeps the
+degree cap and every hereditary filter C has.  That parent processed the
+first subset in the orbit of the image of N(u), which is eligible under the
+cap and gives a connected child when C is connected.  By induction on the
+parent's rank, C's class is already found, so skipping C changes no
+representative and no order.
+
+No shortcut skips the first child of a kept class in (parent, subset)
+order, so the representatives are those of the plain every-child search.
+Exhaustive and exact, which is the point; the hard cap keeps the cost
+honest.
 """
 
 from __future__ import annotations
@@ -245,6 +262,25 @@ def _passes_hereditary(g: Graph, hered: frozenset[str]) -> bool:
     return True
 
 
+def _made_by_earlier_parent(masks: list[int], smask: int) -> bool:
+    """True when deleting some old vertex from the child (the parent with
+    neighbor masks ``masks`` plus a vertex joined to ``smask``) leaves more
+    isolated vertices than deleting the new one.
+
+    score[u] counts the vertices whose only neighbor in the child is u, less
+    one if u itself is isolated: deleting u leaves iso(child) + score[u]
+    isolated vertices.
+    """
+    v = len(masks)
+    child = [m | (1 << v) if smask >> w & 1 else m for w, m in enumerate(masks)]
+    child.append(smask)
+    score = [0 if m else -1 for m in child]
+    for m in child:
+        if m and not m & (m - 1):
+            score[m.bit_length() - 1] += 1
+    return max(score[:v]) > score[v]
+
+
 def _level(
     n: int,
     max_degree: int | None,
@@ -254,7 +290,13 @@ def _level(
 ) -> list[_Class]:
     """All isomorphism classes on exactly n vertices under the degree cap and
     hereditary filters (only the connected ones if connected), sorted by
-    canonical key.  Parent levels are always complete."""
+    canonical key.  Parent levels are always complete.
+
+    Parents come in key order, so one with more isolated vertices comes
+    first.  A child whose deletion of some old vertex leaves more isolated
+    vertices than its parent has is that of an earlier parent, whose class
+    is found already: it is skipped after the connected check and after its
+    subset's orbit is marked, before it is built, tested or canonicalized."""
     key = (n, max_degree, hered, connected)
     cached = _LEVEL_CACHE.get(key)
     if cached is not None:
@@ -264,8 +306,9 @@ def _level(
     else:
         parents = _level(n - 1, max_degree, hered, False, stats)
         found: dict[bytes, _Class] = {}
-        built = skipped = disconnected = tested = keyed = 0
+        built = skipped = disconnected = earlier = tested = keyed = 0
         for parent, gens in parents:
+            masks = [parent.neighbor_mask(v) for v in range(n - 1)]
             if max_degree is None:
                 eligible = list(range(n - 1))
                 cap = n - 1
@@ -282,15 +325,14 @@ def _level(
                     if subset in seen:
                         skipped += 1
                         continue
-                    if connected:
-                        smask = 0
-                        for v in subset:
-                            smask |= 1 << v
-                        if not all(smask & c for c in comp_masks):
-                            # automorphisms permute components, so the whole
-                            # orbit is disconnected too and none is marked
-                            disconnected += 1
-                            continue
+                    smask = 0
+                    for v in subset:
+                        smask |= 1 << v
+                    if connected and not all(smask & c for c in comp_masks):
+                        # automorphisms permute components, so the whole
+                        # orbit is disconnected too and none is marked
+                        disconnected += 1
+                        continue
                     if gens:
                         # mark the subset's orbit under the parent's group
                         orbit = [subset]
@@ -300,6 +342,9 @@ def _level(
                                 if image not in seen:
                                     seen.add(image)
                                     orbit.append(image)
+                    if _made_by_earlier_parent(masks, smask):
+                        earlier += 1
+                        continue
                     child = parent.with_vertex(subset)
                     built += 1
                     # a new vertex of degree <= 1 keeps every hereditary
@@ -319,6 +364,7 @@ def _level(
                 children=built,
                 disconnected_skipped=disconnected,
                 orbit_skipped=skipped,
+                earlier_parent_skipped=earlier,
                 hereditary_tests=tested,
                 canonical_forms=keyed,
             )
@@ -333,7 +379,8 @@ def enumerate_graphs(spec: GenSpec, stats: Counter | None = None) -> list[Graph]
     The graphs are fresh copies: facts a caller computes on them never
     reach the level cache.  Levels built by this call (not cached ones) add
     their ``children``, ``disconnected_skipped``, ``orbit_skipped``,
-    ``hereditary_tests`` and ``canonical_forms`` counts to ``stats``.
+    ``earlier_parent_skipped``, ``hereditary_tests`` and ``canonical_forms``
+    counts to ``stats``.
     """
     spec.validate()
     if "even-order" in spec.filters and spec.n % 2:

@@ -288,6 +288,7 @@ def test_gen_stdout_frozen_and_summary_on_stderr():
         "children built",
         "disconnected children skipped",
         "subsets skipped by orbit",
+        "children made by an earlier parent",
         "hereditary tests",
         "canonical forms",
         "wall",

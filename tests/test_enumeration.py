@@ -11,6 +11,7 @@ naive one that canonicalizes and tests every child.
 import functools
 import hashlib
 import itertools
+import pathlib
 import random
 from collections import Counter
 
@@ -231,6 +232,29 @@ def test_connected_subcubic_counts():
         assert len(enumerate_graphs(GenSpec(n, connected=True))) == expect
 
 
+def test_connected_subcubic_n11_matches_frozen_corpus():
+    # the benchmark's frozen 5524 classes, labels and order
+    data = pathlib.Path(__file__).parents[1] / "perfbench" / "data" / "subcubic_n11.g6"
+    got = "".join(to_graph6(g) + "\n" for g in enumerate_graphs(GenSpec(11, connected=True)))
+    assert got.encode() == data.read_bytes()
+
+
+@pytest.mark.parametrize("max_degree,n_max", [(3, 9), (None, 7), (2, 12)])
+def test_isolated_vertex_count_never_increases_in_key_order(
+    monkeypatch, max_degree, n_max
+):
+    # the lemma the earlier-parent skip rests on: more isolated vertices,
+    # strictly smaller key; each level is built fresh, not read from a cache
+    # another test filled
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    for n in range(1, n_max + 1):
+        level = enumerate_graphs(GenSpec(n, max_degree=max_degree))
+        keys = [canonical_key(g) for g in level]
+        assert keys == sorted(keys)
+        isolated = [g.degrees().count(0) for g in level]
+        assert isolated == sorted(isolated, reverse=True), (n, max_degree)
+
+
 def test_orbit_count_identity_n5():
     # sum over classes of n!/|Aut| must equal the labeled count 2^C(n,2)
     n = 5
@@ -385,7 +409,7 @@ def naive_enumerate(spec: GenSpec) -> list[Graph]:
 
 
 # unbounded degree stops at n = 7: the naive n = 8 levels take ~30 s
-@pytest.mark.parametrize("max_degree,n_max", [(3, 8), (None, 7)])
+@pytest.mark.parametrize("max_degree,n_max", [(3, 8), (None, 7), (2, 9)])
 @pytest.mark.parametrize(
     "filters",
     [(), ("k4-minor-free",), ("bipartite",), ("contains-k23",), ("even-order",),
