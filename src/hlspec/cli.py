@@ -180,8 +180,10 @@ def _verify_rows(theorem: str, witness: bool, timing: bool):
     """Verify rows.  The survey passes a subcubic graph iff R <= sqrt2 is
     certified; it skips any other graph, with the index fields and all
     predicates but subcubic null.  The timing covers the row, not the
-    chunk's parsing and batched spectra."""
+    chunk's parsing and batched spectra.  An sp row function carries
+    subjects, the planner of the subgraphs its rows count."""
     from .proofs import FAIL, PASS, check_lemma_odd, verify_theorem_k23, verify_theorem_sp
+    from .proofs import _sp_subjects
 
     index_fields, predicates = _index_fields(), _predicates()
     if theorem == "survey":
@@ -219,6 +221,8 @@ def _verify_rows(theorem: str, witness: bool, timing: bool):
             rep["ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         return rep
 
+    if theorem == "sp":
+        row.subjects = _sp_subjects
     return row
 
 
@@ -251,14 +255,18 @@ def _report_chunk(rows, spectral_degree: float | None, chunk: list[tuple[int, st
     """The rows of a chunk of (line number, graph6 text) inputs (top level,
     so it pickles for worker pools): every line is parsed, the spectral
     facts of the graphs whose rows read them (max degree at most
-    spectral_degree; None: no row does) are computed in one batch, then the
-    row builder rows() builds each row."""
+    spectral_degree; None: no row does) are computed in one batch, and the
+    counts at +-1 of the subgraphs row.subjects(g) plans, if row has it, in
+    one more; then the row function row = rows() builds each row."""
     graphs = [parse_graph6(text) for _, text in chunk]
-    if spectral_degree is not None:
-        from .spectra import prime
-
-        prime([g for g in graphs if g.max_degree() <= spectral_degree])
     row = rows()
+    if spectral_degree is not None:
+        from .spectra import _count_ones, prime
+
+        spectral = [g for g in graphs if g.max_degree() <= spectral_degree]
+        prime(spectral)
+        if hasattr(row, "subjects"):
+            _count_ones([sub for g in spectral for sub in row.subjects(g)])
     graphs.reverse()  # each popped as its row is built, so its facts die with the row
     return [row(graphs.pop(), line_no, text) for line_no, text in chunk]
 

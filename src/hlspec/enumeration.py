@@ -262,23 +262,24 @@ def _passes_hereditary(g: Graph, hered: frozenset[str]) -> bool:
     return True
 
 
-def _made_by_earlier_parent(masks: list[int], smask: int) -> bool:
-    """True when deleting some old vertex from the child (the parent with
-    neighbor masks ``masks`` plus a vertex joined to ``smask``) leaves more
-    isolated vertices than deleting the new one.
+def _made_by_earlier_parent(isolated: int, pendants: list[int], smask: int) -> bool:
+    """True when deleting some old vertex from the child (the parent plus a
+    vertex v joined to ``smask``) leaves more isolated vertices than
+    deleting v.  ``isolated`` masks the parent's isolated vertices and
+    ``pendants[u]`` its vertices whose only neighbor is u.
 
     score[u] counts the vertices whose only neighbor in the child is u, less
     one if u itself is isolated: deleting u leaves iso(child) + score[u]
-    isolated vertices.
+    isolated vertices.  score[v] is -1 for an empty smask, else the number
+    of isolated vertices v joins; an old u scores its pendants outside
+    smask, plus one if smask is u alone, less one if u stays isolated.
     """
-    v = len(masks)
-    child = [m | (1 << v) if smask >> w & 1 else m for w, m in enumerate(masks)]
-    child.append(smask)
-    score = [0 if m else -1 for m in child]
-    for m in child:
-        if m and not m & (m - 1):
-            score[m.bit_length() - 1] += 1
-    return max(score[:v]) > score[v]
+    if not smask:
+        return isolated != (1 << len(pendants)) - 1
+    if not smask & (smask - 1) and not smask & isolated:
+        return True
+    joined = (smask & isolated).bit_count()
+    return any((p & ~smask).bit_count() > joined for p in pendants)
 
 
 def _level(
@@ -309,6 +310,11 @@ def _level(
         built = skipped = disconnected = earlier = tested = keyed = 0
         for parent, gens in parents:
             masks = [parent.neighbor_mask(v) for v in range(n - 1)]
+            isolated = sum(1 << w for w, m in enumerate(masks) if not m)
+            pendants = [0] * (n - 1)
+            for w, m in enumerate(masks):
+                if m and not m & (m - 1):
+                    pendants[m.bit_length() - 1] |= 1 << w
             if max_degree is None:
                 eligible = list(range(n - 1))
                 cap = n - 1
@@ -342,7 +348,7 @@ def _level(
                                 if image not in seen:
                                     seen.add(image)
                                     orbit.append(image)
-                    if _made_by_earlier_parent(masks, smask):
+                    if _made_by_earlier_parent(isolated, pendants, smask):
                         earlier += 1
                         continue
                     child = parent.with_vertex(subset)

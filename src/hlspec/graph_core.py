@@ -28,9 +28,9 @@ class Graph:
     not isomorphism.
 
     Derived facts (the characteristic polynomial, eigenvalue counts, the
-    K4-minor verdict, subgraphs named by a trace) are kept in a per-graph
-    record through fact(), so each is computed once per graph and dies with
-    it.  The record takes no part in equality, hashing, copying or pickling.
+    K4-minor verdict, cut vertices, subgraphs a trace names) are kept in a
+    per-graph record by fact(), so each is computed once per graph and dies
+    with it; the record takes no part in equality, hashing, copying or pickling.
     """
 
     __slots__ = ("n", "_adj", "_mask", "_facts")
@@ -279,6 +279,11 @@ def is_connected(g: Graph) -> bool:
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
+    """Articulation vertices, kept on g's fact record."""
+    return g.fact("cut-vertices", lambda: _articulation(g))
+
+
+def _articulation(g: Graph) -> frozenset[int]:
     """Articulation vertices, by the usual depth-first lowpoint computation."""
     disc = [-1] * g.n
     low = [0] * g.n

@@ -34,6 +34,7 @@ from .structure import (
     is_unfriendly,
     k4_minor_free,
     longest_cycle,
+    _CYCLE_SEARCH_CAP,
     _first_violator,
     _flip_search,
 )
@@ -786,42 +787,67 @@ def _interlace_steps(g: Graph, deleted: list[int], label: str) -> list[TraceStep
     ]
 
 
+def _sp_case(g: Graph) -> str:
+    """The case of the sp induction that g takes: the theorem's precondition
+    failing, components, odd order, n = 2 or 4, a cycle, a cut vertex, or
+    two-connected (the last may delegate to the k23 verifier)."""
+    if not _sp_applies(g):
+        return "precondition"
+    if not is_connected(g):
+        return "components"
+    if g.n % 2 == 1:
+        return "odd-order"
+    if g.n in (2, 4):
+        return f"base-n{g.n}"
+    if all(d == 2 for d in g.degrees()):
+        return "cycle"
+    return "cut-vertex" if cut_vertices(g) else "two-connected"
+
+
+def _cut_vertex_split(g: Graph) -> tuple[int, list[int], list[int], list[dict]]:
+    """The cut-vertex case's split: v, the least cut vertex; the odd
+    component of G - v with the least vertex; the rest of G - v; and the
+    subjects counted (the component, the rest, G - v)."""
+    v = min(cut_vertices(g))
+    one = min((c for c in _components_without(g, {v}) if len(c) % 2 == 1), key=min)
+    one, rest = sorted(one), sorted(set(range(g.n)) - {v} - one)
+    subjects = [{"kind": "induced", "vertices": one}, {"kind": "induced", "vertices": rest},
+                {"kind": "delete", "vertices": [v]}]
+    return v, one, rest, subjects
+
+
+def _sp_subjects(g: Graph) -> list[Graph]:
+    """The subgraphs whose counts at +-1 verify_theorem_sp will read, as the
+    graphs its steps read from g's fact record: those of the cut-vertex
+    case, none for any other case."""
+    if _sp_case(g) != "cut-vertex":
+        return []
+    return [_subject_graph(g, spec) for spec in _cut_vertex_split(g)[3]]
+
+
 def _sp_case_cut_vertex(g: Graph, named: dict) -> tuple[list[TraceStep], dict]:
     n = g.n
-    v = min(cut_vertices(g))
-    comps = _components_without(g, {v})
-    odd_comps = [c for c in comps if len(c) % 2 == 1]
-    part_one = min(odd_comps, key=min)
-    part_rest = frozenset(set(range(n)) - {v} - part_one)
-    named.update(
-        {
-            "cut_vertex": v,
-            "odd_component": sorted(part_one),
-            "remainder": sorted(part_rest),
-        }
-    )
-    one_spec = {"kind": "induced", "vertices": sorted(part_one)}
-    rest_spec = {"kind": "induced", "vertices": sorted(part_rest)}
-    del_spec = {"kind": "delete", "vertices": [v]}
+    v, part_one, part_rest, (one_spec, rest_spec, del_spec) = _cut_vertex_split(g)
+    named.update({"cut_vertex": v, "odd_component": part_one, "remainder": part_rest})
     steps = [
         _step(g, f"vertex {v} is a cut vertex", "cut-vertex", {"vertex": v}),
         _step(
             g,
             "chosen component of the deletion has odd order",
             "size-parity",
-            {"vertices": sorted(part_one), "parity": "odd"},
+            {"vertices": part_one, "parity": "odd"},
         ),
         _step(
             g,
             "chosen set is a full component of the deletion",
             "component-of",
-            {"subject": del_spec, "vertices": sorted(part_one)},
+            {"subject": del_spec, "vertices": part_one},
         ),
         _step(
             g,
             "remainder has even order",
             "size-parity",
-            {"vertices": sorted(part_rest), "parity": "even"},
+            {"vertices": part_rest, "parity": "even"},
         ),
     ]
     steps += _count_bound_steps(g, one_spec, "odd component", (len(part_one) - 1) // 2)
@@ -1075,10 +1101,11 @@ def verify_theorem_sp(g: Graph) -> WitnessTrace:
     so a flaw anywhere surfaces as a failing step.
     """
     theorem = "series-parallel-bound"
-    if not _sp_applies(g):
-        return WitnessTrace(theorem, "precondition", {}, (), NOT_APPLICABLE)
+    case = _sp_case(g)
+    if case == "precondition":
+        return WitnessTrace(theorem, case, {}, (), NOT_APPLICABLE)
 
-    if not is_connected(g):
+    if case == "components":
         comps = components(g)
         children = []
         for comp in comps:
@@ -1115,41 +1142,24 @@ def verify_theorem_sp(g: Graph) -> WitnessTrace:
         "certify-r-le",
         {"subject": full, "bound": "1"},
     )
+    if case == "two-connected" and g.n > _CYCLE_SEARCH_CAP:
+        # the cycle step rests on an exhaustive search that stops there
+        return WitnessTrace(theorem, case, named, (*common, certify), NOT_FOUND)
 
-    if g.n % 2 == 1:
-        child = check_lemma_odd(g)
-        steps = common + [certify]
-        verdict = PASS if (child.verdict == PASS and all(s.ok for s in steps)) else FAIL
-        return WitnessTrace(theorem, "odd-order", named, tuple(steps), verdict, (child,))
-
-    if g.n == 2:
-        steps = common + [certify]
-        return WitnessTrace(theorem, "base-n2", named, tuple(steps), _verdict_from(steps))
-
-    if g.n == 4:
-        steps = common + [certify]
-        return WitnessTrace(theorem, "base-n4", named, tuple(steps), _verdict_from(steps))
-
-    if all(d == 2 for d in g.degrees()):
-        steps = common + [
-            _step(g, "graph is a single cycle", "is-cycle", {"subject": full}),
-            certify,
-        ]
-        return WitnessTrace(theorem, "cycle", named, tuple(steps), _verdict_from(steps))
-
-    if cut_vertices(g):
+    children: tuple[WitnessTrace, ...] = ()
+    case_steps: list[TraceStep] = []  # none for base-n2 and base-n4
+    if case == "odd-order":
+        children = (check_lemma_odd(g),)
+    elif case == "cycle":
+        case_steps = [_step(g, "graph is a single cycle", "is-cycle", {"subject": full})]
+    elif case == "cut-vertex":
         case_steps, named = _sp_case_cut_vertex(g, named)
-        steps = common + case_steps + [certify]
-        return WitnessTrace(theorem, "cut-vertex", named, tuple(steps), _verdict_from(steps))
-
-    case_steps, named, case, children = _sp_case_two_connected(g, named)
-    steps = common + case_steps + [certify]
-    if case == "k23-decomposition":
-        if all(s.ok for s in steps) and all(c.verdict == PASS for c in children):
-            verdict = PASS
-        elif any(c.verdict == NOT_FOUND for c in children):
-            verdict = NOT_FOUND
-        else:
-            verdict = FAIL
-        return WitnessTrace(theorem, case, named, tuple(steps), verdict, children)
-    return WitnessTrace(theorem, case, named, tuple(steps), _verdict_from(steps))
+    elif case == "two-connected":
+        case_steps, named, case, children = _sp_case_two_connected(g, named)
+    steps = (*common, *case_steps, certify)
+    verdict = _verdict_from(steps, children)
+    if case == "k23-decomposition" and verdict == FAIL and any(
+        c.verdict == NOT_FOUND for c in children
+    ):
+        verdict = NOT_FOUND
+    return WitnessTrace(theorem, case, named, steps, verdict, children)

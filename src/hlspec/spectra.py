@@ -20,9 +20,11 @@ certificates and proof steps rest on, and it never touches a float:
 One kernel stacks the adjacency matrices of graphs of one order, takes
 their powers by batched products and, when asked, diagonalizes the stack;
 prime(graphs) runs it per order and fills the counts at +-1 with one shift
-product per sign, and a single fact request is a batch of one.  Each fact
-(polynomial, Z[sqrt2] shift, counts per threshold, float spectrum) is kept
-on the graph's fact record (Graph.fact), so it is computed once per graph.
+product per sign; _count_ones does so without diagonalizing, for the
+subgraphs a verifier counts (verify sp's cut-vertex subgraphs), and any
+other fact request is a batch of one.  Each fact (polynomial, Z[sqrt2]
+shift, counts per threshold, float spectrum) is kept on the graph's fact
+record (Graph.fact), so it is computed once per graph.
 numpy is imported inside the kernel and the shift, so gen, recognize and
 --help, which compute no spectrum, never load it.
 """
@@ -161,12 +163,18 @@ def prime(graphs: Iterable[Graph]) -> None:
     order: the polynomial and the float spectrum from one kernel run, the
     counts at +1 and at -1 from one shift product each.  Graphs without
     vertices are skipped."""
+    _count_ones(graphs, with_spectrum=True)
+
+
+def _count_ones(graphs: Iterable[Graph], with_spectrum: bool = False) -> None:
+    """prime without the float spectrum unless with_spectrum: the polynomial
+    and the counts at +-1 of each graph with vertices, batched by order."""
     by_order: dict[int, list[Graph]] = {}
     for g in graphs:
         if g.n:
             by_order.setdefault(g.n, []).append(g)
     for same in by_order.values():
-        polys = [poly for poly, _ in _adjacency_facts(same, with_spectrum=True)]
+        polys = [poly for poly, _ in _adjacency_facts(same, with_spectrum=with_spectrum)]
         for t in ((1, 0, 1), (-1, 0, 1)):
             for g, row in zip(same, _shift(polys, *t)):
                 g.fact(("inertia", *t), lambda: _read_counts(row, t))

@@ -240,16 +240,19 @@ def replay_reduction(g: Graph, trace: SPReductionTrace) -> bool:
 # longest cycles
 # ---------------------------------------------------------------------------
 
+_CYCLE_SEARCH_CAP = 20
+
+
 def longest_cycle(g: Graph) -> tuple[int, ...] | None:
     """A maximum-length cycle as a canonical vertex sequence, or None.
 
     Canonical form: the sequence starts at the cycle's smallest vertex and
     runs in the direction whose second vertex is smaller than its last.
     Ties between maximum-length cycles break lexicographically.  Exhaustive
-    backtracking, capped at n = 20.
+    backtracking, capped at n = _CYCLE_SEARCH_CAP.
     """
-    if g.n > 20:
-        raise ValueError("longest-cycle search is capped at n = 20")
+    if g.n > _CYCLE_SEARCH_CAP:
+        raise ValueError(f"longest-cycle search is capped at n = {_CYCLE_SEARCH_CAP}")
     best: tuple[int, ...] | None = None
 
     def consider(seq: tuple[int, ...]) -> None:

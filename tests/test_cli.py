@@ -383,6 +383,24 @@ def test_verify_witness_replays_from_cli_output():
         assert replay_trace(parse_graph6(rep["graph6"]), trace) is True
 
 
+def test_verify_sp_two_connected_above_the_cycle_search_cap_is_not_found():
+    # C22 plus the chord {0, 11}: two-connected, K4-minor-free, subcubic,
+    # not a cycle, and above the longest-cycle search's n = 20
+    from hlspec import parse_graph6, replay_trace, trace_from_json_dict
+
+    line = "UhCGGC@?G?o@?@??_?G?@??C??G??G??C??@_??G"
+    proc = run_cli(["verify", "sp", "--witness"], stdin_text=line + "\n")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (rep,) = json_lines(proc.stdout)
+    assert (rep["n"], rep["case"], rep["verdict"]) == (22, "two-connected", "not-found")
+    assert rep["witness"]["verdict"] == "not-found"
+    make_validator("verify-report.schema.json").validate(rep)
+    make_validator("witness-trace.schema.json").validate(rep["witness"])
+    assert replay_trace(parse_graph6(line), trace_from_json_dict(rep["witness"])) is True
+    assert "1 fail" in proc.stderr
+
+
 def test_verify_reports_validate_without_witness():
     gen = run_cli(["gen", "n=6", "--connected", "--k4-minor-free"])
     proc = run_cli(["verify", "sp"], stdin_text=gen.stdout)
@@ -679,6 +697,50 @@ def test_prime_sees_doubling_batches(tmp_path, capsys, monkeypatch):
         assert sizes[:8] == [1, 2, 4, 8, 16, 32, 64, 64]
         assert all(s == 64 for s in sizes[6:-1]) and 0 < sizes[-1] <= 64
         assert sum(sizes) == rows
+
+
+# the 1028 connected K4-minor-free subcubic classes at n = 10: the cut-vertex
+# case fills whole 64-graph chunks here, which the golden corpora never do
+K4MF_N10 = REPO / "perfbench" / "data" / "k4mf_n10.g6"
+
+K4MF_N10_VERIFY_SP_SHA256 = {
+    "": "74d0953532d198d083891c0ee608f71a1e9acaa03251268eee39cce1a3953b9c",
+    "--witness": "64467de9db61028b37eed7711d1bfe67e9fade876dcc90ba312c81ea852354f1",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(K4MF_N10_VERIFY_SP_SHA256))
+def test_verify_sp_stdout_pinned_on_the_k4mf_n10_corpus(flags):
+    outputs = []
+    for jobs in ("1", "2"):
+        proc = run_cli(["verify", "sp", *flags.split(), "--jobs", jobs, str(K4MF_N10)])
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == K4MF_N10_VERIFY_SP_SHA256[flags]
+
+
+def test_verify_sp_batches_the_kernel_and_searches_cut_vertices_once(capsys, monkeypatch):
+    # each chunk counts its graphs, then their cut-vertex subgraphs, in one
+    # kernel run per order (only the 66 two-connected graphs' parts are still
+    # counted one run each), and each graph's cut vertices are searched once
+    import collections
+
+    import hlspec.graph_core as graph_core
+    import hlspec.spectra as spectra
+
+    calls: collections.Counter = collections.Counter()
+    kernel, search = spectra._adjacency_facts, graph_core._articulation
+    monkeypatch.setattr(
+        spectra, "_adjacency_facts",
+        lambda graphs, **kw: calls.update(runs=1, graphs=len(graphs)) or kernel(graphs, **kw),
+    )
+    monkeypatch.setattr(graph_core, "_articulation", lambda g: calls.update(["search"]) or search(g))
+    code, out, _ = run_main(["verify", "sp", "--jobs", "1", str(K4MF_N10)], capsys)
+    assert code == 0 and len(json_lines(out)) == 1028
+    assert calls["runs"] <= 450
+    assert calls["graphs"] == 4109
+    assert calls["search"] <= 1028
 
 
 def test_survey_computes_no_spectrum_of_a_skipped_graph(tmp_path, capsys, monkeypatch):
