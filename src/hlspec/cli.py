@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 # the other hlspec modules are imported by the commands and chunk workers
 # that run them, so each command loads only what it uses
-from .graph_core import Graph, Graph6Error, check_graph6, is_bipartite, parse_graph6, to_graph6
+from .graph_core import Graph, Graph6Error, _decode_graph6, check_graph6, is_bipartite, to_graph6
 
 THEOREMS = ("k23", "sp", "lemma-odd", "survey")
 
@@ -46,7 +46,7 @@ def _collect_graphs(
     Returns (kept lines as (line number, stripped graph6 text), bad line
     count); blank lines are skipped but still counted in line numbers.
     Lenient mode warns and skips malformed lines; strict mode raises.  No
-    line is decoded here: each report decodes its own line once.
+    line is decoded here: each report decodes its own line once, unchecked.
     """
     kept: list[tuple[int, str]] = []
     bad = 0
@@ -73,6 +73,11 @@ def _collect_graphs(
                     continue
                 kept.append((line_no, text))
     return kept, bad
+
+
+def parse_graph6(text: str) -> Graph:
+    """graph_core.parse_graph6 without its check: lines come validated or from to_graph6."""
+    return _decode_graph6(text.encode())
 
 
 def _parse_gen_string(spec: str) -> GenSpec:

@@ -23,9 +23,11 @@ class Graph6Error(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Duplicate edges in the constructor collapse silently (set semantics);
-    self-loops are rejected.  Equality and hashing are by labeled content,
-    not isomorphism.
+    The graph is its order n and one neighbour bitmask per vertex (bit w of
+    v's mask is set iff v~w); neighbor sets, degrees and edge lists are read
+    from the masks.  Duplicate edges in the constructor collapse silently
+    (set semantics); self-loops are rejected.  Equality and hashing are by
+    labeled content, not isomorphism.
 
     Derived facts (the characteristic polynomial, eigenvalue counts, the
     K4-minor verdict, cut vertices, subgraphs a trace names) are kept in a
@@ -33,25 +35,30 @@ class Graph:
     with it; the record takes no part in equality, hashing, copying or pickling.
     """
 
-    __slots__ = ("n", "_adj", "_mask", "_facts")
+    __slots__ = ("n", "_mask", "_facts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
         mask = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} in a simple graph")
-            adj[u].add(v)
-            adj[v].add(u)
             mask[u] |= 1 << v
             mask[v] |= 1 << u
-        self._adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
         self._mask: tuple[int, ...] = tuple(mask)
         self.n = n
+
+    @classmethod
+    def _of_masks(cls, masks: tuple[int, ...]) -> "Graph":
+        """The graph with these neighbour masks, which the caller guarantees
+        symmetric, loop-free and within range; nothing is checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "_mask", masks)
+        object.__setattr__(g, "n", len(masks))
+        return g
 
     # With __slots__ and no setters the instance is immutable in practice;
     # guard against accidental attribute rebinding all the same.
@@ -78,83 +85,69 @@ class Graph:
 
     def __getstate__(self):
         # pickles and copies carry the graph, never its fact record
-        return None, {"n": self.n, "_adj": self._adj, "_mask": self._mask}
+        return None, {"n": self.n, "_mask": self._mask}
 
     def with_vertex(self, neighbors: Iterable[int]) -> "Graph":
         """This graph plus a new vertex n joined to each given neighbor.
 
         Equal to Graph(n + 1, edges() + [(v, n) for v in neighbors]), but
-        only the neighbors' entries are rebuilt; the rest are shared.
+        only the neighbors' masks are rebuilt; the rest are shared.
         """
         n = self.n
-        nbrs = frozenset(neighbors)
-        adj = list(self._adj)
         mask = list(self._mask)
-        bit = 1 << n
         new_mask = 0
-        for v in nbrs:
+        for v in neighbors:
             if not 0 <= v < n:
                 raise ValueError(f"neighbor {v} out of range for n={n}")
-            adj[v] = adj[v] | {n}
-            mask[v] |= bit
+            mask[v] |= 1 << n
             new_mask |= 1 << v
-        adj.append(nbrs)
         mask.append(new_mask)
-        child = Graph.__new__(Graph)
-        child._adj = tuple(adj)
-        child._mask = tuple(mask)
-        child.n = n + 1
-        return child
+        return Graph._of_masks(tuple(mask))
 
     @property
     def m(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(map(int.bit_count, self._mask)) // 2
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(_bits(self._mask[v]))
 
     def neighbor_mask(self, v: int) -> int:
         """Neighbors of v as a bitmask (bit w set iff v~w)."""
         return self._mask[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._mask[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self._adj)
+        return tuple(map(int.bit_count, self._mask))
 
     def max_degree(self) -> int:
-        return max(map(len, self._adj), default=0)
+        return max(map(int.bit_count, self._mask), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return v >= 0 and self._mask[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted (u, v) pairs with u < v, in lexicographic order.
-
-        Each row is walked by its mask bits, not its frozenset, whose order
-        depends on how the graph was built."""
-        out = []
-        for u, mask in enumerate(self._mask):
-            mask >>= u + 1
-            while mask:
-                low = mask & -mask
-                out.append((u, u + low.bit_length()))
-                mask ^= low
-        return out
+        """All edges as sorted (u, v) pairs with u < v, in lexicographic order."""
+        return [(u, v) for u, mask in enumerate(self._mask)
+                for v in _bits(mask >> (u + 1) << (u + 1))]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._adj == other._adj
-        )
+        return isinstance(other, Graph) and self._mask == other._mask
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash(self._mask)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a nonnegative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -199,41 +192,40 @@ def check_graph6(text: str) -> bytes:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one short-form graph6 string into a Graph, after check_graph6.
+    """Decode one short-form graph6 string into a Graph, after check_graph6."""
+    return _decode_graph6(check_graph6(text))
 
-    Only the set bits of the payload are visited, in payload order.
-    """
-    data = check_graph6(text)
+
+def _decode_graph6(data: bytes) -> Graph:
+    """The Graph of graph6 bytes that check_graph6 accepted; nothing is
+    checked again.  Only the set bits of the payload are visited, in payload
+    order, each setting its two mask bits."""
     bits = 0
     for byte in data[1:]:
         bits = bits << 6 | byte - 63
     # payload bit k is bit (top - 1 - k) of the integer
     top = 6 * (len(data) - 1)
-    edges = []
+    mask = [0] * (data[0] - 63)
     while bits:
         high = bits.bit_length()
         bits ^= 1 << (high - 1)
-        edges.append(_G6_PAIRS[top - high])
-    return Graph(data[0] - 63, edges)
+        i, j = _G6_PAIRS[top - high]
+        mask[i] |= 1 << j
+        mask[j] |= 1 << i
+    return Graph._of_masks(tuple(mask))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a Graph as a short-form graph6 string (requires n <= 62)."""
     if g.n > 62:
         raise ValueError("short-form graph6 requires n <= 62")
-    bits = []
+    bits = 0
     for j in range(1, g.n):
         for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + g.n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        out.append(chr(63 + val))
-    return "".join(out)
+            bits = bits << 1 | g._mask[j] >> i & 1
+    need = (g.n * (g.n - 1) // 2 + 5) // 6
+    bits <<= 6 * need - g.n * (g.n - 1) // 2
+    return chr(63 + g.n) + "".join(chr(63 + (bits >> 6 * k & 63)) for k in range(need - 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +286,7 @@ def _articulation(g: Graph) -> frozenset[int]:
     def visit(root: int) -> None:
         nonlocal timer
         # Iterative DFS keeps us clear of recursion limits at n = 62.
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(sorted(g.neighbors(root))))]
+        stack: list[tuple[int, Iterator[int]]] = [(root, _bits(g._mask[root]))]
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
@@ -308,7 +300,7 @@ def _articulation(g: Graph) -> frozenset[int]:
                         root_children += 1
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, iter(sorted(g.neighbors(w)))))
+                    stack.append((w, _bits(g._mask[w])))
                     advanced = True
                     break
                 elif w != parent[u]:
@@ -341,12 +333,9 @@ def induced_delete(g: Graph, deleted: Iterable[int]) -> tuple[Graph, dict[int, i
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     keep = [v for v in range(g.n) if v not in dset]
     old_to_new = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (old_to_new[u], old_to_new[v])
-        for u, v in g.edges()
-        if u in old_to_new and v in old_to_new
-    ]
-    return Graph(len(keep), edges), old_to_new
+    kept = sum(1 << v for v in keep)
+    masks = tuple(sum(1 << old_to_new[w] for w in _bits(g._mask[v] & kept)) for v in keep)
+    return Graph._of_masks(masks), old_to_new
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -379,7 +368,7 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for w in g.neighbors(u):
+            for w in _bits(g._mask[u]):
                 if color[w] == -1:
                     color[w] = 1 - color[u]
                     queue.append(w)

@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .graph_core import (
     Graph,
+    _bits,
     _components_without,
     components,
     cut_vertices,
@@ -895,7 +896,7 @@ def _chordal_path(g: Graph, cyc: tuple[int, ...]) -> list[int] | None:
             queue = deque([w])
             while queue:
                 x = queue.popleft()
-                for y in sorted(g.neighbors(x)):
+                for y in _bits(g.neighbor_mask(x)):
                     if not allowed_edge(x, y):
                         continue
                     if x != w and x in on_cycle:
@@ -912,7 +913,7 @@ def _chordal_path(g: Graph, cyc: tuple[int, ...]) -> list[int] | None:
             cur = u
             while cur != w:
                 nxt = None
-                for y in sorted(g.neighbors(cur)):
+                for y in _bits(g.neighbor_mask(cur)):
                     if not allowed_edge(cur, y):
                         continue
                     if y in on_cycle and y not in (u, w):

@@ -5,28 +5,31 @@ with numpy and gives the reported value of R(G).  The exact route is what
 certificates and proof steps rest on, and it never touches a float:
 
 - The characteristic polynomial p(x) = det(xI - A) comes from the power
-  traces tr(A^k), k = 1..n, by Newton's identities.  Entries of A^k count
-  walks, so they are at most D^k for max degree D; the powers are taken in
-  numpy int64 when n * D^n < 2^62 and in Python ints (dtype object)
-  otherwise.  The Newton sums and their exact divisions run in Python ints.
+  traces tr(A^k), k = 1..n, by Newton's identities, run column by column
+  over a batch of graphs.  Entries of A^k count walks, so they are at most
+  D^k for max degree D; the powers are taken in numpy int64 when
+  n * D^n < 2^62, and Newton's sums when n * 2^n * D^n < 2^62, each in
+  Python ints (dtype object) otherwise.
 - A is symmetric, so p has only real roots, and for a real-rooted polynomial
   Descartes' rule of signs is exact: the sign changes in the coefficients of
   p(x + t) count the eigenvalues above t, and the index of the lowest
-  nonzero coefficient is the multiplicity of t.  A threshold
+  nonzero coefficient is the multiplicity of t.  One reader takes both
+  from an array of signs, for a whole batch at once.  A threshold
   t = (a + b*sqrt2) / d is shifted in as p's coefficient row times an
   integer matrix, two when b != 0 (the rational and the sqrt2 parts), so
   every coefficient stays in Z[sqrt2] and its sign is an integer test.
 
-One kernel stacks the adjacency matrices of graphs of one order, takes
-their powers by batched products and, when asked, diagonalizes the stack;
-prime(graphs) runs it per order and fills the counts at +-1 with one shift
-product per sign; _count_ones does so without diagonalizing, for the
-subgraphs a verifier counts (verify sp's cut-vertex subgraphs), and any
-other fact request is a batch of one.  Each fact (polynomial, Z[sqrt2]
-shift, counts per threshold, float spectrum) is kept on the graph's fact
-record (Graph.fact), so it is computed once per graph.
-numpy is imported inside the kernel and the shift, so gen, recognize and
---help, which compute no spectrum, never load it.
+One kernel stacks the adjacency matrices of graphs of one order, read off
+their neighbour masks, takes their powers by batched products and, when
+asked, diagonalizes the stack; prime(graphs) runs it per order and fills
+the counts at +-1 with one shift product per sign; _count_ones does so
+without diagonalizing, for the subgraphs a verifier counts (verify sp's
+cut-vertex subgraphs), and any other fact request is a batch of one.  Each
+fact (polynomial, Z[sqrt2] shift, counts per threshold, float spectrum) is
+kept on the graph's fact record (Graph.fact), so it is computed once per
+graph.  numpy is imported inside the kernel, the shift and the count
+reader, so gen, recognize and --help, which compute no spectrum, never
+load it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, lcm
-from operator import mul, ne
 from typing import Iterable, Sequence, Union
 
 from .graph_core import Graph
@@ -113,44 +115,52 @@ def _adjacency_facts(graphs: Sequence[Graph], with_spectrum: bool = False) -> li
     the float spectrum of each of graphs, which share one order n, from one
     stacked adjacency array; each is also stored on its graph's fact record.
 
+    The (B, n, n) stack is read off the graphs' neighbour masks by shifts.
     A is symmetric, so tr(A^(i+j)) is the sum of the entrywise product of
     A^i and A^j: the powers A^1..A^h, h = ceil(n/2), flattened into rows,
-    give every trace up to n from two batched matrix-vector products.  Every
-    trace, and every partial sum of one, is at most n * D^n for the batch's
-    largest degree D, so the stack is int64 while n * D^n < 2^62 and Python
-    ints (dtype object) otherwise.  Newton's identities run in Python ints.
+    give every trace up to n from two batched matrix-vector products.
+    Newton's identities then run column by column over the whole batch,
+    c_k = (sum_{i<k} c_i tr(A^(k-i))) // -k, an exact division.
+
+    Bounds, for the batch's largest degree D: entries of A^j count walks, so
+    |tr(A^j)| <= n D^j, and every trace and partial sum of one is at most
+    n D^n; the stack is int64 while n D^n < 2^62 (through n = 35 for
+    subcubic graphs).  |c_i| <= C(n, i) D^i, so each Newton term is at most
+    n C(n, i) D^k and every partial sum at most n 2^n D^n; Newton runs in
+    int64 while that is below 2^62 (through n = 22 for subcubic graphs).
+    Past either bound the same code runs on Python ints (dtype object).
     """
     n = graphs[0].n
-    traces = values = [[]] * len(graphs)
+    polys, values = [[1]] * len(graphs), [[]] * len(graphs)
     if n:
         import numpy as np
 
-        size = n * n
-        degree = max(max(g.max_degree() for g in graphs), 1)
-        adj = np.zeros(len(graphs) * size, dtype=np.int64 if n * degree ** n < 2 ** 62 else object)
-        adj[[b * size + u * n + v for b, g in enumerate(graphs) for u, v in g.edges()]] = 1
-        adj = adj.reshape(-1, n, n)
-        adj = adj + adj.transpose(0, 2, 1)
+        masks = np.array([g._mask for g in graphs], dtype=np.int64 if n < 64 else object)
+        adj = (masks[:, :, None] >> np.arange(n)) & 1
+        degree = max(int(adj.sum(axis=2).max()), 1)
+        adj = adj.astype(np.int64 if n * degree ** n < 2 ** 62 else object)
         h = (n + 1) // 2
         powers = [adj]
         for _ in range(h - 1):
             powers.append(powers[-1] @ adj)
-        flat = np.stack(powers, axis=1).reshape(-1, h, size)
+        flat = np.stack(powers, axis=1).reshape(-1, h, n * n)
         # tr(A^2)..tr(A^(h+1)) from A^1..A^h against A^1, then
-        # tr(A^(h+2))..tr(A^n) from A^2..A^(n-h) against A^h
+        # tr(A^(h+2))..tr(A^n) from A^2..A^(n-h) against A^h; tr(A) = 0
         first = (flat @ flat[:, 0, :, None])[..., 0]
         rest = (flat[:, 1 : n - h] @ flat[:, -1, :, None])[..., 0]
-        traces = np.concatenate((first, rest), axis=1).tolist()
+        traces = np.concatenate((0 * first[:, :1], first, rest), axis=1)[:, :n]
+        if n * 2 ** n * degree ** n >= 2 ** 62:
+            traces = traces.astype(object)
+        coeffs = np.zeros((len(graphs), n + 1), dtype=traces.dtype)
+        coeffs[:, 0] = 1
+        for k in range(1, n + 1):
+            coeffs[:, k] = (coeffs[:, :k] * traces[:, k - 1 :: -1]).sum(axis=1) // -k
+        polys = coeffs.tolist()
         if with_spectrum:
             values = np.linalg.eigvalsh(adj.astype(np.float64))[:, ::-1].tolist()
-    out = []
-    for g, row, vals in zip(graphs, traces, values):
-        sums, coeffs = [0, *row], [1]  # sums[k - 1] = tr(A^k)
-        for k in range(1, n + 1):
-            coeffs.append(-sum(map(mul, coeffs, sums[k - 1 :: -1])) // k)
-        out.append((g.fact("charpoly", lambda: coeffs),
-                    g.fact("spectrum", lambda: Spectrum(tuple(vals))) if with_spectrum else None))
-    return out
+    return [(g.fact("charpoly", lambda: poly),
+             g.fact("spectrum", lambda: Spectrum(tuple(vals))) if with_spectrum else None)
+            for g, poly, vals in zip(graphs, polys, values)]
 
 
 def _charpoly(g: Graph) -> list[int]:
@@ -168,7 +178,8 @@ def prime(graphs: Iterable[Graph]) -> None:
 
 def _count_ones(graphs: Iterable[Graph], with_spectrum: bool = False) -> None:
     """prime without the float spectrum unless with_spectrum: the polynomial
-    and the counts at +-1 of each graph with vertices, batched by order."""
+    and the counts at +-1 of each graph with vertices, batched by order.
+    The shifted coefficients stay one array from the product to the counts."""
     by_order: dict[int, list[Graph]] = {}
     for g in graphs:
         if g.n:
@@ -176,8 +187,9 @@ def _count_ones(graphs: Iterable[Graph], with_spectrum: bool = False) -> None:
     for same in by_order.values():
         polys = [poly for poly, _ in _adjacency_facts(same, with_spectrum=with_spectrum)]
         for t in ((1, 0, 1), (-1, 0, 1)):
-            for g, row in zip(same, _shift(polys, *t)):
-                g.fact(("inertia", *t), lambda: _read_counts(row, t))
+            counts = _read_counts(_shift_parts(polys, *t)[0], t)
+            for g, count in zip(same, counts):
+                g.fact(("inertia", *t), lambda: count)
 
 
 def _sign(a: int, b: int) -> int:
@@ -241,10 +253,10 @@ def _shift_matrices(n: int, a: int, b: int, d: int) -> tuple[tuple, tuple | None
     return exact, fast, column_sum
 
 
-def _shift(rows: list[list[int]], a: int, b: int, d: int) -> list[list]:
+def _shift_parts(rows: list[list[int]], a: int, b: int, d: int) -> list:
     """Coefficients of d^n p((z + a + b*sqrt2) / d) for each coefficient row
-    p of rows (all of length n + 1): integers when b = 0, else (rational,
-    sqrt2) integer pairs, from one product with each shift matrix M.
+    p of rows (all of length n + 1), as one integer array per shift matrix M
+    (the rational part, then the sqrt2 part when b != 0), from one product.
 
     Each coefficient is a sum of c_k M[k, i], so it, and every partial sum
     of it, is at most max|c| times the largest column sum of |M| in absolute
@@ -258,41 +270,51 @@ def _shift(rows: list[list[int]], a: int, b: int, d: int) -> list[list]:
         coeffs, mats = np.array(rows, dtype=np.int64), fast
     else:
         coeffs, mats = np.array(rows, dtype=object), exact
-    parts = [(coeffs @ m).tolist() for m in mats]
+    return [coeffs @ m for m in mats]
+
+
+def _shift(rows: list[list[int]], a: int, b: int, d: int) -> list[list]:
+    """_shift_parts as lists: integers when b = 0, else (rational, sqrt2)
+    integer pairs."""
+    parts = [part.tolist() for part in _shift_parts(rows, a, b, d)]
     return parts[0] if b == 0 else [list(zip(*row)) for row in zip(*parts)]
 
 
-def _read_counts(row: list, t: Scaled) -> InertiaCount:
-    """Descartes' counts against t from the shifted coefficients: integers
-    when t is rational, else the pairs at a + |b|*sqrt2, whose conjugates
-    (u, -v) are the coefficients at a - |b|*sqrt2.  The leading one is 1."""
+def _read_counts(rows, t: Scaled) -> list[InertiaCount]:
+    """Descartes' counts against t from the signs of each row of integers:
+    the coefficients of p(x + t), leading (positive) first, or their signs.
+    The sign changes count the roots above t, and the index of the last
+    nonzero sign is n minus the multiplicity of t.  Each zero takes the last
+    nonzero sign before it, so zeros add no change."""
+    import numpy as np
+
     a, b, d = t
-    if b == 0:
-        signs = [(c > 0) - (c < 0) for c in row]
-    else:
-        signs = [_sign(u, v if b > 0 else -v) for u, v in row]
-    n = last = len(signs) - 1
-    while not signs[last]:
-        last -= 1
-    nonzero = [s for s in signs if s]
-    above = sum(map(ne, nonzero, nonzero[1:]))
+    signs = np.sign(np.asarray(rows)).astype(np.int8)
+    n = signs.shape[1] - 1
+    nonzero = signs != 0
+    last = n - nonzero[:, ::-1].argmax(axis=1)
+    held = np.maximum.accumulate(np.where(nonzero, np.arange(n + 1), 0), axis=1)
+    filled = np.take_along_axis(signs, held, axis=1)
+    above = (filled[:, 1:] != filled[:, :-1]).sum(axis=1)
     token = _SCALED_TOKEN.get(t) or threshold_token(Sqrt2Rational(Fraction(a, d), Fraction(b, d)))
-    return InertiaCount(threshold=token, above=above, at=n - last, below=last - above)
+    return [InertiaCount(threshold=token, above=up, at=n - low, below=low - up)
+            for up, low in zip(above.tolist(), last.tolist())]
 
 
 def _inertia(g: Graph, t: Scaled) -> InertiaCount:
     """Count the roots of g's characteristic polynomial p against t.
 
     A rational t takes the plain-integer shift.  The coefficients of
-    p(x + a - b*sqrt2) are the conjugates of those at a + b*sqrt2, so one
-    shift, kept on g's fact record, serves both signs of b.
+    p(x + a - b*sqrt2) are the conjugates (u, -v) of the pairs (u, v) at
+    a + b*sqrt2, so one shift, kept on g's fact record, serves both signs of
+    b; each pair's sign is an integer test.
     """
     a, b, d = t
     coeffs = _charpoly(g)
     if b == 0:
-        return _read_counts(_shift([coeffs], a, 0, d)[0], t)
+        return _read_counts(_shift_parts([coeffs], a, 0, d)[0], t)[0]
     pairs = g.fact(("shift", a, abs(b), d), lambda: _shift([coeffs], a, abs(b), d)[0])
-    return _read_counts(pairs, t)
+    return _read_counts([[_sign(u, v if b > 0 else -v) for u, v in pairs]], t)[0]
 
 
 def _counts(g: Graph, t: Scaled) -> InertiaCount:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph_core import Graph
+from .graph_core import Graph, _bits
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def longest_cycle(g: Graph) -> tuple[int, ...] | None:
     path: list[int] = []
 
     def extend(start: int, u: int, used: int) -> None:
-        for w in sorted(g.neighbors(u)):
+        for w in _bits(g.neighbor_mask(u)):
             if w == start and len(path) >= 3:
                 if path[1] < path[-1]:
                     consider(tuple(path))

@@ -720,6 +720,27 @@ def test_verify_sp_stdout_pinned_on_the_k4mf_n10_corpus(flags):
     assert hashlib.sha256(outputs[0].encode()).hexdigest() == K4MF_N10_VERIFY_SP_SHA256[flags]
 
 
+# the 5,524 connected subcubic classes at n = 11: 87 full 64-graph chunks
+# through the kernel, which the 7-line golden corpus never fills
+SUBCUBIC_N11 = REPO / "perfbench" / "data" / "subcubic_n11.g6"
+
+SUBCUBIC_N11_HL_SHA256 = {
+    "": "7799af6ea8e2cf5ba78e27eec8be5021d69f27a421755ee7ca4ca2a86bebc15d",
+    "--csv": "a5663cb196b9c1bdba12ce0908468e4ca021276c3938531bb195c75df6499472",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(SUBCUBIC_N11_HL_SHA256))
+def test_hl_stdout_pinned_on_the_subcubic_n11_corpus(flags):
+    outputs = []
+    for jobs in ("1", "2"):
+        proc = run_cli(["hl", *flags.split(), "--jobs", jobs, str(SUBCUBIC_N11)])
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == SUBCUBIC_N11_HL_SHA256[flags]
+
+
 def test_verify_sp_batches_the_kernel_and_searches_cut_vertices_once(capsys, monkeypatch):
     # each chunk counts its graphs, then their cut-vertex subgraphs, in one
     # kernel run per order (only the 66 two-connected graphs' parts are still
@@ -923,13 +944,16 @@ def test_hl_validates_every_line_and_decodes_each_kept_line_once(tmp_path, capsy
     assert checked == collections.Counter(lines + ["!!bad"])
 
 
-def test_hl_walks_each_graphs_edges_once(tmp_path, capsys, monkeypatch):
-    # one batched kernel fills the char-poly's and the float spectrum's
-    # matrices from one edge walk per graph
+def test_hl_reads_masks_and_runs_the_kernel_once_per_graph(tmp_path, capsys, monkeypatch):
+    # the batched kernel reads the neighbour masks, never an edge list, and
+    # each graph with vertices enters it exactly once
+    import collections
     import random
 
+    import hlspec.spectra as spectra
+
     rng = random.Random(9)
-    lines = [to_graph6(Graph(1)), to_graph6(Graph(4))]
+    lines = [to_graph6(Graph(0)), to_graph6(Graph(1)), to_graph6(Graph(4))]
     for _ in range(10):
         n = rng.randint(2, 12)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
@@ -939,9 +963,17 @@ def test_hl_walks_each_graphs_edges_once(tmp_path, capsys, monkeypatch):
     calls = []
     edges = Graph.edges
     monkeypatch.setattr(Graph, "edges", lambda g: calls.append(g.n) or edges(g))
+    kernel_graphs: collections.Counter = collections.Counter()
+    kernel = spectra._adjacency_facts
+    monkeypatch.setattr(
+        spectra, "_adjacency_facts",
+        lambda graphs, **kw: kernel_graphs.update(map(to_graph6, graphs)) or kernel(graphs, **kw),
+    )
     code, out, _ = run_main(["hl", str(path)], capsys)
     assert code == 0
-    assert len(json_lines(out)) == len(calls) == len(lines)
+    assert len(json_lines(out)) == len(lines)
+    assert calls == []
+    assert kernel_graphs == collections.Counter(lines[1:])
 
 
 # run in a fresh interpreter per command, so no command's imports can hide

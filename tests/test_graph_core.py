@@ -160,6 +160,38 @@ def test_with_vertex_equals_rebuilt_graph(case):
     assert all(g.n not in g.neighbors(v) for v in range(g.n))
 
 
+def assert_masks_are_a_simple_graph(g: Graph) -> None:
+    """Every mask lies within 0..n-1, has no loop bit and is mirrored."""
+    for v in range(g.n):
+        mask = g.neighbor_mask(v)
+        assert 0 <= mask < 1 << g.n and not mask >> v & 1
+        assert all(g.neighbor_mask(w) >> v & 1 for w in range(g.n) if mask >> w & 1)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(graphs_and_subsets())
+def test_graph6_round_trip_gives_symmetric_loop_free_masks(case):
+    g, _ = case
+    back = parse_graph6(to_graph6(g))
+    assert back == g and hash(back) == hash(g)
+    assert_masks_are_a_simple_graph(back)
+    assert back.edges() == g.edges() and back.degrees() == g.degrees()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(graphs_and_subsets())
+def test_induced_delete_equals_rebuilt_graph(case):
+    g, deleted = case
+    sub, old_to_new = induced_delete(g, deleted)
+    keep = [v for v in range(g.n) if v not in deleted]
+    assert old_to_new == {v: i for i, v in enumerate(keep)}
+    rebuilt = Graph(len(keep), [(old_to_new[u], old_to_new[v]) for u, v in g.edges()
+                                if u in old_to_new and v in old_to_new])
+    assert sub == rebuilt and hash(sub) == hash(rebuilt)
+    assert_masks_are_a_simple_graph(sub)
+    assert pickle.loads(pickle.dumps(sub)) == rebuilt
+
+
 def test_with_vertex_rejects_out_of_range_neighbors():
     g = path_graph(3)
     for bad in ([3], [-1], [0, 5]):

@@ -12,9 +12,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlspec.enumeration import GenSpec, enumerate_graphs
-from hlspec.graph_core import Graph
+from hlspec.graph_core import Graph, to_graph6
 from hlspec.named import (
     complete_bipartite,
     complete_graph,
@@ -458,16 +460,44 @@ def fresh(g: Graph) -> Graph:
     return Graph(g.n, g.edges())
 
 
+def random_subcubic(n: int, seed: int) -> Graph:
+    """Shuffled vertex pairs, each kept while both ends have degree below 3."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    degree, edges = [0] * n, []
+    for u, v in pairs:
+        if degree[u] < 3 and degree[v] < 3:
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph(n, edges)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_charpoly_matches_batch_of_one_and_sympy(seed):
     # a seeded batch mixing orders 1-13, K16 and K17 (the object-dtype route)
-    # in with graphs of their orders; prime groups it by order
+    # in with graphs of their orders, and subcubic graphs at n = 22 and 23
+    # (the last order with Newton's sums in int64 and the first past it)
+    # and n = 36 (the first past the stack's int64 bound); prime groups it
+    # by order
     rng = random.Random(7000 + seed)
     graphs = [random_graph(rng.randint(1, 13), rng.uniform(0.1, 0.7), seed=rng.randrange(10 ** 6))
               for _ in range(30)]
     graphs += [complete_graph(16), random_graph(16, 0.3, seed=seed), complete_graph(17),
                random_graph(17, 0.3, seed=seed)]
+    graphs += [random_subcubic(n, seed) for n in (22, 23, 36)]
     assert 16 * 15 ** 16 > 2 ** 62 and 17 * 16 ** 17 > 2 ** 62
+    assert 35 * 3 ** 35 < 2 ** 62 <= 36 * 3 ** 36
+    assert 22 * 2 ** 22 * 3 ** 22 < 2 ** 62 <= 23 * 2 ** 23 * 3 ** 23
+    assert [g.max_degree() for g in graphs[-3:]] == [3, 3, 3]
+    # (n, D) of each order's batch, D its largest degree: the Newton dtype
+    # is int64 exactly when n 2^n D^n < 2^62, and both must run
+    batches = {}
+    for g in graphs:
+        batches[g.n] = max(batches.get(g.n, 1), g.max_degree())
+    newton_int64 = {n * 2 ** n * d ** n < 2 ** 62 for n, d in batches.items()}
+    assert newton_int64 == {True, False}
     batch = [fresh(g) for g in graphs]
     prime(batch)
     for g, primed in zip(graphs, batch):
@@ -477,6 +507,38 @@ def test_batched_charpoly_matches_batch_of_one_and_sympy(seed):
         for t in ((1, 0, 1), (-1, 0, 1)):
             assert count_at_threshold(primed, Fraction(t[0])) == _inertia(fresh(g), t)
         assert spectrum(primed) == spectrum(one)
+
+
+@st.composite
+def graph_batches(draw):
+    """One to six graphs on 1 to 9 vertices, orders mixed."""
+    graphs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        n = draw(st.integers(min_value=1, max_value=9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs.append(Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []))
+    return graphs
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(graph_batches())
+def test_batched_counts_at_ones_match_sympy_and_float_spectrum(graphs):
+    # prime's counts at +-1, read from sign arrays for the whole batch, against
+    # sympy's exact real roots, and against the float spectrum whenever no
+    # eigenvalue lies within 1e-6 of the threshold
+    batch = [fresh(g) for g in graphs]
+    prime(batch)
+    for g, primed in zip(graphs, batch):
+        roots = sympy.Poly(sympy.Matrix(adjacency_rows(g)).charpoly(_X).as_expr(), _X).real_roots()
+        values = spectrum(primed).values
+        for t in (1, -1):
+            count = count_at_threshold(primed, t)
+            exact = (sum(1 for r in roots if r > t), sum(1 for r in roots if r == t),
+                     sum(1 for r in roots if r < t))
+            assert (count.above, count.at, count.below) == exact, (to_graph6(g), t)
+            if all(abs(v - t) > 1e-6 for v in values):
+                assert (count.above, count.at, count.below) == (
+                    sum(1 for v in values if v > t), 0, sum(1 for v in values if v < t))
 
 
 def test_matrix_shift_matches_horner_oracle():
