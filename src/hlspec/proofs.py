@@ -34,8 +34,6 @@ from .structure import (
     find_twins,
     is_unfriendly,
     k4_minor_free,
-    longest_cycle,
-    _CYCLE_SEARCH_CAP,
     _first_violator,
     _flip_search,
 )
@@ -187,9 +185,10 @@ def _eval_size_parity(g: Graph, data: dict) -> bool:
         size = _subject_graph(g, data["subject"]).n
     else:
         # subset claims: the set's accuracy is pinned by neighboring steps
-        if not all(0 <= v < g.n for v in data["vertices"]):
+        vertices = data["vertices"]
+        if len(set(vertices)) != len(vertices) or not all(0 <= v < g.n for v in vertices):
             return False
-        size = len(data["vertices"])
+        size = len(vertices)
     return size % 2 == (0 if want == "even" else 1)
 
 
@@ -286,31 +285,24 @@ def _eval_cycle_in_graph(g: Graph, data: dict) -> bool:
     )
 
 
-def _eval_longest_cycle_length(g: Graph, data: dict) -> bool:
-    found = longest_cycle(g)
-    return found is not None and len(found) == data["length"]
+def _eval_locally_longest(g: Graph, data: dict) -> bool:
+    cyc = data["cycle"]
+    return _eval_cycle_in_graph(g, {"sequence": cyc}) and (
+        _longer_c_path(cyc, _c_path_lengths(g, cyc)) is None
+    )
 
 
-def _eval_chordal_path(g: Graph, data: dict) -> bool:
-    path = data["path"]
-    cyc = set(data["cycle"])
-    cyc_edges = set()
-    seq = data["cycle"]
-    for i in range(len(seq)):
-        a, b = seq[i], seq[(i + 1) % len(seq)]
-        cyc_edges.add((min(a, b), max(a, b)))
-    if len(path) < 2 or len(set(path)) != len(path):
-        return False
-    if path[0] not in cyc or path[-1] not in cyc or path[0] == path[-1]:
-        return False
-    if any(p in cyc for p in path[1:-1]):
-        return False
-    for a, b in zip(path, path[1:]):
-        if not g.has_edge(a, b):
-            return False
-        if (min(a, b), max(a, b)) in cyc_edges:
-            return False
-    return True
+def _eval_c_path(g: Graph, data: dict) -> bool:
+    # distinct vertices, ends on the cycle, interior off it, and every step
+    # an edge of g that is not a cycle edge
+    path, seq = data["path"], data["cycle"]
+    on = set(seq)
+    ring = {frozenset((seq[i - 1], seq[i])) for i in range(len(seq))}
+    return (
+        len(path) >= 2 and len(set(path)) == len(path)
+        and path[0] in on and path[-1] in on and not on & set(path[1:-1])
+        and all(g.has_edge(a, b) and frozenset((a, b)) not in ring for a, b in zip(path, path[1:]))
+    )
 
 
 def _eval_not_consecutive_on_cycle(g: Graph, data: dict) -> bool:
@@ -358,8 +350,8 @@ _EVALUATORS = {
     "interlace-count": (_eval_interlace_count, "exact"),
     "is-cycle": (_eval_is_cycle, "combinatorial"),
     "cycle-in-graph": (_eval_cycle_in_graph, "combinatorial"),
-    "longest-cycle-length": (_eval_longest_cycle_length, "combinatorial"),
-    "chordal-path": (_eval_chordal_path, "combinatorial"),
+    "locally-longest-cycle": (_eval_locally_longest, "combinatorial"),
+    "chordal-path": (_eval_c_path, "combinatorial"),
     "not-consecutive-on-cycle": (_eval_not_consecutive_on_cycle, "combinatorial"),
     "cut-vertex": (_eval_cut_vertex, "combinatorial"),
     "component-of": (_eval_component_of, "combinatorial"),
@@ -858,7 +850,7 @@ def _sp_case_cut_vertex(g: Graph, named: dict) -> tuple[list[TraceStep], dict]:
     return steps, named
 
 
-def _arc_split(cyc: tuple[int, ...], u: int, v: int) -> tuple[list[int], list[int]]:
+def _arc_split(cyc: list[int], u: int, v: int) -> tuple[list[int], list[int]]:
     """The two open arcs of the cycle between u and v, each ordered so the
     first vertex neighbors u and the last neighbors v."""
     pos = {w: i for i, w in enumerate(cyc)}
@@ -870,99 +862,101 @@ def _arc_split(cyc: tuple[int, ...], u: int, v: int) -> tuple[list[int], list[in
     return arc_a, arc_b
 
 
-def _chordal_path(g: Graph, cyc: tuple[int, ...]) -> list[int] | None:
-    """Shortest path between two distinct cycle vertices avoiding cycle edges,
-    with every interior vertex off the cycle.  Lexicographic tie-break."""
-    on_cycle = set(cyc)
-    cyc_edges = set()
-    for i in range(len(cyc)):
-        a, b = cyc[i], cyc[(i + 1) % len(cyc)]
-        cyc_edges.add((min(a, b), max(a, b)))
-
-    def allowed_edge(a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) not in cyc_edges
-
-    best: tuple[int, tuple[int, ...]] | None = None
-    from collections import deque
-
-    for u in sorted(on_cycle):
-        for w in sorted(on_cycle):
-            if w <= u:
-                continue
-            # BFS from w over interior-allowed vertices, then walk from u
-            # downhill picking the smallest neighbor, for the lexicographically
-            # least shortest path
-            dist = {w: 0}
-            queue = deque([w])
-            while queue:
-                x = queue.popleft()
+def _c_path_lengths(g: Graph, cyc: list[int]) -> dict[int, dict[int, int]]:
+    """For each vertex a of the cycle, BFS distances from a over paths that
+    use no cycle edge and whose interior is off the cycle.  Such a path
+    between two cycle vertices is a C-path, and the shortest from a to b is
+    lengths[a][b] long.  Cycle vertices other than a are reached but never
+    left; off-cycle vertices have entries too."""
+    on, lengths = set(cyc), {}
+    for i, a in enumerate(cyc):
+        beside = {cyc[i - 1], cyc[(i + 1) % len(cyc)]}
+        dist, frontier = {a: 0}, [a]
+        while frontier:
+            fresh = []
+            for x in frontier:
                 for y in _bits(g.neighbor_mask(x)):
-                    if not allowed_edge(x, y):
-                        continue
-                    if x != w and x in on_cycle:
-                        continue  # cycle vertices other than endpoints are terminal
-                    if y in dist:
-                        continue
-                    if y in on_cycle and y not in (u, w):
-                        continue
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-            if u not in dist:
-                continue
-            path = [u]
-            cur = u
-            while cur != w:
-                nxt = None
-                for y in _bits(g.neighbor_mask(cur)):
-                    if not allowed_edge(cur, y):
-                        continue
-                    if y in on_cycle and y not in (u, w):
-                        continue
-                    if y == u or (y != w and y in path):
-                        continue
-                    if dist.get(y, -1) == dist[cur] - 1:
-                        nxt = y
-                        break
-                if nxt is None:
-                    path = []
-                    break
-                path.append(nxt)
-                cur = nxt
-            if not path:
-                continue
-            cand = (len(path), tuple(path))
-            if best is None or cand < best:
-                best = cand
-    return list(best[1]) if best else None
+                    if y not in dist and not (x == a and y in beside):
+                        dist[y] = dist[x] + 1
+                        if y not in on:
+                            fresh.append(y)
+            frontier = fresh
+        lengths[a] = dist
+    return lengths
+
+
+def _longer_c_path(cyc: list[int], lengths: dict) -> tuple[int, int] | None:
+    """Cycle vertices (a, b) whose shortest C-path is longer than the shorter
+    cycle arc between them, that arc running forward from a to b; None when
+    the cycle is locally longest."""
+    pos = {v: i for i, v in enumerate(cyc)}
+    for a in cyc:
+        for b, d in lengths[a].items():
+            if b in pos:
+                k = (pos[b] - pos[a]) % len(cyc)
+                if d > min(k, len(cyc) - k):
+                    return (a, b) if 2 * k <= len(cyc) else (b, a)
+    return None
+
+
+def _c_path(g: Graph, cyc: list[int], dist: dict[int, int], start: int) -> list[int]:
+    """The lexicographically least shortest C-path from start to the source
+    of dist (one of _c_path_lengths' maps), stepping to the least neighbour
+    one closer; only the source may be a cycle vertex past start."""
+    path, on = [start], set(cyc)
+    while dist[path[-1]]:
+        closer = dist[path[-1]] - 1
+        path.append(next(y for y in _bits(g.neighbor_mask(path[-1]))
+                         if dist.get(y) == closer and (not closer or y not in on)))
+    return path
+
+
+def _ear_cycle(g: Graph) -> tuple[list[int], dict]:
+    """A locally longest cycle of a two-connected g, with its C-path lengths.
+
+    Start from the first cycle a depth-first walk from vertex 0 closes,
+    always to the least neighbour but the one it came from (every degree is
+    at least 2, so it never backtracks).  While some shortest C-path is
+    longer than the shorter arc between its ends, swap that arc for it: the
+    cycle grows each time, so this stops.
+    """
+    walk = [0]
+    while True:
+        w = next(y for y in _bits(g.neighbor_mask(walk[-1])) if len(walk) < 2 or y != walk[-2])
+        if w in walk:
+            break
+        walk.append(w)
+    cyc = walk[walk.index(w):]
+    while True:
+        lengths = _c_path_lengths(g, cyc)
+        pair = _longer_c_path(cyc, lengths)
+        if pair is None:
+            return cyc, lengths
+        a, b = pair
+        i = cyc.index(a)
+        ahead = cyc[i:] + cyc[:i]
+        cyc = _c_path(g, cyc, lengths[b], a) + ahead[ahead.index(b) + 1:]
 
 
 def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict, str, tuple]:
     """Returns (steps, named, case, children)."""
     n = g.n
-    cyc = longest_cycle(g)
-    assert cyc is not None  # 2-connected graphs have cycles
+    cyc, lengths = _ear_cycle(g)
     named["cycle"] = list(cyc)
     steps = [
         _step(g, "recorded sequence is a cycle of the graph", "cycle-in-graph", {"sequence": list(cyc)}),
         _step(
             g,
-            "no longer cycle exists (exhaustive search)",
-            "longest-cycle-length",
-            {"length": len(cyc)},
+            "no shortest C-path is longer than the shorter cycle arc between its ends",
+            "locally-longest-cycle",
+            {"cycle": list(cyc)},
         ),
     ]
-    path = _chordal_path(g, cyc)
-    if path is None:
-        steps.append(
-            TraceStep(
-                statement="a cycle-avoiding path between two cycle vertices exists",
-                kind="chordal-path",
-                mode="combinatorial",
-                ok=False,
-                data={"path": [], "cycle": list(cyc)},
-            )
-        )
-        return steps, named, "two-connected", ()
+    # the least (length, path) C-path, read from the smaller end; g is not a
+    # cycle, so one exists
+    shortest = min(d for a in cyc for b, d in lengths[a].items() if b in lengths and b != a)
+    path = min(_c_path(g, cyc, lengths[w], u) for w in cyc
+               for u, d in lengths[w].items() if u in lengths and u < w and d == shortest)
     u, v = path[0], path[-1]
     named["path"] = list(path)
     named["u"] = u
@@ -1143,10 +1137,6 @@ def verify_theorem_sp(g: Graph) -> WitnessTrace:
         "certify-r-le",
         {"subject": full, "bound": "1"},
     )
-    if case == "two-connected" and g.n > _CYCLE_SEARCH_CAP:
-        # the cycle step rests on an exhaustive search that stops there
-        return WitnessTrace(theorem, case, named, (*common, certify), NOT_FOUND)
-
     children: tuple[WitnessTrace, ...] = ()
     case_steps: list[TraceStep] = []  # none for base-n2 and base-n4
     if case == "odd-order":

@@ -185,9 +185,10 @@ def _count_ones(graphs: Iterable[Graph], with_spectrum: bool = False) -> None:
         if g.n:
             by_order.setdefault(g.n, []).append(g)
     for same in by_order.values():
-        polys = [poly for poly, _ in _adjacency_facts(same, with_spectrum=with_spectrum)]
+        facts = _adjacency_facts(same, with_spectrum=with_spectrum)
+        coeffs = _coefficients([poly for poly, _ in facts])
         for t in ((1, 0, 1), (-1, 0, 1)):
-            counts = _read_counts(_shift_parts(polys, *t)[0], t)
+            counts = _read_counts(_shift_parts(coeffs, *t)[0], t)
             for g, count in zip(same, counts):
                 g.fact(("inertia", *t), lambda: count)
 
@@ -253,30 +254,37 @@ def _shift_matrices(n: int, a: int, b: int, d: int) -> tuple[tuple, tuple | None
     return exact, fast, column_sum
 
 
-def _shift_parts(rows: list[list[int]], a: int, b: int, d: int) -> list:
+def _coefficients(rows: list[list[int]]) -> tuple:
+    """Coefficient rows (all of length n + 1) as one array, int64 when every
+    entry fits and Python ints (dtype object) otherwise, with max|c|: the
+    input of _shift_parts, built once for any number of thresholds."""
+    import numpy as np
+
+    top = max(map(abs, chain.from_iterable(rows)))
+    return np.array(rows, dtype=np.int64 if top < 2 ** 63 else object), top
+
+
+def _shift_parts(coeffs: tuple, a: int, b: int, d: int) -> list:
     """Coefficients of d^n p((z + a + b*sqrt2) / d) for each coefficient row
-    p of rows (all of length n + 1), as one integer array per shift matrix M
-    (the rational part, then the sqrt2 part when b != 0), from one product.
+    p of coeffs (from _coefficients), as one integer array per shift matrix
+    M (the rational part, then the sqrt2 part when b != 0), from one product.
 
     Each coefficient is a sum of c_k M[k, i], so it, and every partial sum
     of it, is at most max|c| times the largest column sum of |M| in absolute
     value: the product runs in int64 when that bound is below 2^63 and in
     Python ints (dtype object) otherwise.
     """
-    import numpy as np
-
-    exact, fast, column_sum = _shift_matrices(len(rows[0]) - 1, a, b, d)
-    if max(map(abs, chain.from_iterable(rows))) * column_sum < 2 ** 63:
-        coeffs, mats = np.array(rows, dtype=np.int64), fast
-    else:
-        coeffs, mats = np.array(rows, dtype=object), exact
-    return [coeffs @ m for m in mats]
+    rows, top = coeffs
+    exact, fast, column_sum = _shift_matrices(rows.shape[1] - 1, a, b, d)
+    if top * column_sum < 2 ** 63:  # so top < 2^63: rows is int64
+        return [rows @ m for m in fast]
+    return [rows.astype(object) @ m for m in exact]
 
 
 def _shift(rows: list[list[int]], a: int, b: int, d: int) -> list[list]:
     """_shift_parts as lists: integers when b = 0, else (rational, sqrt2)
     integer pairs."""
-    parts = [part.tolist() for part in _shift_parts(rows, a, b, d)]
+    parts = [part.tolist() for part in _shift_parts(_coefficients(rows), a, b, d)]
     return parts[0] if b == 0 else [list(zip(*row)) for row in zip(*parts)]
 
 
@@ -312,7 +320,7 @@ def _inertia(g: Graph, t: Scaled) -> InertiaCount:
     a, b, d = t
     coeffs = _charpoly(g)
     if b == 0:
-        return _read_counts(_shift_parts([coeffs], a, 0, d)[0], t)[0]
+        return _read_counts(_shift_parts(_coefficients([coeffs]), a, 0, d)[0], t)[0]
     pairs = g.fact(("shift", a, abs(b), d), lambda: _shift([coeffs], a, abs(b), d)[0])
     return _read_counts([[_sign(u, v if b > 0 else -v) for u, v in pairs]], t)[0]
 

@@ -1,6 +1,6 @@
 """Combinatorial structure: unfriendly vertex bipartitions and their flip
 search (the k23 verifier's shaped-partition search runs on these), twins,
-subdivisions of K_{2,3}, K4-minor recognition, and longest cycles.
+subdivisions of K_{2,3} and K4-minor recognition.
 
 K4-minor-freeness has one decider, a reduction on neighbor bitmasks that
 records its steps; tests check it against a brute-force contraction oracle
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph_core import Graph, _bits
+from .graph_core import Graph
 
 
 # ---------------------------------------------------------------------------
@@ -235,46 +235,3 @@ def replay_reduction(g: Graph, trace: SPReductionTrace) -> bool:
     every step, its order, its signature and the final state."""
     return trace == is_k4_minor_free(g)[1]
 
-
-# ---------------------------------------------------------------------------
-# longest cycles
-# ---------------------------------------------------------------------------
-
-_CYCLE_SEARCH_CAP = 20
-
-
-def longest_cycle(g: Graph) -> tuple[int, ...] | None:
-    """A maximum-length cycle as a canonical vertex sequence, or None.
-
-    Canonical form: the sequence starts at the cycle's smallest vertex and
-    runs in the direction whose second vertex is smaller than its last.
-    Ties between maximum-length cycles break lexicographically.  Exhaustive
-    backtracking, capped at n = _CYCLE_SEARCH_CAP.
-    """
-    if g.n > _CYCLE_SEARCH_CAP:
-        raise ValueError(f"longest-cycle search is capped at n = {_CYCLE_SEARCH_CAP}")
-    best: tuple[int, ...] | None = None
-
-    def consider(seq: tuple[int, ...]) -> None:
-        nonlocal best
-        if best is None or len(seq) > len(best) or (
-            len(seq) == len(best) and seq < best
-        ):
-            best = seq
-
-    path: list[int] = []
-
-    def extend(start: int, u: int, used: int) -> None:
-        for w in _bits(g.neighbor_mask(u)):
-            if w == start and len(path) >= 3:
-                if path[1] < path[-1]:
-                    consider(tuple(path))
-            elif w > start and not (used >> w) & 1:
-                path.append(w)
-                extend(start, w, used | (1 << w))
-                path.pop()
-
-    for s in range(g.n):
-        path = [s]
-        extend(s, s, 1 << s)
-    return best

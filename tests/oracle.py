@@ -2,8 +2,10 @@
 adjacency matrix built from the edge list, so the spectral oracles share no
 matrix code with hlspec, Horner's Taylor shift, the reference for hlspec's
 shift-matrix products, a brute-force K4-minor search that shares nothing
-with either K4-minor recognizer, and set-based unfriendly-partition checks
-that share no bitmask code with the flip and shaped-partition searches."""
+with either K4-minor recognizer, set-based unfriendly-partition checks
+that share no bitmask code with the flip and shaped-partition searches, and
+a networkx check that a cycle is locally longest, one pair of its vertices
+at a time."""
 
 import itertools
 
@@ -139,3 +141,28 @@ def brute_force_shaped_unfriendly(g, xs, ys) -> bool:
         for k in range(len(free) + 1)
         for extra in itertools.combinations(free, k)
     )
+
+
+def is_locally_longest_cycle(g, cycle) -> bool:
+    """Whether no shortest C-path of cycle is longer than the shorter cycle
+    arc between its ends.  A C-path joins two cycle vertices a, b without a
+    cycle edge and with its interior off the cycle, so it is a path of the
+    graph less the cycle edges and less every other cycle vertex; networkx
+    measures it there, one pair at a time."""
+    import networkx as nx
+
+    size = len(cycle)
+    ring = {frozenset((cycle[i], cycle[(i + 1) % size])) for i in range(size)}
+    rest = nx.Graph()
+    rest.add_nodes_from(range(g.n))
+    rest.add_edges_from(e for e in g.edges() if frozenset(e) not in ring)
+    off = set(range(g.n)) - set(cycle)
+    for i, j in itertools.combinations(range(size), 2):
+        a, b = cycle[i], cycle[j]
+        try:
+            length = nx.shortest_path_length(rest.subgraph(off | {a, b}), a, b)
+        except nx.NetworkXNoPath:
+            continue
+        if length > min(j - i, size - (j - i)):
+            return False
+    return True

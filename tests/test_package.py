@@ -25,7 +25,7 @@ EXPORTS = {
     ],
     "structure": [
         "K23Embedding", "Partition", "SPReductionTrace", "find_k23", "find_twins",
-        "is_k4_minor_free", "is_unfriendly", "longest_cycle", "replay_reduction",
+        "is_k4_minor_free", "is_unfriendly", "replay_reduction",
     ],
     "enumeration": ["HARD_CAP", "GenSpec", "canonical_key", "enumerate_graphs"],
     "proofs": [

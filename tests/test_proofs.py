@@ -46,10 +46,10 @@ from hlspec import (
     verify_theorem_sp,
 )
 from hlspec.cli import _report_chunk, _verify_rows
-from hlspec.proofs import _APPLIES, _shaped_partition
-from hlspec.structure import _flip_search, find_k23
+from hlspec.proofs import _APPLIES, _EVALUATORS, _c_path, _c_path_lengths, _shaped_partition
+from hlspec.structure import _flip_search, find_k23, k4_minor_free
 
-from oracle import brute_force_shaped_unfriendly, is_unfriendly_side
+from oracle import brute_force_shaped_unfriendly, is_locally_longest_cycle, is_unfriendly_side
 
 SQRT2 = math.sqrt(2.0)
 
@@ -306,6 +306,91 @@ def test_sp_theorem_interlacing_steps_discharge_deleted_bounds():
         assert bound.data["bound"] + 2 == step.data["bound"]
 
 
+# the two-connected case's locally longest cycle
+
+
+def test_locally_longest_cycle_step_matches_the_networkx_oracle():
+    # every cycle of every two-connected connected K4-minor-free subcubic
+    # class up to n = 10, two-connectedness decided by networkx
+    nx = pytest.importorskip("networkx")
+    evaluate = _EVALUATORS["locally-longest-cycle"][0]
+    verdicts = collections.Counter()
+    for n in range(3, 11):
+        for g in enumerate_graphs(GenSpec(n, connected=True, filters=("k4-minor-free",))):
+            if not nx.is_biconnected(nx.Graph(g.edges())):
+                continue
+            for cycle in nx.simple_cycles(nx.Graph(g.edges())):
+                want = is_locally_longest_cycle(g, cycle)
+                assert evaluate(g, {"cycle": cycle}) is want, (g.edges(), cycle)
+                verdicts[want] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 100
+
+
+def test_c_path_keeps_its_interior_off_the_cycle():
+    # C6 with the chord 0-2 and the path 0-7-6-4, 6 also adjacent to 2: from
+    # 6, both 7 and the cycle vertex 2 are one step from 0, and only 7 may be
+    # on a C-path
+    g = Graph(8, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2), (0, 7), (7, 6), (6, 2), (6, 4)])
+    cycle = list(range(6))
+    assert _c_path(g, cycle, _c_path_lengths(g, cycle)[0], 4) == [4, 6, 7, 0]
+
+
+def ear_built(n: int, rng: random.Random) -> Graph:
+    """A two-connected K4-minor-free subcubic graph on n vertices that is not
+    a cycle: a cycle, then ears joining the two ends of an edge whose ends
+    both have degree 2 (at least one ear), and edges subdivided.  Both
+    operations are series-parallel, so no K4 minor arises."""
+    k = rng.randint(3, n // 2)
+    adj = {v: {(v - 1) % k, (v + 1) % k} for v in range(k)}
+    ears = 0
+    while len(adj) < n:
+        free = sorted((x, y) for x in adj for y in adj[x]
+                      if x < y and len(adj[x]) == len(adj[y]) == 2)
+        if free and (not ears or rng.random() < 0.5):
+            x, y = rng.choice(free)
+            inner = rng.randint(1, min(3, n - len(adj)))
+            path, ears = [x, *range(len(adj), len(adj) + inner), y], ears + 1
+        else:
+            x = rng.choice(sorted(adj))
+            y = rng.choice(sorted(adj[x]))
+            adj[x].discard(y)
+            adj[y].discard(x)
+            path = [x, len(adj), y]
+        for a, b in zip(path, path[1:]):
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    return Graph(n, [(u, v) for u in adj for v in adj[u] if u < v])
+
+
+def test_sp_passes_and_replays_on_ear_built_two_connected_graphs():
+    # 40 seeded instances at even n = 14..40, most above n = 20
+    rng = random.Random(2201)
+    for _ in range(40):
+        g = ear_built(rng.randrange(14, 41, 2), rng)
+        assert g.max_degree() <= 3 and k4_minor_free(g)
+        trace = verify_theorem_sp(g)
+        assert (trace.case, trace.verdict) == ("two-connected", PASS), g.edges()
+        assert replay_trace(g, trace) is True
+
+
+def test_replay_rejects_a_cycle_that_is_not_locally_longest():
+    # C8 with the ear 0-8-9-4: the outer 8-cycle is locally longest, and
+    # neither 7-cycle through the ear is (the other half of the C8, 4 edges,
+    # is a C-path longer than the ear's 3)
+    nx = pytest.importorskip("networkx")
+    g = Graph(10, [(i, (i + 1) % 8) for i in range(8)] + [(0, 8), (8, 9), (9, 4)])
+    trace = verify_theorem_sp(g)
+    assert trace.verdict == PASS and replay_trace(g, trace) is True
+    cycle = trace.named["cycle"]
+    other = next(c for c in nx.simple_cycles(nx.Graph(g.edges()))
+                 if not is_locally_longest_cycle(g, c))
+    doc = json.loads(json.dumps(trace.to_json_dict()).replace(str(cycle), str(other)))
+    forged = trace_from_json_dict(doc)
+    assert forged.named["cycle"] == other
+    assert [s.ok for s in forged.steps if s.kind == "cycle-in-graph"] == [True]
+    assert replay_trace(g, forged) is False
+
+
 # replay
 
 
@@ -554,6 +639,21 @@ def test_witness_schema_enums_match_what_replay_accepts():
     )
     assert set(schema["properties"]["theorem"]["enum"]) == set(_APPLIES)
     assert set(schema["properties"]["verdict"]["enum"]) == {PASS, FAIL, NOT_APPLICABLE, NOT_FOUND}
+    # a renamed step kind fails schema validation, not just replay
+    kinds = schema["properties"]["steps"]["items"]["properties"]["kind"]["enum"]
+    assert len(kinds) == len(set(kinds)) and set(kinds) == set(_EVALUATORS)
+
+
+def test_replay_rejects_a_size_parity_set_with_a_repeated_vertex():
+    # two triangles joined by a path: the cut-vertex case's remainder has
+    # even order; naming one vertex twice is not an even set
+    g = Graph(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)])
+    trace = verify_theorem_sp(g)
+    assert trace.case == "cut-vertex" and replay_trace(g, trace) is True
+    steps = list(trace.steps)
+    i = next(i for i, s in enumerate(steps) if s.statement == "remainder has even order")
+    steps[i] = dataclasses.replace(steps[i], data={"vertices": [1, 1], "parity": "even"})
+    assert replay_trace(g, dataclasses.replace(trace, steps=tuple(steps))) is False
 
 
 def test_replay_rejects_fail_whose_steps_and_children_hold():

@@ -1,10 +1,9 @@
-"""Partitions, twin and subgraph search, minor recognition, longest cycles.
+"""Partitions, twin and subgraph search, minor recognition.
 
 Dual routes stay separate throughout: the K4-minor reduction is checked
 against the contraction-search oracle in tests/oracle.py and its steps
 against a full rescan of an edge-multiset model, the flip search against a
-set-based neighbor recount, and longest cycles against a permutation
-brute force.
+set-based neighbor recount.
 """
 
 import hashlib
@@ -39,7 +38,6 @@ from hlspec.structure import (
     is_k4_minor_free,
     is_unfriendly,
     k4_minor_free,
-    longest_cycle,
     replay_reduction,
 )
 
@@ -360,53 +358,3 @@ def test_brute_force_size_cap():
     with pytest.raises(ValueError):
         brute_force_has_k4_minor(empty_graph(13))
 
-
-# ---------------------------------------------------------------------------
-# longest cycle
-# ---------------------------------------------------------------------------
-
-def oracle_longest_cycle_length(g: Graph) -> int:
-    """Permutation brute force; 0 when acyclic."""
-    best = 0
-    for size in range(g.n, 2, -1):
-        for verts in itertools.permutations(range(g.n), size):
-            if verts[0] != min(verts):
-                continue
-            if all(
-                g.has_edge(verts[i], verts[(i + 1) % size]) for i in range(size)
-            ):
-                return size
-    return best
-
-
-def test_longest_cycle_known():
-    assert longest_cycle(path_graph(5)) is None
-    assert longest_cycle(cycle_graph(7)) == (0, 1, 2, 3, 4, 5, 6)
-    assert len(longest_cycle(petersen_graph())) == 9  # hypohamiltonian
-    assert len(longest_cycle(heawood_graph())) == 14
-
-
-def test_longest_cycle_canonical_orientation():
-    cyc = longest_cycle(cycle_graph(6))
-    assert cyc[0] == 0 and cyc[1] < cyc[-1]
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_longest_cycle_matches_brute_force(seed):
-    rng = random.Random(seed + 860)
-    g = random_graph(rng.randint(3, 7), rng.uniform(0.25, 0.7), seed=seed + 950)
-    found = longest_cycle(g)
-    want = oracle_longest_cycle_length(g)
-    if want == 0:
-        assert found is None
-    else:
-        assert found is not None and len(found) == want
-        assert all(
-            g.has_edge(found[i], found[(i + 1) % len(found)])
-            for i in range(len(found))
-        )
-
-
-def test_longest_cycle_size_cap():
-    with pytest.raises(ValueError):
-        longest_cycle(empty_graph(21))
