@@ -29,14 +29,14 @@ _EXPORTS = {
         "certify_R_le", "count_at_threshold", "hl_index", "median_positions", "spectrum",
     ),
     "structure": (
-        "K23Embedding", "Partition", "SPReductionTrace", "find_k23", "find_twins",
-        "is_k4_minor_free", "is_unfriendly", "replay_reduction",
+        "K23Embedding", "Partition", "SPReductionTrace", "find_k23", "is_k4_minor_free",
+        "is_unfriendly", "replay_reduction",
     ),
     "enumeration": ("HARD_CAP", "GenSpec", "canonical_key", "enumerate_graphs"),
     "proofs": (
         "FAIL", "NOT_APPLICABLE", "NOT_FOUND", "PASS", "TraceStep", "WitnessTrace",
-        "check_lemma_odd", "check_lemma_twins", "replay_trace",
-        "trace_from_json_dict", "verify_theorem_k23", "verify_theorem_sp",
+        "check_lemma_odd", "replay_trace", "trace_from_json_dict", "verify_theorem_k23",
+        "verify_theorem_sp",
     ),
 }
 _MODULE = {name: module for module, names in _EXPORTS.items() for name in names}

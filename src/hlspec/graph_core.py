@@ -232,19 +232,29 @@ def to_graph6(g: Graph) -> str:
 # structural queries
 # ---------------------------------------------------------------------------
 
+def _host_vertices(g: Graph, vertices: Iterable[int]) -> list[int]:
+    """The vertices as a list, each checked to be an int in 0..n-1; any
+    other value raises ValueError instead of indexing from the end or
+    naming no vertex."""
+    vertices = list(vertices)
+    for v in vertices:
+        if type(v) is not int or not 0 <= v < g.n:
+            raise ValueError(f"vertex {v!r} out of range for n={g.n}")
+    return vertices
+
+
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
     return _components_without(g, ())
 
 
 def _components_without(g: Graph, removed: Iterable[int]) -> list[frozenset[int]]:
-    """Components of g minus the removed vertices, in g's labels, ordered by
-    smallest member.  A label outside 0..n-1 removes nothing."""
+    """Components of g minus the removed vertices (each one of g's), in g's
+    labels, ordered by smallest member."""
     masks = g._mask
     seen = 0
     for v in removed:
-        if 0 <= v < g.n:
-            seen |= 1 << v
+        seen |= 1 << v
     out = []
     for s in range(g.n):
         if (seen >> s) & 1:
@@ -327,10 +337,7 @@ def induced_delete(g: Graph, deleted: Iterable[int]) -> tuple[Graph, dict[int, i
     Surviving vertices are relabeled contiguously in increasing order, so
     callers can translate names in the reduced graph back to the original.
     """
-    dset = set(deleted)
-    for v in dset:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    dset = set(_host_vertices(g, deleted))
     keep = [v for v in range(g.n) if v not in dset]
     old_to_new = {v: i for i, v in enumerate(keep)}
     kept = sum(1 << v for v in keep)
@@ -340,7 +347,7 @@ def induced_delete(g: Graph, deleted: Iterable[int]) -> tuple[Graph, dict[int, i
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on a kept vertex set, with the old->new map."""
-    kset = set(keep)
+    kset = set(_host_vertices(g, keep))
     return induced_delete(g, (v for v in range(g.n) if v not in kset))
 
 

@@ -19,6 +19,7 @@ from .graph_core import (
     Graph,
     _bits,
     _components_without,
+    _host_vertices,
     components,
     cut_vertices,
     induced_delete,
@@ -31,7 +32,6 @@ from .spectra import certify_R_le, count_at_threshold, median_positions
 from .structure import (
     Partition,
     find_k23,
-    find_twins,
     is_unfriendly,
     k4_minor_free,
     _first_violator,
@@ -148,14 +148,6 @@ def _eval_count_le(g: Graph, data: dict) -> bool:
     return value <= data["bound"]
 
 
-def _eval_count_ge(g: Graph, data: dict) -> bool:
-    sub = _subject_graph(g, data["subject"])
-    count = count_at_threshold(sub, data["threshold"])
-    which = data["which"]
-    value = count.above + count.at if which == "above-plus-at" else getattr(count, which)
-    return value >= data["bound"]
-
-
 def _eval_certify_r_le(g: Graph, data: dict) -> bool:
     sub = _subject_graph(g, data["subject"])
     return certify_R_le(sub, data["bound"]).holds
@@ -185,22 +177,22 @@ def _eval_size_parity(g: Graph, data: dict) -> bool:
         size = _subject_graph(g, data["subject"]).n
     else:
         # subset claims: the set's accuracy is pinned by neighboring steps
-        vertices = data["vertices"]
-        if len(set(vertices)) != len(vertices) or not all(0 <= v < g.n for v in vertices):
+        vertices = _host_vertices(g, data["vertices"])
+        if len(set(vertices)) != len(vertices):
             return False
         size = len(vertices)
     return size % 2 == (0 if want == "even" else 1)
 
 
 def _eval_no_cross_edges(g: Graph, data: dict) -> bool:
-    a = set(data["set_a"])
-    b = set(data["set_b"])
+    a = set(_host_vertices(g, data["set_a"]))
+    b = set(_host_vertices(g, data["set_b"]))
     return not any((u in a and v in b) or (u in b and v in a) for u, v in g.edges())
 
 
 def _eval_set_partition(g: Graph, data: dict) -> bool:
-    parts = [set(p) for p in data["parts"]]
-    whole = set(data["whole"])
+    parts = [set(_host_vertices(g, p)) for p in data["parts"]]
+    whole = set(_host_vertices(g, data["whole"]))
     union: set[int] = set()
     for p in parts:
         if union & p:
@@ -210,22 +202,14 @@ def _eval_set_partition(g: Graph, data: dict) -> bool:
 
 
 def _eval_vertex_in_set(g: Graph, data: dict) -> bool:
-    return data["vertex"] in set(data["vertices"])
-
-
-def _eval_twins(g: Graph, data: dict) -> bool:
-    u, v = data["u"], data["v"]
-    return g.neighbor_mask(u) == g.neighbor_mask(v)
+    vertex, *others = _host_vertices(g, [data["vertex"], *data["vertices"]])
+    return vertex in others
 
 
 def _eval_same_neighborhood(g: Graph, data: dict) -> bool:
     sub = _subject_graph(g, data["subject"])
-    u, v = data["u"], data["v"]
-    must = frozenset(data["contains"])
-    return (
-        sub.neighbors(u) == sub.neighbors(v)
-        and must <= sub.neighbors(u)
-    )
+    u, v, *must = _host_vertices(sub, [data["u"], data["v"], *data["contains"]])
+    return sub.neighbors(u) == sub.neighbors(v) and set(must) <= sub.neighbors(u)
 
 
 def _eval_unfriendly_shape(g: Graph, data: dict) -> bool:
@@ -235,9 +219,9 @@ def _eval_unfriendly_shape(g: Graph, data: dict) -> bool:
         return False
     same = data.get("same_side")
     other = data.get("other_side")
-    if same is not None and not set(same) <= side_a:
+    if same is not None and not set(_host_vertices(g, same)) <= side_a:
         return False
-    if other is not None and not set(other) <= set(part.side_b):
+    if other is not None and not set(_host_vertices(g, other)) <= part.side_b:
         return False
     return True
 
@@ -277,7 +261,7 @@ def _eval_is_cycle(g: Graph, data: dict) -> bool:
 
 
 def _eval_cycle_in_graph(g: Graph, data: dict) -> bool:
-    seq = data["sequence"]
+    seq = _host_vertices(g, data["sequence"])
     if len(seq) < 3 or len(set(seq)) != len(seq):
         return False
     return all(
@@ -295,7 +279,7 @@ def _eval_locally_longest(g: Graph, data: dict) -> bool:
 def _eval_c_path(g: Graph, data: dict) -> bool:
     # distinct vertices, ends on the cycle, interior off it, and every step
     # an edge of g that is not a cycle edge
-    path, seq = data["path"], data["cycle"]
+    path, seq = _host_vertices(g, data["path"]), _host_vertices(g, data["cycle"])
     on = set(seq)
     ring = {frozenset((seq[i - 1], seq[i])) for i in range(len(seq))}
     return (
@@ -306,7 +290,7 @@ def _eval_c_path(g: Graph, data: dict) -> bool:
 
 
 def _eval_not_consecutive_on_cycle(g: Graph, data: dict) -> bool:
-    seq = data["cycle"]
+    seq = _host_vertices(g, data["cycle"])
     pos = {v: i for i, v in enumerate(seq)}
     iu, iv = pos[data["u"]], pos[data["v"]]
     gap = (iu - iv) % len(seq)
@@ -314,7 +298,7 @@ def _eval_not_consecutive_on_cycle(g: Graph, data: dict) -> bool:
 
 
 def _eval_cut_vertex(g: Graph, data: dict) -> bool:
-    return data["vertex"] in cut_vertices(g)
+    return _host_vertices(g, [data["vertex"]])[0] in cut_vertices(g)
 
 
 def _eval_component_of(g: Graph, data: dict) -> bool:
@@ -322,18 +306,17 @@ def _eval_component_of(g: Graph, data: dict) -> bool:
     if sub_spec.get("kind") != "delete":
         raise ValueError("component-of expects a delete subject")
     # in host labels: components of g minus the deleted set
-    return frozenset(data["vertices"]) in _components_without(g, sub_spec["vertices"])
+    deleted = _host_vertices(g, sub_spec["vertices"])
+    return frozenset(_host_vertices(g, data["vertices"])) in _components_without(g, deleted)
 
 
 def _eval_k23_present(g: Graph, data: dict) -> bool:
-    x1, x2 = data["x1"], data["x2"]
-    ys = data["ys"]
+    x1, x2, *ys = _host_vertices(g, [data["x1"], data["x2"], *data["ys"]])
     return all(g.has_edge(x, y) for x in (x1, x2) for y in ys)
 
 
 _EVALUATORS = {
     "count-le": (_eval_count_le, "exact"),
-    "count-ge": (_eval_count_ge, "exact"),
     "certify-r-le": (_eval_certify_r_le, "exact"),
     "degree-le": (_eval_degree_le, "combinatorial"),
     "bipartite": (_eval_bipartite, "combinatorial"),
@@ -343,7 +326,6 @@ _EVALUATORS = {
     "no-cross-edges": (_eval_no_cross_edges, "combinatorial"),
     "set-partition": (_eval_set_partition, "combinatorial"),
     "vertex-in-set": (_eval_vertex_in_set, "combinatorial"),
-    "twins": (_eval_twins, "combinatorial"),
     "same-neighborhood": (_eval_same_neighborhood, "combinatorial"),
     "unfriendly-shape": (_eval_unfriendly_shape, "combinatorial"),
     "weyl-count": (_eval_weyl_count, "exact"),
@@ -384,17 +366,9 @@ def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
     return _replay(Graph(g.n, g.edges()), trace)
 
 
-_FULL = {"kind": "full"}
-
-# The exact claim about the whole graph that a theorem's pass rests on, as
-# the (kind, data) of its last step; R <= 1 unless listed.
-_CONCLUSIONS = {
-    ("twins", "bipartite"): ("certify-r-le", {"subject": _FULL, "bound": "0"}),
-    ("twins", "general"): (
-        "count-ge", {"subject": _FULL, "which": "at", "threshold": "0", "bound": 1}
-    ),
-}
-_R_LE_ONE = ("certify-r-le", {"subject": _FULL, "bound": "1"})
+# The exact claim about the whole graph that every theorem's pass rests on,
+# as the (kind, data) of its last step.
+_R_LE_ONE = ("certify-r-le", {"subject": {"kind": "full"}, "bound": "1"})
 
 
 def _held(trace: WitnessTrace) -> bool:
@@ -404,8 +378,8 @@ def _held(trace: WitnessTrace) -> bool:
 
 def _concludes(g: Graph, trace: WitnessTrace) -> bool:
     """Whether a pass verdict follows from the trace: every step held, every
-    child passed, and either the last step is the theorem's exact claim on
-    the whole graph, or the children are the same theorem on exactly the
+    child passed, and either the last step is the exact claim R <= 1 on the
+    whole graph, or the children are the same theorem on exactly the
     components of g."""
     if not _held(trace):
         return False
@@ -417,7 +391,7 @@ def _concludes(g: Graph, trace: WitnessTrace) -> bool:
     if not trace.steps:
         return False
     last = trace.steps[-1]
-    return (last.kind, last.data) == _CONCLUSIONS.get((trace.theorem, trace.case), _R_LE_ONE)
+    return (last.kind, last.data) == _R_LE_ONE
 
 
 def _sp_applies(g: Graph) -> bool:
@@ -435,7 +409,6 @@ _APPLIES = {
     "series-parallel-bound": _sp_applies,
     "k23-bound": lambda g: g.max_degree() <= 3 and find_k23(g) is not None,
     "odd-order": _odd_applies,
-    "twins": lambda g: bool(find_twins(g)),
 }
 
 
@@ -458,11 +431,11 @@ def _replay(g: Graph, trace: WitnessTrace) -> bool:
             return False
     for child in trace.children:
         host = child.named.get("host-vertices")
-        if host is not None and not (
-            isinstance(host, list) and all(type(v) is int and 0 <= v < g.n for v in host)
-        ):
+        try:
+            sub = g if host is None else induced_subgraph(g, host)[0]
+        except (TypeError, ValueError):
             return False
-        if not _replay(g if host is None else induced_subgraph(g, host)[0], child):
+        if not _replay(sub, child):
             return False
     if trace.verdict == FAIL:
         return not _held(trace)
@@ -476,51 +449,8 @@ def _verdict_from(steps: Iterable[TraceStep], children: Iterable[WitnessTrace] =
 
 
 # ---------------------------------------------------------------------------
-# lemma checks
+# the odd-order lemma
 # ---------------------------------------------------------------------------
-
-def check_lemma_twins(g: Graph) -> WitnessTrace:
-    """Twin vertices force a zero adjacency eigenvalue; with bipartiteness
-    both median eigenvalues vanish.  Certified by exact inertia at 0."""
-    twins = find_twins(g)
-    if not twins:
-        return WitnessTrace(
-            theorem="twins",
-            case="no-twins",
-            named={},
-            steps=(),
-            verdict=NOT_APPLICABLE,
-        )
-    u, v = twins[0]
-    full = {"kind": "full"}
-    steps = [
-        _step(g, f"vertices {u} and {v} have identical neighborhoods", "twins", {"u": u, "v": v}),
-        _step(
-            g,
-            "zero is an adjacency eigenvalue (exact multiplicity count)",
-            "count-ge",
-            {"subject": full, "which": "at", "threshold": "0", "bound": 1},
-        ),
-    ]
-    bip = is_bipartite(g)
-    if bip:
-        steps.append(_step(g, "graph is bipartite", "bipartite", {"subject": full}))
-        steps.append(
-            _step(
-                g,
-                "both median eigenvalues are exactly zero",
-                "certify-r-le",
-                {"subject": full, "bound": "0"},
-            )
-        )
-    return WitnessTrace(
-        theorem="twins",
-        case="bipartite" if bip else "general",
-        named={"twin_u": u, "twin_v": v},
-        steps=tuple(steps),
-        verdict=_verdict_from(steps),
-    )
-
 
 def check_lemma_odd(g: Graph) -> WitnessTrace:
     """Odd-order graphs with max degree 3 keep the median pair within [-1, 1]."""

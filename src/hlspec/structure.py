@@ -1,6 +1,6 @@
 """Combinatorial structure: unfriendly vertex bipartitions and their flip
-search (the k23 verifier's shaped-partition search runs on these), twins,
-subdivisions of K_{2,3} and K4-minor recognition.
+search (the k23 verifier's shaped-partition search runs on these),
+K_{2,3} subgraphs and K4-minor recognition.
 
 K4-minor-freeness has one decider, a reduction on neighbor bitmasks that
 records its steps; tests check it against a brute-force contraction oracle
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph_core import Graph
+from .graph_core import Graph, _host_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -28,10 +28,7 @@ class Partition:
 
     @classmethod
     def of(cls, g: Graph, side_a: Iterable[int]) -> "Partition":
-        a = frozenset(side_a)
-        for v in a:
-            if not (0 <= v < g.n):
-                raise ValueError(f"vertex {v} out of range for n={g.n}")
+        a = frozenset(_host_vertices(g, side_a))
         return cls(side_a=a, side_b=frozenset(range(g.n)) - a)
 
 
@@ -68,22 +65,8 @@ def _flip_search(g: Graph, a_mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# twins and K_{2,3} subgraphs
+# K_{2,3} subgraphs
 # ---------------------------------------------------------------------------
-
-def find_twins(g: Graph) -> list[tuple[int, int]]:
-    """All pairs with identical (open) neighborhoods, lexicographic order.
-
-    Twins sharing an edge cannot exist in a simple graph, so every returned
-    pair is non-adjacent.
-    """
-    return [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if g.neighbor_mask(u) == g.neighbor_mask(v)
-    ]
-
 
 @dataclass(frozen=True)
 class K23Embedding:

@@ -525,7 +525,7 @@ def test_verify_sp_computes_each_fact_once(monkeypatch):
     def subjects(trace: dict) -> set[str]:
         found = {'{"kind": "full"}'}
         for step in trace["steps"]:
-            if step["kind"] in ("count-le", "count-ge", "certify-r-le"):
+            if step["kind"] in ("count-le", "certify-r-le"):
                 found.add(json.dumps(step["data"]["subject"], sort_keys=True))
         for child in trace["children"]:
             assert "host-vertices" not in child["named"]  # connected corpus

@@ -490,6 +490,16 @@ def test_induced_subgraph_keeps_internal_edges():
     assert old_to_new == {1: 0, 2: 1, 3: 2}
 
 
+def test_induced_subgraphs_reject_vertices_outside_the_graph():
+    # a negative label would index from the end, a large one name nothing,
+    # and a float or bool only look like a vertex
+    g = complete_graph(4)
+    for bad in (4, -1, 1.0, True):
+        for build in (induced_delete, induced_subgraph):
+            with pytest.raises(ValueError, match="out of range"):
+                build(g, [0, bad])
+
+
 def test_spanning_subgraph_preserves_vertex_count():
     g = cycle_graph(5)
     sub = spanning_subgraph(g, [(0, 1), (3, 2)])

@@ -26,7 +26,6 @@ from hlspec import (
     WitnessTrace,
     certify_R_le,
     check_lemma_odd,
-    check_lemma_twins,
     complete_bipartite,
     complete_graph,
     count_at_threshold,
@@ -46,7 +45,9 @@ from hlspec import (
     verify_theorem_sp,
 )
 from hlspec.cli import _report_chunk, _verify_rows
-from hlspec.proofs import _APPLIES, _EVALUATORS, _c_path, _c_path_lengths, _shaped_partition
+from hlspec.proofs import (
+    _APPLIES, _EVALUATORS, _c_path, _c_path_lengths, _shaped_partition, _step,
+)
 from hlspec.structure import _flip_search, find_k23, k4_minor_free
 
 from oracle import brute_force_shaped_unfriendly, is_locally_longest_cycle, is_unfriendly_side
@@ -56,42 +57,6 @@ SQRT2 = math.sqrt(2.0)
 
 def assert_json_safe(obj):
     json.dumps(obj)
-
-
-# twins lemma
-
-
-def test_twins_on_complete_bipartite():
-    trace = check_lemma_twins(complete_bipartite(2, 3))
-    assert trace.verdict == PASS
-    assert trace.case == "bipartite"
-    kinds = [s.kind for s in trace.steps]
-    assert "twins" in kinds and "certify-r-le" in kinds
-    assert all(s.ok for s in trace.steps)
-    # independent check: R really is zero
-    assert hl_index(complete_bipartite(2, 3)).value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_twins_on_nonbipartite_graph_skips_zero_certificate():
-    # two non-adjacent vertices sharing all neighbors inside an odd cycle core
-    g = Graph(5, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (4, 0), (4, 1)])
-    trace = check_lemma_twins(g)
-    assert trace.verdict == PASS
-    assert trace.case == "general"
-    assert "certify-r-le" not in [s.kind for s in trace.steps]
-
-
-def test_twins_not_applicable_without_twins():
-    assert check_lemma_twins(path_graph(4)).verdict == NOT_APPLICABLE
-    assert check_lemma_twins(petersen_graph()).verdict == NOT_APPLICABLE
-
-
-def test_twins_zero_eigenvalue_claim_is_exact():
-    trace = check_lemma_twins(cycle_graph(4))
-    assert trace.verdict == PASS
-    step = next(s for s in trace.steps if s.kind == "count-ge")
-    assert step.mode == "exact"
-    assert step.data["threshold"] == "0"
 
 
 # odd-order lemma
@@ -402,7 +367,6 @@ def sample_traces():
     h = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 3)])
     yield h, verify_theorem_sp(h)
     yield cycle_graph(5), check_lemma_odd(cycle_graph(5))
-    yield cycle_graph(4), check_lemma_twins(cycle_graph(4))
 
 
 def test_replay_accepts_genuine_traces():
@@ -593,19 +557,16 @@ def test_replay_accepts_not_found_k23_traces():
 
 
 def test_replay_rejects_not_applicable_twins_traces_where_they_apply():
-    # C4 has twins, so a not-applicable twins trace on it is forged
+    # no verifier emits the twins theorem, so no twins trace replays: not a
+    # not-applicable one on C4, which has twins, nor a pass whose last step
+    # is the true exact claim R = 0
     c4 = cycle_graph(4)
-    assert check_lemma_twins(c4).verdict == PASS
-    forged = WitnessTrace("twins", "no-twins", {}, (), NOT_APPLICABLE)
-    assert replay_trace(c4, forged) is False
-    # every genuine twins trace on the subcubic classes still replays
-    verdicts = collections.Counter()
-    for n in range(1, 9):
-        for g in enumerate_graphs(GenSpec(n)):
-            trace = check_lemma_twins(g)
-            verdicts[trace.verdict] += 1
-            assert replay_trace(g, trace) is True, to_graph6(g)
-    assert set(verdicts) == {PASS, NOT_APPLICABLE}
+    zero = _step(c4, "both median eigenvalues are exactly zero", "certify-r-le",
+                 {"subject": {"kind": "full"}, "bound": "0"})
+    assert zero.ok and zero.mode == "exact"
+    for forged in (WitnessTrace("twins", "no-twins", {}, (), NOT_APPLICABLE),
+                   WitnessTrace("twins", "bipartite", {}, (zero,), PASS)):
+        assert replay_trace(c4, forged) is False, forged.verdict
 
 
 def test_replay_rejects_unknown_theorems_and_verdicts():
@@ -620,7 +581,7 @@ def test_replay_rejects_unknown_theorems_and_verdicts():
     bogus = WitnessTrace("series-parallel-bound", "x", {}, (), "bogus")
     assert replay_trace(c6, bogus) is False
     # a theorem that is not a string, as a hand-edited witness may carry
-    listed = trace_from_json_dict({**bogus.to_json_dict(), "theorem": ["twins"], "verdict": PASS})
+    listed = trace_from_json_dict({**bogus.to_json_dict(), "theorem": ["odd-order"], "verdict": PASS})
     assert replay_trace(c6, listed) is False
     # a child with a bogus verdict sinks its parent
     g = Graph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)])
@@ -742,6 +703,61 @@ def test_replay_rejects_child_host_out_of_range():
                 assert replay_trace(g, tampered) is False, (bad, verdict)
 
 
+def test_replay_rejects_steps_naming_vertices_the_host_lacks():
+    # each forged step names a value that is no vertex of the host; read as
+    # a negative index or dropped, it would let the step hold, so replay
+    # must reject it instead
+    h = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 3)])
+    two_connected = verify_theorem_sp(h)
+    assert two_connected.case == "two-connected"
+    forgeries = []
+    for kind, data in (
+        ("vertex-in-set", {"vertex": 99, "vertices": [99]}),
+        ("set-partition", {"parts": [[99], [-5]], "whole": [99, -5]}),
+        ("no-cross-edges", {"set_a": [99], "set_b": [-5]}),
+    ):
+        idx = next(i for i, s in enumerate(two_connected.steps) if s.kind == kind)
+        forgeries.append((h, replace_step(two_connected, idx, data)))
+    k = complete_bipartite(2, 3)
+    k23 = verify_theorem_k23(k)
+    idx = next(i for i, s in enumerate(k23.steps) if s.kind == "same-neighborhood")
+    data = k23.steps[idx].data
+    forgeries.append((k, replace_step(k23, idx, {**data, "u": data["u"] - k.n})))
+    g = Graph(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)])
+    cut = verify_theorem_sp(g)
+    assert cut.case == "cut-vertex"
+    idx = next(i for i, s in enumerate(cut.steps)
+               if s.kind == "count-le" and s.data["subject"]["kind"] == "induced")
+    data = cut.steps[idx].data
+    subject = {**data["subject"], "vertices": data["subject"]["vertices"] + [99]}
+    forgeries.append((g, replace_step(cut, idx, {**data, "subject": subject})))
+    for host, trace in (h, two_connected), (k, k23), (g, cut):
+        assert replay_trace(host, trace) is True
+    for host, forged in forgeries:
+        assert replay_trace(host, forged) is False, forged.case
+
+
+def test_verify_emits_every_theorem_and_step_kind_replay_knows():
+    # replay accepts exactly what the verifiers behind `verify` emit: the
+    # theorems and step kinds of sp, k23 and lemma-odd, children included,
+    # over every subcubic class with n <= 8, are all of _APPLIES and
+    # _EVALUATORS, so nothing replay-only survives unreached
+    theorems, kinds = set(), set()
+
+    def collect(trace):
+        theorems.add(trace.theorem)
+        kinds.update(s.kind for s in trace.steps)
+        for child in trace.children:
+            collect(child)
+
+    for n in range(1, 9):
+        for g in enumerate_graphs(GenSpec(n)):
+            for check in (verify_theorem_sp, verify_theorem_k23, check_lemma_odd):
+                collect(check(g))
+    assert theorems == set(_APPLIES)
+    assert kinds == set(_EVALUATORS)
+
+
 def test_count_steps_check_their_inequalities_exactly():
     # each count step holds exactly up to the sum of counts it names, worked
     # out here from induced_delete / spanning_subgraph and the exact kernel:
@@ -788,7 +804,7 @@ def test_verifiers_and_replay_compute_no_float_spectrum(monkeypatch):
         return kernel(graphs, with_spectrum)
 
     monkeypatch.setattr(spectra, "_adjacency_facts", no_floats)
-    checkers = (verify_theorem_sp, verify_theorem_k23, check_lemma_odd, check_lemma_twins)
+    checkers = (verify_theorem_sp, verify_theorem_k23, check_lemma_odd)
     verdicts = collections.Counter()
     for n in range(1, 9):
         for g in enumerate_graphs(GenSpec(n)):

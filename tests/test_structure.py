@@ -1,4 +1,4 @@
-"""Partitions, twin and subgraph search, minor recognition.
+"""Partitions, subgraph search, minor recognition.
 
 Dual routes stay separate throughout: the K4-minor reduction is checked
 against the contraction-search oracle in tests/oracle.py and its steps
@@ -34,7 +34,6 @@ from hlspec.structure import (
     Partition,
     _flip_search,
     find_k23,
-    find_twins,
     is_k4_minor_free,
     is_unfriendly,
     k4_minor_free,
@@ -83,27 +82,8 @@ def test_partition_of_splits_sides_and_checks_range():
 
 
 # ---------------------------------------------------------------------------
-# twins and K_{2,3} embeddings
+# K_{2,3} embeddings
 # ---------------------------------------------------------------------------
-
-def test_find_twins_known():
-    assert find_twins(complete_bipartite(2, 3)) == [(0, 1), (2, 3), (2, 4), (3, 4)]
-    assert find_twins(cycle_graph(4)) == [(0, 2), (1, 3)]
-    assert find_twins(path_graph(4)) == []
-    assert find_twins(petersen_graph()) == []
-
-
-@pytest.mark.parametrize("seed", range(15))
-def test_find_twins_oracle(seed):
-    g = random_graph(random.Random(seed).randint(2, 10), 0.5, seed=seed + 250)
-    expected = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if g.neighbors(u) == g.neighbors(v)
-    ]
-    assert find_twins(g) == expected
-
 
 def oracle_has_k23(g: Graph) -> bool:
     return any(
