@@ -11,7 +11,8 @@ tested on each child before it is canonicalized, which costs far less, so a
 rejected child is never canonicalized; isomorphic children share the
 verdict, so a class is kept or dropped whole.  When only connected graphs
 are wanted, the last level skips a subset that misses a component of its
-parent before building the child.
+parent before building the child, and every subset of a parent with more
+components than the new vertex may have neighbors.
 
 Most of the other children are skipped before they are built, tested or
 canonicalized, because an earlier parent already made their class.  In
@@ -26,7 +27,9 @@ degree cap and every hereditary filter C has.  That parent processed the
 first subset in the orbit of the image of N(u), which is eligible under the
 cap and gives a connected child when C is connected.  By induction on the
 parent's rank, C's class is already found, so skipping C changes no
-representative and no order.
+representative and no order.  The test runs before the subset's orbit is
+marked; the parent's automorphisms keep its verdict, so the orbit's other
+subsets are skipped by the same test.
 
 No shortcut skips the first child of a kept class in (parent, subset)
 order, so the representatives are those of the plain every-child search.
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .graph_core import Graph, components, is_bipartite
+from .graph_core import Graph, _bits, components, is_bipartite
 from .structure import _reduction, find_k23
 
 HARD_CAP = 12
@@ -56,66 +59,76 @@ _HEREDITARY = frozenset({"k4-minor-free", "bipartite"})
 # ---------------------------------------------------------------------------
 
 def _refine(
-    masks: list[int], cells: list[list[int]], stable: Iterable[int] = ()
-) -> list[list[int]]:
+    masks: list[int], cells: list[list[int]], cmasks: list[int], stable: Iterable[int] = ()
+) -> tuple[list[list[int]], list[int]]:
     """Equitable refinement: split cells by neighbor counts into each cell.
 
-    New sub-cells are ordered by count, so the refinement depends only on
-    the isomorphism type and the incoming cell order.  stable holds vertex
-    masks the partition is already equitable against (the cells of an
-    equitable partition this one refines).  Splitting never undoes that, and
-    a splitter splits nothing once its mask is stable, so such splitters are
-    skipped without changing the result.
+    cmasks[i] is the vertex mask of cells[i], and the refined cells come
+    back with theirs.  The first cell not yet used as a splitter splits every
+    cell into pieces ordered by count, and the scan goes on from the first
+    new piece, so the refinement depends only on the isomorphism type and
+    the incoming cell order.  stable holds cell masks the partition is
+    already equitable against (the cells of an equitable partition this one
+    refines).  Splitting never undoes that, so a stable splitter splits
+    nothing and is skipped, as is a cell that holds no neighbor of it.
     """
-    cells = [list(c) for c in cells]
+    cells, cmasks = list(cells), list(cmasks)
     known = set(stable)
-    changed = True
-    while changed:
-        changed = False
-        for splitter in list(cells):
-            smask = 0
-            for v in splitter:
-                smask |= 1 << v
-            if smask in known:
+    # the vertices of non-singleton cells; once there are none, stop
+    loose = sum(m for cell, m in zip(cells, cmasks) if len(cell) > 1)
+    i = 0
+    while loose and i < len(cells):
+        smask = cmasks[i]
+        if smask in known:
+            i += 1
+            continue
+        known.add(smask)
+        splitter = cells[i]
+        i += 1
+        reach = 0
+        for v in splitter:
+            reach |= masks[v]
+        live = reach & loose
+        # split from the back, so the cells still to visit keep their index
+        j = len(cells)
+        while live and j:
+            j -= 1
+            cmask = cmasks[j]
+            if not cmask & live:
                 continue
-            known.add(smask)
-            new_cells: list[list[int]] = []
-            for cell in cells:
-                if len(cell) == 1:
-                    new_cells.append(cell)
+            cell = cells[j]
+            if len(splitter) == 1:
+                inside = cmask & reach
+                if inside == cmask:
                     continue
-                buckets: dict[int, list[int]] = {}
+                parts: list[list[int]] = [[], []]
                 for v in cell:
-                    buckets.setdefault((masks[v] & smask).bit_count(), []).append(v)
+                    parts[inside >> v & 1].append(v)
+                pmasks = [cmask ^ inside, inside]
+            else:
+                buckets: dict[int, list[int]] = {}
+                bmasks: dict[int, int] = {}
+                for v in cell:
+                    k = (masks[v] & smask).bit_count()
+                    buckets.setdefault(k, []).append(v)
+                    bmasks[k] = bmasks.get(k, 0) | 1 << v
                 if len(buckets) == 1:
-                    new_cells.append(cell)
-                else:
-                    for key in sorted(buckets):
-                        new_cells.append(buckets[key])
-                    changed = True
-            cells = new_cells
-            if changed:
-                break
-    return cells
-
-
-def _is_homogeneous(masks: list[int], cells: list[list[int]]) -> bool:
-    """True when every cell pair is completely joined or completely unjoined,
-    so that any within-cell ordering yields the same adjacency code."""
-    cmasks = []
-    for cell in cells:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        cmasks.append(m)
-    for i, cell in enumerate(cells):
-        size_i = len(cell)
-        for j in range(i, len(cells)):
-            limit = size_i - 1 if j == i else len(cells[j])
-            c = (masks[cell[0]] & cmasks[j]).bit_count()
-            if c != 0 and c != limit:
-                return False
-    return True
+                    continue
+                counts = sorted(buckets)
+                parts = [buckets[k] for k in counts]
+                pmasks = [bmasks[k] for k in counts]
+            # the last piece of a cell the partition is equitable against
+            # splits nothing by the time the scan reaches it: the pieces
+            # before it are splitters by then, and the cell less them is it
+            if cmask in known:
+                known.add(pmasks[-1])
+            for part, m in zip(parts, pmasks):
+                if len(part) == 1:
+                    loose ^= m
+            cells[j : j + 1] = parts
+            cmasks[j : j + 1] = pmasks
+            i = min(i, j)
+    return cells, cmasks
 
 
 def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> bytes:
@@ -130,13 +143,18 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
     is still a complete invariant: refinement commutes with relabelling, so
     an isomorphism maps one graph's search leaves onto the other's codes.
     The search individualizes vertices cell by cell inside an equitable
-    partition; two prunings keep symmetric graphs tractable: a homogeneous
-    partition short-circuits (all orderings tie, so every swap inside a cell
-    is an automorphism), and automorphisms discovered at equal-code leaves
-    let sibling branches in the same orbit be skipped.
+    partition.  Two prunings keep symmetric graphs tractable, and neither
+    changes the key.  A cell of pairwise twins (equal open or equal closed
+    neighborhoods) is individualized whole, in ascending order: swapping two
+    twins is an automorphism fixing everything individualized so far, so
+    every branch on the cell is the image of that one, leaves and codes
+    included; and a twin splits no cell, so the partition stays equitable.
+    Automorphisms discovered at equal-code leaves let sibling branches in
+    the same orbit be skipped.
 
-    The automorphisms the search found (permutations v -> p[v], not the
-    identity) are appended to ``generators`` when it is given.
+    The automorphisms the search found (the twin swaps and the leaf ones;
+    permutations v -> p[v], not the identity) are appended to
+    ``generators`` when it is given.
     """
     n = g.n
     if n > 62:
@@ -144,22 +162,21 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
     if n == 0:
         return bytes([0])
     masks = [g.neighbor_mask(v) for v in range(n)]
+    edges = g.edges()
     nbits = n * (n - 1) // 2
+    # pair (i, j), i < j, of a leaf order is bit offset[i] - j of its code
+    offset = [nbits + i * (i + 3) // 2 - i * n for i in range(n)]
     best: int | None = None
     best_order: list[int] | None = None
     autos: list[list[int]] = []
 
-    def code_of(order: list[int]) -> int:
-        val = 0
-        for i in range(n):
-            mi = masks[order[i]]
-            for j in range(i + 1, n):
-                val = (val << 1) | ((mi >> order[j]) & 1)
-        return val
-
     def leaf(order: list[int]) -> None:
         nonlocal best, best_order
-        code = code_of(order)
+        pos = sorted(range(n), key=order.__getitem__)  # pos[order[i]] = i
+        code = 0
+        for a, b in edges:
+            i, j = pos[a], pos[b]
+            code |= 1 << (offset[i] - j if i < j else offset[j] - i)
         if best is None or code < best:
             best = code
             best_order = order
@@ -171,21 +188,22 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
             if gamma != list(range(n)):
                 autos.append(gamma)
 
-    def descend(cells: list[list[int]], prefix: list[int]) -> None:
-        target = next((idx for idx, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
+    def descend(cells: list[list[int]], cmasks: list[int], prefix: list[int]) -> None:
+        if len(cells) == n:
             leaf([c[0] for c in cells])
             return
-        if _is_homogeneous(masks, cells):
-            for c in cells:
-                for a, b in zip(c, c[1:]):
-                    swap = list(range(n))
-                    swap[a], swap[b] = b, a
-                    autos.append(swap)
-            leaf([v for c in cells for v in c])
-            return
+        target = next(idx for idx, c in enumerate(cells) if len(c) > 1)
         cell = cells[target]
-        stable = [sum(1 << w for w in c) for c in cells]
+        if len({masks[v] for v in cell}) == 1 or len({masks[v] | 1 << v for v in cell}) == 1:
+            # a cell of twins is individualized whole (see the docstring)
+            for a, b in zip(cell, cell[1:]):
+                swap = list(range(n))
+                swap[a], swap[b] = b, a
+                autos.append(swap)
+            whole = cells[:target] + [[v] for v in cell] + cells[target + 1 :]
+            wmasks = cmasks[:target] + [1 << v for v in cell] + cmasks[target + 1 :]
+            descend(whole, wmasks, prefix + cell)
+            return
         # orbits of the known automorphisms fixing the individualized prefix,
         # as a union-find that takes in each automorphism once, when found
         parent = list(range(n))
@@ -214,11 +232,12 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
             explored.append(v)
             rest = [w for w in cell if w != v]
             branched = cells[:target] + [[v], rest] + cells[target + 1 :]
+            bmasks = cmasks[:target] + [1 << v, cmasks[target] ^ 1 << v] + cmasks[target + 1 :]
             prefix.append(v)
-            descend(_refine(masks, branched, stable), prefix)
+            descend(*_refine(masks, branched, bmasks, cmasks), prefix)
             prefix.pop()
 
-    descend(_refine(masks, [list(range(n))]), [])
+    descend(*_refine(masks, [list(range(n))], [(1 << n) - 1]), [])
     assert best is not None
     if generators is not None:
         generators.extend(dict.fromkeys(tuple(a) for a in autos))
@@ -262,23 +281,25 @@ def _passes_hereditary(g: Graph, hered: frozenset[str]) -> bool:
     return True
 
 
-def _made_by_earlier_parent(isolated: int, pendants: list[int], smask: int) -> bool:
+def _made_by_earlier_parent(linked: int, pendants: Iterable[int], smask: int) -> bool:
     """True when deleting some old vertex from the child (the parent plus a
     vertex v joined to ``smask``) leaves more isolated vertices than
-    deleting v.  ``isolated`` masks the parent's isolated vertices and
-    ``pendants[u]`` its vertices whose only neighbor is u.
+    deleting v.  ``linked`` masks the parent's vertices that have a neighbor,
+    and ``pendants`` holds, for each vertex u that has pendants, the mask of
+    the vertices whose only neighbor is u.
 
     score[u] counts the vertices whose only neighbor in the child is u, less
     one if u itself is isolated: deleting u leaves iso(child) + score[u]
     isolated vertices.  score[v] is -1 for an empty smask, else the number
     of isolated vertices v joins; an old u scores its pendants outside
-    smask, plus one if smask is u alone, less one if u stays isolated.
+    smask, plus one if smask is u alone, less one if u stays isolated.  So
+    without pendants only an empty smask or one linked vertex can win.
     """
     if not smask:
-        return isolated != (1 << len(pendants)) - 1
-    if not smask & (smask - 1) and not smask & isolated:
+        return linked != 0
+    if not smask & (smask - 1) and smask & linked:
         return True
-    joined = (smask & isolated).bit_count()
+    joined = (smask & ~linked).bit_count()
     return any((p & ~smask).bit_count() > joined for p in pendants)
 
 
@@ -296,8 +317,8 @@ def _level(
     Parents come in key order, so one with more isolated vertices comes
     first.  A child whose deletion of some old vertex leaves more isolated
     vertices than its parent has is that of an earlier parent, whose class
-    is found already: it is skipped after the connected check and after its
-    subset's orbit is marked, before it is built, tested or canonicalized."""
+    is found already: it is skipped after the connected check, before its
+    subset's orbit is marked and before it is built, tested or keyed."""
     key = (n, max_degree, hered, connected)
     cached = _LEVEL_CACHE.get(key)
     if cached is not None:
@@ -310,48 +331,54 @@ def _level(
         built = skipped = disconnected = earlier = tested = keyed = 0
         for parent, gens in parents:
             masks = [parent.neighbor_mask(v) for v in range(n - 1)]
-            isolated = sum(1 << w for w, m in enumerate(masks) if not m)
-            pendants = [0] * (n - 1)
-            for w, m in enumerate(masks):
-                if m and not m & (m - 1):
-                    pendants[m.bit_length() - 1] |= 1 << w
             if max_degree is None:
                 eligible = list(range(n - 1))
                 cap = n - 1
             else:
                 eligible = [v for v in range(n - 1) if parent.degree(v) < max_degree]
                 cap = min(max_degree, n - 1)
-            # the child is connected iff the new vertex meets every component
+            # the child is connected iff the new vertex meets every component,
+            # which takes one neighbor per component; any nonempty subset
+            # meets a lone one
             comp_masks = (
                 [sum(1 << v for v in c) for c in components(parent)] if connected else []
             )
-            for size in range(0, min(cap, len(eligible)) + 1):
-                seen: set[tuple[int, ...]] = set()
-                for subset in combinations(eligible, size):
-                    if subset in seen:
+            sizes = range(len(comp_masks), min(cap, len(eligible)) + 1)
+            if not sizes:
+                continue
+            linked = sum(1 << w for w, m in enumerate(masks) if m)
+            pendants: dict[int, int] = {}
+            for w, m in enumerate(masks):
+                if m and not m & (m - 1):
+                    pendants[m] = pendants.get(m, 0) | 1 << w
+            # the parent's generators as bit tables: bit v maps to bit p[v]
+            images = [{1 << v: 1 << p[v] for v in range(n - 1)}.__getitem__ for p in gens]
+            seen: set[int] = set()
+            for size in sizes:
+                for subset in combinations([1 << v for v in eligible], size):
+                    smask = sum(subset)
+                    if smask in seen:
                         skipped += 1
                         continue
-                    smask = 0
-                    for v in subset:
-                        smask |= 1 << v
-                    if connected and not all(smask & c for c in comp_masks):
-                        # automorphisms permute components, so the whole
-                        # orbit is disconnected too and none is marked
+                    # automorphisms permute components and keep both tests'
+                    # verdicts, so a skipped subset's orbit-mates skip the
+                    # same way and its orbit is never marked
+                    if len(comp_masks) > 1 and not all(smask & c for c in comp_masks):
                         disconnected += 1
                         continue
-                    if gens:
-                        # mark the subset's orbit under the parent's group
-                        orbit = [subset]
-                        for s in orbit:
-                            for p in gens:
-                                image = tuple(sorted(p[v] for v in s))
-                                if image not in seen:
-                                    seen.add(image)
-                                    orbit.append(image)
-                    if _made_by_earlier_parent(isolated, pendants, smask):
+                    if _made_by_earlier_parent(linked, pendants.values(), smask):
                         earlier += 1
                         continue
-                    child = parent.with_vertex(subset)
+                    # mark the subset's orbit under the parent's group
+                    orbit = [subset]
+                    for bits in orbit:
+                        for image in images:
+                            mapped = list(map(image, bits))
+                            m = sum(mapped)
+                            if m not in seen:
+                                seen.add(m)
+                                orbit.append(mapped)
+                    child = parent.with_vertex(_bits(smask))
                     built += 1
                     # a new vertex of degree <= 1 keeps every hereditary
                     # property the parent has: it adds no cycle and no minor

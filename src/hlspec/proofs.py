@@ -191,14 +191,11 @@ def _eval_no_cross_edges(g: Graph, data: dict) -> bool:
 
 
 def _eval_set_partition(g: Graph, data: dict) -> bool:
-    parts = [set(_host_vertices(g, p)) for p in data["parts"]]
-    whole = set(_host_vertices(g, data["whole"]))
-    union: set[int] = set()
-    for p in parts:
-        if union & p:
-            return False
-        union |= p
-    return union == whole
+    # the parts are disjoint and cover the host less the deleted pair iff
+    # their concatenation, sorted, is that vertex set, sorted
+    x, v = _host_vertices(g, data["deleted"])
+    joined = [w for p in data["parts"] for w in _host_vertices(g, p)]
+    return x != v and sorted(joined) == sorted(set(range(g.n)) - {x, v})
 
 
 def _eval_vertex_in_set(g: Graph, data: dict) -> bool:
@@ -989,7 +986,7 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
             "set-partition",
             {
                 "parts": [list(g1_set), list(g2_set)],
-                "whole": sorted(set(range(n)) - {x, v}),
+                "deleted": [x, v],
             },
         ),
         _step(

@@ -3,9 +3,9 @@ adjacency matrix built from the edge list, so the spectral oracles share no
 matrix code with hlspec, Horner's Taylor shift, the reference for hlspec's
 shift-matrix products, a brute-force K4-minor search that shares nothing
 with either K4-minor recognizer, set-based unfriendly-partition checks
-that share no bitmask code with the flip and shaped-partition searches, and
-a networkx check that a cycle is locally longest, one pair of its vertices
-at a time."""
+that share no bitmask code with the flip and shaped-partition searches, a
+networkx check that a cycle is locally longest, one pair of its vertices
+at a time, and networkx's count of a graph's automorphisms."""
 
 import itertools
 
@@ -166,3 +166,15 @@ def is_locally_longest_cycle(g, cycle) -> bool:
         if length > min(j - i, size - (j - i)):
             return False
     return True
+
+
+def automorphism_count(g) -> int:
+    """The order of g's automorphism group: the isomorphisms of g onto
+    itself that networkx's VF2 matcher lists."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())

@@ -330,6 +330,19 @@ def test_gen_and_verify_sp_never_run_the_reducer(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_gen_n9_stdout_frozen(capsys, monkeypatch):
+    # every subcubic class on 9 vertices, disconnected ones included: the
+    # classes, labels and order, from a fresh level cache
+    import hlspec.enumeration as enumeration
+
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    code, out, _ = run_main(["gen", "n=9"], capsys)
+    assert code == 0 and len(out.splitlines()) == 1165
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "efd36795e1c6e07354fc86bfe93f80cd2ca3286ff8f371958afbcf85b1d5cd74"
+    )
+
+
 def test_gen_rejects_malformed_count():
     for bad in ("n=x", "four", "n=4,connected"):
         proc = run_cli(["gen", bad])
@@ -704,7 +717,7 @@ K4MF_N10 = REPO / "perfbench" / "data" / "k4mf_n10.g6"
 
 K4MF_N10_VERIFY_SP_SHA256 = {
     "": "74d0953532d198d083891c0ee608f71a1e9acaa03251268eee39cce1a3953b9c",
-    "--witness": "424227c7b31bb2f98499e33e9b11a55d159b2cbfa6952770e74b4a601eba95ab",
+    "--witness": "7cf25b0c09a976bef61ced193fcef14bc18110c4cc204423e360d0453feb03dd",
 }
 
 

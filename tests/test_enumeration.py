@@ -36,6 +36,7 @@ from hlspec import enumeration
 from hlspec.enumeration import _refine
 from hlspec.structure import find_k23
 
+from oracle import automorphism_count as networkx_automorphism_count
 from oracle import brute_force_has_k4_minor
 
 
@@ -115,22 +116,84 @@ def test_canonical_key_bytes_frozen():
     )
 
 
+def test_canonical_keys_of_every_subcubic_class_on_9_vertices_frozen():
+    # 1,165 classes, disconnected and twin-rich ones included; frozen so a
+    # faster search cannot change a key past the n <= 5 digest above
+    digest = hashlib.sha256()
+    for g in enumerate_graphs(GenSpec(9)):
+        digest.update(canonical_key(g))
+    assert digest.hexdigest() == (
+        "19fa707b098d1d493f6600dc57bf7e13795008cf4bb27bb6dbeed6db86980eb9"
+    )
+
+
 def test_refine_with_stable_splitters_matches_plain_refinement():
     # individualizing one vertex of an equitable partition and refining with
-    # the parent's cells marked stable gives the same cells in the same order
+    # the parent's cells marked stable gives the same cells in the same order,
+    # each with its own vertex mask
     rng = random.Random(11)
     for _ in range(200):
         g = random_graph(rng.randint(2, 11), rng.random(), rng)
         masks = [g.neighbor_mask(v) for v in range(g.n)]
-        cells = _refine(masks, [list(range(g.n))])
+        cells, stable = _refine(masks, [list(range(g.n))], [(1 << g.n) - 1])
+        assert stable == [sum(1 << v for v in c) for c in cells]
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             continue
-        stable = [sum(1 << v for v in c) for c in cells]
         for v in cells[target]:
             rest = [w for w in cells[target] if w != v]
             branched = cells[:target] + [[v], rest] + cells[target + 1 :]
-            assert _refine(masks, branched, stable) == _refine(masks, branched)
+            bmasks = stable[:target] + [1 << v, stable[target] ^ 1 << v] + stable[target + 1 :]
+            refined = _refine(masks, branched, bmasks, stable)
+            assert refined == _refine(masks, branched, bmasks)
+            assert refined[1] == [sum(1 << w for w in c) for c in refined[0]]
+
+
+def plain_refine(masks, cells, stable=()):
+    """The splitter loop _refine shortcuts: the first cell not yet used
+    splits every non-singleton cell by neighbor counts, pieces in ascending
+    count order, and the scan restarts from the first cell after a split."""
+    cells = [list(c) for c in cells]
+    known = set(stable)
+    changed = True
+    while changed:
+        changed = False
+        for splitter in list(cells):
+            smask = sum(1 << v for v in splitter)
+            if smask in known:
+                continue
+            known.add(smask)
+            new_cells = []
+            for cell in cells:
+                buckets: dict = {}
+                for v in cell:
+                    buckets.setdefault((masks[v] & smask).bit_count(), []).append(v)
+                new_cells.extend(buckets[k] for k in sorted(buckets))
+                changed = changed or len(buckets) > 1
+            cells = new_cells
+            if changed:
+                break
+    return cells
+
+
+def test_refine_matches_the_plain_splitter_loop():
+    # same cells in the same order, from the unit cell and after
+    # individualizing each vertex of the first non-singleton cell
+    rng = random.Random(12)
+    for _ in range(300):
+        g = random_graph(rng.randint(2, 12), rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
+        masks = [g.neighbor_mask(v) for v in range(g.n)]
+        cells, cmasks = _refine(masks, [list(range(g.n))], [(1 << g.n) - 1])
+        assert cells == plain_refine(masks, [list(range(g.n))])
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            continue
+        for v in cells[target]:
+            rest = [w for w in cells[target] if w != v]
+            branched = cells[:target] + [[v], rest] + cells[target + 1 :]
+            bmasks = cmasks[:target] + [1 << v, cmasks[target] ^ 1 << v] + cmasks[target + 1 :]
+            expect = plain_refine(masks, branched, cmasks)
+            assert _refine(masks, branched, bmasks, cmasks)[0] == expect
 
 
 def test_level_cache_classes_carry_no_reduction_trace():
@@ -185,6 +248,17 @@ def test_generators_generate_the_whole_group_n6():
             gens: list = []
             canonical_key(g, gens)
             assert group_order(gens, n) == automorphism_count(g), to_graph6(g)
+
+
+def test_generators_generate_the_whole_group_against_networkx():
+    # past n = 6, where twin cells are common: every connected subcubic class
+    # on 9 vertices and every subcubic class on 7, disconnected ones included
+    classes = enumerate_graphs(GenSpec(9, connected=True)) + enumerate_graphs(GenSpec(7))
+    assert len(classes) == 681
+    for g in classes:
+        gens: list = []
+        canonical_key(g, gens)
+        assert group_order(gens, g.n) == networkx_automorphism_count(g), to_graph6(g)
 
 
 @st.composite

@@ -713,7 +713,7 @@ def test_replay_rejects_steps_naming_vertices_the_host_lacks():
     forgeries = []
     for kind, data in (
         ("vertex-in-set", {"vertex": 99, "vertices": [99]}),
-        ("set-partition", {"parts": [[99], [-5]], "whole": [99, -5]}),
+        ("set-partition", {"parts": [[99], [-5]], "deleted": [99, -5]}),
         ("no-cross-edges", {"set_a": [99], "set_b": [-5]}),
     ):
         idx = next(i for i, s in enumerate(two_connected.steps) if s.kind == kind)
@@ -735,6 +735,28 @@ def test_replay_rejects_steps_naming_vertices_the_host_lacks():
         assert replay_trace(host, trace) is True
     for host, forged in forgeries:
         assert replay_trace(host, forged) is False, forged.case
+
+
+def test_replay_ties_set_partition_to_the_deleted_pair():
+    # the parts must partition the host less the pair the trace deletes, not
+    # whatever set the step itself names
+    h = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 3)])
+    trace = verify_theorem_sp(h)
+    idx = next(i for i, s in enumerate(trace.steps) if s.kind == "set-partition")
+    data = trace.steps[idx].data
+    x, v = data["deleted"]
+    assert sorted(w for p in data["parts"] for w in p) == sorted(set(range(8)) - {x, v})
+    assert replay_trace(h, trace) is True
+    for forged in (
+        {"parts": [[0], [1]], "whole": [0, 1]},
+        {"parts": [[0], [1]], "deleted": [x, v]},
+        {"parts": data["parts"], "deleted": [x, x]},
+        {"parts": data["parts"], "deleted": [x]},
+        {"parts": data["parts"][:1], "deleted": [x, v]},
+        {"parts": [data["parts"][0], data["parts"][0] + data["parts"][1]], "deleted": [x, v]},
+        {"parts": data["parts"], "deleted": [data["parts"][0][0], v]},
+    ):
+        assert replay_trace(h, replace_step(trace, idx, forged)) is False, forged
 
 
 def test_verify_emits_every_theorem_and_step_kind_replay_knows():
