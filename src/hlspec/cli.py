@@ -116,9 +116,10 @@ def _gen_inputs(gen: GenSpec) -> list[tuple[int, str]]:
 
 # ---------------------------------------------------------------------------
 # row builders, called once per chunk: each imports the modules its rows
-# read and returns the function that builds a row from (graph, line number,
-# graph6 text), or, for _index_fields and _predicates, part of a row from
-# the graph
+# read and returns (verify, row): verify gives a graph's witness trace
+# (None: the rows verify nothing), and row builds a row from (graph, line
+# number, graph6 text, settled trace or None); or, for _index_fields and
+# _predicates, the function that builds part of a row from the graph
 # ---------------------------------------------------------------------------
 
 _INDEX_FIELDS = ("r", "h", "l", "certified_le_one", "certified_le_sqrt2")
@@ -168,7 +169,7 @@ def _head(g: Graph, line_no: int, text: str) -> dict:
 
 def _hl_rows():
     index_fields = _index_fields()
-    return lambda g, line_no, text: {**_head(g, line_no, text), **index_fields(g)}
+    return None, lambda g, line_no, text, _: {**_head(g, line_no, text), **index_fields(g)}
 
 
 @functools.cache
@@ -182,30 +183,38 @@ def _extremal_key() -> bytes:
 
 
 def _verify_rows(theorem: str, witness: bool, timing: bool):
-    """Verify rows.  The survey passes a subcubic graph iff R <= sqrt2 is
-    certified; it skips any other graph, with the index fields and all
-    predicates but subcubic null.  The timing covers the row, not the
-    chunk's parsing and batched spectra.  An sp row function carries
-    subjects, the planner of the subgraphs its rows count."""
+    """Verify rows.  Each sp, k23 or lemma-odd row reads its graph's trace,
+    settled with the rest of the chunk.  The survey passes a subcubic graph
+    iff R <= sqrt2 is certified; it skips any other graph, with the index
+    fields and all predicates but subcubic null.  The timing covers the
+    graph's own work (building its trace and its row), not the chunk's
+    parsing, batched counts and settling."""
     from .proofs import FAIL, PASS, check_lemma_odd, verify_theorem_k23, verify_theorem_sp
-    from .proofs import _sp_subjects
 
     index_fields, predicates = _index_fields(), _predicates()
+    spent: dict[int, float] = {}  # seconds building each graph's trace, by id
     if theorem == "survey":
         from .enumeration import canonical_key
+
+        timed_verify = None
     else:
         verify = {"k23": verify_theorem_k23, "sp": verify_theorem_sp,
                   "lemma-odd": check_lemma_odd}[theorem]
 
-    def row(g: Graph, line_no: int, text: str) -> dict:
-        start = time.perf_counter()
+        def timed_verify(g: Graph):
+            start = time.perf_counter()
+            trace = verify(g)
+            spent[id(g)] = time.perf_counter() - start
+            return trace
+
+    def row(g: Graph, line_no: int, text: str, trace) -> dict:
+        start = time.perf_counter() - spent.pop(id(g), 0.0)
         rep = _head(g, line_no, text)
         rep["theorem"] = theorem
         if g.n == 0:
             rep.update(index_fields(g), case="empty", verdict="skipped", predicates=predicates(g))
             return rep
         if theorem != "survey":
-            trace = verify(g)
             rep.update(index_fields(g), case=trace.case, verdict=trace.verdict,
                        predicates=predicates(g))
             if witness:
@@ -226,9 +235,7 @@ def _verify_rows(theorem: str, witness: bool, timing: bool):
             rep["ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         return rep
 
-    if theorem == "sp":
-        row.subjects = _sp_subjects
-    return row
+    return timed_verify, row
 
 
 def _recognize_rows(with_trace: bool):
@@ -236,7 +243,7 @@ def _recognize_rows(with_trace: bool):
 
     predicates = _predicates()
 
-    def row(g: Graph, line_no: int, text: str) -> dict:
+    def row(g: Graph, line_no: int, text: str, _) -> dict:
         rep = _head(g, line_no, text)
         if with_trace:
             # the traced run also answers the predicate, so the reduction runs once
@@ -253,27 +260,34 @@ def _recognize_rows(with_trace: bool):
         rep.update(predicates(g))
         return rep
 
-    return row
+    return None, row
 
 
 def _report_chunk(rows, spectral_degree: float | None, chunk: list[tuple[int, str]]) -> list[dict]:
     """The rows of a chunk of (line number, graph6 text) inputs (top level,
-    so it pickles for worker pools): every line is parsed, the spectral
-    facts of the graphs whose rows read them (max degree at most
-    spectral_degree; None: no row does) are computed in one batch, and the
-    counts at +-1 of the subgraphs row.subjects(g) plans, if row has it, in
-    one more; then the row function row = rows() builds each row."""
+    so it pickles for worker pools), with (verify, row) = rows(): every line
+    is parsed and, if verify is set, each graph's trace built with its
+    counts pending.  Then one batch, one kernel run per order, computes the
+    spectral facts of the graphs whose rows read them (max degree at most
+    spectral_degree; None: no row does) and every count the traces name,
+    and settles the traces; row builds each row from its graph and trace."""
     graphs = [parse_graph6(text) for _, text in chunk]
-    row = rows()
-    if spectral_degree is not None:
-        from .spectra import _count_ones, prime
+    verify, row = rows()
+    spectral = [] if spectral_degree is None else [
+        g for g in graphs if g.max_degree() <= spectral_degree]
+    traces = [None] * len(graphs)
+    if verify is not None:
+        from .proofs import _settling
 
-        spectral = [g for g in graphs if g.max_degree() <= spectral_degree]
+        with _settling(spectral):
+            traces = [verify(g) for g in graphs]
+    elif spectral:
+        from .spectra import prime
+
         prime(spectral)
-        if hasattr(row, "subjects"):
-            _count_ones([sub for g in spectral for sub in row.subjects(g)])
     graphs.reverse()  # each popped as its row is built, so its facts die with the row
-    return [row(graphs.pop(), line_no, text) for line_no, text in chunk]
+    return [row(graphs.pop(), line_no, text, trace)
+            for (line_no, text), trace in zip(chunk, traces)]
 
 
 def _map_tasks(worker, tasks: list, jobs: int) -> Iterator[dict]:
@@ -482,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--witness", action="store_true",
                           help="embed the full witness trace in each report")
     p_verify.add_argument("--timing", action="store_true",
-                          help="add per-graph milliseconds (not byte-stable)")
+                          help="add per-graph milliseconds: the graph's own verifier and "
+                          "row work, without its chunk's batched counts (not byte-stable)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="enumerate graphs and print graph6 lines")

@@ -83,6 +83,10 @@ class Graph:
         value = facts[key] = compute()
         return value
 
+    def has_fact(self, key) -> bool:
+        """Whether a fact is stored under key."""
+        return key in (getattr(self, "_facts", None) or ())
+
     def __getstate__(self):
         # pickles and copies carry the graph, never its fact record
         return None, {"n": self.n, "_mask": self._mask}
@@ -129,8 +133,14 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v, in lexicographic order."""
-        return [(u, v) for u, mask in enumerate(self._mask)
-                for v in _bits(mask >> (u + 1) << (u + 1))]
+        out = []
+        for u, mask in enumerate(self._mask):
+            mask = mask >> (u + 1) << (u + 1)
+            while mask:
+                low = mask & -mask
+                out.append((u, low.bit_length() - 1))
+                mask ^= low
+        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._mask == other._mask

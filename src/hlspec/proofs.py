@@ -7,11 +7,20 @@ re-executed independently (see replay_trace).  Structural claims from the
 underlying arguments are re-verified on the concrete graph, never assumed;
 a claim that fails on the graph produces verdict "fail" with the offending
 step, which is exactly the loud surfacing these checks exist for.
+
+A verifier first builds its trace with every exact step's outcome pending:
+it names the subgraph and thresholds each count reads (_COUNTS), and no
+verifier branches on a count.  Settling then counts every subject of a
+whole batch of traces in one kernel run per order (spectra.prime) before it
+fills in each outcome and verdict; replay collects, counts and checks the
+same way.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,7 +37,8 @@ from .graph_core import (
     is_connected,
     spanning_subgraph,
 )
-from .spectra import certify_R_le, count_at_threshold, median_positions
+from . import spectra
+from .spectra import _bounds, _scaled, certify_R_le, count_at_threshold, median_positions
 from .structure import (
     Partition,
     find_k23,
@@ -49,19 +59,40 @@ _VERDICTS = (PASS, FAIL, NOT_APPLICABLE, NOT_FOUND)
 # trace machinery
 # ---------------------------------------------------------------------------
 
+class _Pending:
+    """A field that is None while it waits for its trace's counts (an exact
+    step's ok, a pass or fail verdict).  Reading it then raises, so no
+    verifier can branch on a count; settling sets it once."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # so the field has no default
+        value = obj.__dict__[self.name]
+        if value is None:
+            raise ValueError(f"{self.name} read before its trace settled")
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One checked assertion: what was claimed, how, and whether it held.
 
     data is JSON-safe and sufficient to re-run the assertion against the
     host graph; kind selects the evaluator, mode records whether the check
-    was exact arithmetic or purely combinatorial.
+    was exact arithmetic or purely combinatorial.  ok is pending (None) on
+    an exact step until its trace settles.
     """
 
     statement: str
     kind: str
     mode: str
-    ok: bool
+    ok: bool = _Pending()
     data: dict
 
 
@@ -71,58 +102,33 @@ class WitnessTrace:
 
     children holds delegated sub-verifications (per-component runs, lemma
     delegations); their graphs are reconstructed from named host vertices
-    during replay.
+    during replay.  verdict is pending (None) while a pass or fail waits
+    for the exact steps to settle.
     """
 
     theorem: str
     case: str
     named: dict
     steps: tuple[TraceStep, ...]
-    verdict: str
+    verdict: str = _Pending()
     children: tuple["WitnessTrace", ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "case": self.case,
-            "verdict": self.verdict,
-            "named": self.named,
-            "steps": [
-                {
-                    "statement": s.statement,
-                    "kind": s.kind,
-                    "mode": s.mode,
-                    "ok": s.ok,
-                    "slack": None,  # no float slack now; kept for older witness files
-                    "data": s.data,
-                }
-                for s in self.steps
-            ],
-            "children": [c.to_json_dict() for c in self.children],
-        }
+        # each step's slack is None: no float slack now, kept for older witness files
+        steps = [{"statement": s.statement, "kind": s.kind, "mode": s.mode, "ok": s.ok,
+                  "slack": None, "data": s.data} for s in self.steps]
+        return {"theorem": self.theorem, "case": self.case, "verdict": self.verdict,
+                "named": self.named, "steps": steps,
+                "children": [c.to_json_dict() for c in self.children]}
 
 
 def trace_from_json_dict(doc: dict) -> WitnessTrace:
     """Rebuild a trace from its JSON form (inverse of to_json_dict), so a
     witness emitted by the command line can be replayed offline."""
-    steps = tuple(
-        TraceStep(
-            statement=s["statement"],
-            kind=s["kind"],
-            mode=s["mode"],
-            ok=s["ok"],
-            data=s["data"],
-        )
-        for s in doc["steps"]
-    )
-    return WitnessTrace(
-        theorem=doc["theorem"],
-        case=doc["case"],
-        named=doc["named"],
-        steps=steps,
-        verdict=doc["verdict"],
-        children=tuple(trace_from_json_dict(c) for c in doc.get("children", [])),
-    )
+    steps = tuple(TraceStep(s["statement"], s["kind"], s["mode"], s["ok"], s["data"])
+                  for s in doc["steps"])
+    children = tuple(trace_from_json_dict(c) for c in doc.get("children", []))
+    return WitnessTrace(doc["theorem"], doc["case"], doc["named"], steps, doc["verdict"], children)
 
 
 def _subject_graph(g: Graph, spec: dict) -> Graph:
@@ -206,7 +212,7 @@ def _eval_vertex_in_set(g: Graph, data: dict) -> bool:
 def _eval_same_neighborhood(g: Graph, data: dict) -> bool:
     sub = _subject_graph(g, data["subject"])
     u, v, *must = _host_vertices(sub, [data["u"], data["v"], *data["contains"]])
-    return sub.neighbors(u) == sub.neighbors(v) and set(must) <= sub.neighbors(u)
+    return u != v and sub.neighbors(u) == sub.neighbors(v) and set(must) <= sub.neighbors(u)
 
 
 def _eval_unfriendly_shape(g: Graph, data: dict) -> bool:
@@ -231,23 +237,33 @@ def _tail(sub: Graph, threshold: str, which: str) -> int | None:
     return getattr(count_at_threshold(sub, threshold), which)
 
 
+def _deletion(g: Graph, data: dict) -> Graph:
+    """An interlace-count step's subject: g less the deleted vertices."""
+    return _subject_graph(g, {"kind": "delete", "vertices": data["deleted"]})
+
+
 def _eval_interlace_count(g: Graph, data: dict) -> bool:
     # Cauchy interlacing: deleting A moves a tail count by at most |A|, so
     # N(G) <= N(G - A) + |A|; |A| is read off the host, not the data
-    sub = _subject_graph(g, {"kind": "delete", "vertices": data["deleted"]})
+    sub = _deletion(g, data)
     tail = _tail(sub, data["threshold"], data["which"])
     return tail is not None and tail + g.n - sub.n <= data["bound"]
+
+
+def _weyl_parts(g: Graph, data: dict) -> tuple[Graph, Graph]:
+    """A weyl-count step's edge split of g: the spanning subgraph on the
+    step's edges, and the one on the rest of the host's edges."""
+    part = {tuple(sorted(e)) for e in data["edges"]}
+    rest = [list(e) for e in g.edges() if e not in part]
+    return (_subject_graph(g, {"kind": "spanning", "edges": data["edges"]}),
+            _subject_graph(g, {"kind": "spanning", "edges": rest}))
 
 
 def _eval_weyl_count(g: Graph, data: dict) -> bool:
     # Weyl: over an edge split G = G1 + G2, N>s+t(G) <= N>s(G1) + N>t(G2),
     # and likewise below -(s+t); G2 is the rest of the host's edges
-    part = {tuple(sorted(e)) for e in data["edges"]}
-    one = _subject_graph(g, {"kind": "spanning", "edges": data["edges"]})
-    rest = _subject_graph(
-        g, {"kind": "spanning", "edges": [list(e) for e in g.edges() if e not in part]}
-    )
     s, t = data["thresholds"]
+    one, rest = _weyl_parts(g, data)
     tails = (_tail(one, s, data["which"]), _tail(rest, t, data["which"]))
     return None not in tails and sum(tails) <= data["bound"]
 
@@ -288,10 +304,10 @@ def _eval_c_path(g: Graph, data: dict) -> bool:
 
 def _eval_not_consecutive_on_cycle(g: Graph, data: dict) -> bool:
     seq = _host_vertices(g, data["cycle"])
-    pos = {v: i for i, v in enumerate(seq)}
-    iu, iv = pos[data["u"]], pos[data["v"]]
-    gap = (iu - iv) % len(seq)
-    return gap not in (1, len(seq) - 1)
+    u, v = _host_vertices(g, [data["u"], data["v"]])
+    pos = {w: i for i, w in enumerate(seq)}
+    gap = (pos[u] - pos[v]) % len(seq)
+    return u != v and gap not in (1, len(seq) - 1)
 
 
 def _eval_cut_vertex(g: Graph, data: dict) -> bool:
@@ -337,11 +353,108 @@ _EVALUATORS = {
     "k23-present": (_eval_k23_present, "combinatorial"),
 }
 
+# What each exact kind counts, as (graph, threshold) pairs on the step's
+# host: its evaluator reads these counts and no others.
+_COUNTS = {
+    "count-le": lambda g, d: [(_subject_graph(g, d["subject"]), _scaled(d["threshold"]))],
+    "certify-r-le": lambda g, d: [(_subject_graph(g, d["subject"]), t)
+                                  for t in _bounds(d["bound"])],
+    "interlace-count": lambda g, d: [(_deletion(g, d), _scaled(d["threshold"]))],
+    "weyl-count": lambda g, d: list(zip(_weyl_parts(g, d), map(_scaled, d["thresholds"]))),
+}
+
+# what a malformed step raises: a missing data key, a vertex out of range,
+# a pair that is not an edge, a value of the wrong type, a pending outcome
+_MALFORMED = (AttributeError, ArithmeticError, IndexError, KeyError, TypeError, ValueError)
+
 
 def _step(g: Graph, statement: str, kind: str, data: dict) -> TraceStep:
+    """A step evaluated on g now; the verifiers build only combinatorial
+    steps this way."""
     evaluator, mode = _EVALUATORS[kind]
-    ok = evaluator(g, data)
-    return TraceStep(statement=statement, kind=kind, mode=mode, ok=ok, data=data)
+    return TraceStep(statement=statement, kind=kind, mode=mode, ok=evaluator(g, data), data=data)
+
+
+def _exact(statement: str, kind: str, data: dict) -> TraceStep:
+    """An exact step, its outcome pending until its trace settles."""
+    return TraceStep(statement=statement, kind=kind, mode="exact", ok=None, data=data)
+
+
+def _host(g: Graph, child: WitnessTrace) -> Graph:
+    """A child trace's host: the subgraph of g induced on its named host
+    vertices, kept on g's fact record, or g itself when it names none."""
+    host = child.named.get("host-vertices")
+    return g if host is None else _subject_graph(g, {"kind": "induced", "vertices": host})
+
+
+def _tree(g: Graph, trace: WitnessTrace) -> list[tuple[Graph, WitnessTrace]]:
+    """The trace and its descendants, each with its host, parents first."""
+    nodes = [(g, trace)]
+    for host, t in nodes:  # the loop also visits the children it appends
+        nodes += [(_host(host, c), c) for c in t.children]
+    return nodes
+
+
+def _counted(tree: list[tuple[Graph, WitnessTrace]]) -> list[tuple[Graph, tuple]]:
+    """Every (graph, threshold) that the exact steps of a _tree count, each
+    on its own host (see _COUNTS)."""
+    return [pair for host, t in tree for s in t.steps if s.kind in _COUNTS
+            for pair in _COUNTS[s.kind](host, s.data)]
+
+
+def _settle(pending: list[tuple[Graph, WitnessTrace]], graphs: Iterable[Graph] = ()) -> None:
+    """Settle each (graph, trace) built with its counts pending, in place.
+
+    Every count the traces name, and what a report row reads of each of
+    graphs, is computed first in one kernel run per order (spectra.prime).
+    Then each exact step's ok is read from the counts on the fact records,
+    and each pending verdict, children first, is pass when every step held
+    and every child passed, not-found when a k23 delegation found no
+    partition, and fail otherwise.
+    """
+    trees = [_tree(g, trace) for g, trace in pending]
+    spectra.prime(graphs, [pair for tree in trees for pair in _counted(tree)])
+    for tree in trees:
+        for host, t in reversed(tree):  # children before parents
+            for step in t.steps:
+                if step.mode == "exact":
+                    object.__setattr__(step, "ok", _EVALUATORS[step.kind][0](host, step.data))
+            if vars(t)["verdict"] is None:
+                not_found = t.case == "k23-decomposition" and any(
+                    c.verdict == NOT_FOUND for c in t.children)
+                verdict = PASS if _held(t) else NOT_FOUND if not_found else FAIL
+                object.__setattr__(t, "verdict", verdict)
+
+
+# the (graph, trace) pairs the public verifiers return in a _settling() block
+_deferred: ContextVar[list | None] = ContextVar("deferred", default=None)
+
+
+@contextmanager
+def _settling(graphs: Iterable[Graph] = ()):
+    """Within the block, each public verifier returns its trace with the
+    counts pending; on leaving it, all of them settle together (see
+    _settle), with what a report row reads of each of graphs.  So the
+    command line calls the public verifiers and still counts a whole chunk
+    in one kernel run per order."""
+    pending: list[tuple[Graph, WitnessTrace]] = []
+    token = _deferred.set(pending)
+    try:
+        yield
+    finally:
+        _deferred.reset(token)
+    _settle(pending, graphs)
+
+
+def _deliver(g: Graph, trace: WitnessTrace) -> WitnessTrace:
+    """A public verifier's trace: settled now, or when the open _settling()
+    block ends."""
+    pending = _deferred.get()
+    if pending is None:
+        _settle([(g, trace)])
+    else:
+        pending.append((g, trace))
+    return trace
 
 
 def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
@@ -358,14 +471,57 @@ def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
     A malformed trace (a step whose data cannot be evaluated, a child host
     vertex outside g) replays False rather than raising.  Replay works on a
     copy of g with an empty fact record, so every count is recomputed
-    rather than read back from the verifier's run.
+    rather than read back from the verifier's run; the counts the trace
+    names are computed first, in one kernel run per order.
     """
-    return _replay(Graph(g.n, g.edges()), trace)
+    return _replay_traces([(g, trace)])[0]
 
 
+def _replay_traces(items: Iterable[tuple[Graph, WitnessTrace]]) -> list[bool]:
+    """replay_trace of each (graph, trace), with every count that all of
+    the traces name computed in one kernel run per order."""
+    trees, counts = [], []
+    for g, trace in items:
+        g = Graph(g.n, g.edges())  # a copy with an empty fact record
+        try:
+            tree = _tree(g, trace)
+            counts += _counted(tree)
+        except _MALFORMED:
+            tree = None
+        trees.append(tree)
+    spectra.prime((), counts)
+    return [_checks(tree) for tree in trees]
+
+
+def _checks(tree: list[tuple[Graph, WitnessTrace]] | None) -> bool:
+    """Whether every trace of a tree (None: a malformed one) checks on its
+    host; a malformed step or verdict fails rather than raises."""
+    try:
+        return tree is not None and all(_replay(host, t) for host, t in tree)
+    except _MALFORMED:
+        return False
+
+
+_FULL = {"kind": "full"}
 # The exact claim about the whole graph that every theorem's pass rests on,
 # as the (kind, data) of its last step.
-_R_LE_ONE = ("certify-r-le", {"subject": {"kind": "full"}, "bound": "1"})
+_R_LE_ONE = ("certify-r-le", {"subject": _FULL, "bound": "1"})
+_TAILS = (("above", "1"), ("below", "-1"))  # the two tails R <= 1 bounds
+
+
+def _tail_bounds(n: int) -> Iterable[tuple[tuple[str, str], int]]:
+    """Each of _TAILS with its bound for R <= 1 on n vertices: at most h - 1
+    eigenvalues above 1 and at most n - l below -1."""
+    h, l = median_positions(n)
+    return zip(_TAILS, (h - 1, n - l))
+
+
+def _degree_le_three(g: Graph) -> TraceStep:
+    return _step(g, "max degree at most 3", "degree-le", {"subject": _FULL, "bound": 3})
+
+
+def _certify_r_le_one() -> TraceStep:
+    return _exact("median eigenvalues certified within [-1, 1]", *_R_LE_ONE)
 
 
 def _held(trace: WitnessTrace) -> bool:
@@ -410,6 +566,8 @@ _APPLIES = {
 
 
 def _replay(g: Graph, trace: WitnessTrace) -> bool:
+    """Whether one trace of a tree checks on its host, its counts already
+    on the fact records; each child is checked on its own host."""
     applies = _APPLIES.get(trace.theorem) if type(trace.theorem) is str else None
     if applies is None or trace.verdict not in _VERDICTS:
         return False
@@ -417,32 +575,11 @@ def _replay(g: Graph, trace: WitnessTrace) -> bool:
         return False
     for step in trace.steps:
         evaluator, mode = _EVALUATORS.get(step.kind, (None, None))
-        if evaluator is None or mode != step.mode:
-            return False
-        try:
-            if evaluator(g, step.data) != step.ok:
-                return False
-        # a malformed step: a missing data key, a vertex out of range, a
-        # pair that is not an edge, a value of the wrong type
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
-            return False
-    for child in trace.children:
-        host = child.named.get("host-vertices")
-        try:
-            sub = g if host is None else induced_subgraph(g, host)[0]
-        except (TypeError, ValueError):
-            return False
-        if not _replay(sub, child):
+        if evaluator is None or mode != step.mode or evaluator(g, step.data) != step.ok:
             return False
     if trace.verdict == FAIL:
         return not _held(trace)
     return trace.verdict != PASS or _concludes(g, trace)
-
-
-def _verdict_from(steps: Iterable[TraceStep], children: Iterable[WitnessTrace] = ()) -> str:
-    if all(s.ok for s in steps) and all(c.verdict == PASS for c in children):
-        return PASS
-    return FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -451,37 +588,17 @@ def _verdict_from(steps: Iterable[TraceStep], children: Iterable[WitnessTrace] =
 
 def check_lemma_odd(g: Graph) -> WitnessTrace:
     """Odd-order graphs with max degree 3 keep the median pair within [-1, 1]."""
+    return _deliver(g, _odd_trace(g))
+
+
+def _odd_trace(g: Graph) -> WitnessTrace:
+    """check_lemma_odd's trace, its counts pending."""
     if not _odd_applies(g):
-        return WitnessTrace(
-            theorem="odd-order",
-            case="precondition",
-            named={},
-            steps=(),
-            verdict=NOT_APPLICABLE,
-        )
-    full = {"kind": "full"}
-    steps = [
-        _step(g, "max degree at most 3", "degree-le", {"subject": full, "bound": 3}),
-        _step(
-            g,
-            "vertex count is odd",
-            "size-parity",
-            {"subject": full, "parity": "odd"},
-        ),
-        _step(
-            g,
-            "median eigenvalues certified within [-1, 1]",
-            "certify-r-le",
-            {"subject": full, "bound": "1"},
-        ),
-    ]
-    return WitnessTrace(
-        theorem="odd-order",
-        case="odd-order",
-        named={},
-        steps=tuple(steps),
-        verdict=_verdict_from(steps),
-    )
+        return WitnessTrace("odd-order", "precondition", {}, (), NOT_APPLICABLE)
+    steps = (_degree_le_three(g),
+             _step(g, "vertex count is odd", "size-parity", {"subject": _FULL, "parity": "odd"}),
+             _certify_r_le_one())
+    return WitnessTrace("odd-order", "odd-order", {}, steps, None)
 
 
 # ---------------------------------------------------------------------------
@@ -540,32 +657,21 @@ def verify_theorem_k23(g: Graph) -> WitnessTrace:
     addition inequality on the parts' exact counts, and certify the final
     bound exactly.
     """
+    return _deliver(g, _k23_trace(g))
+
+
+def _k23_trace(g: Graph) -> WitnessTrace:
+    """verify_theorem_k23's trace, its counts pending."""
     theorem = "k23-bound"
     emb = find_k23(g)
     if g.max_degree() > 3 or emb is None:
-        return WitnessTrace(
-            theorem=theorem,
-            case="precondition",
-            named={},
-            steps=(),
-            verdict=NOT_APPLICABLE,
-        )
+        return WitnessTrace(theorem, "precondition", {}, (), NOT_APPLICABLE)
     xs = (emb.x1, emb.x2)
     ys = (emb.y1, emb.y2, emb.y3)
-    named: dict = {
-        "x1": emb.x1,
-        "x2": emb.x2,
-        "ys": list(ys),
-    }
+    named: dict = {"x1": emb.x1, "x2": emb.x2, "ys": list(ys)}
     side_a = _shaped_partition(g, xs, ys)
     if side_a is None:
-        return WitnessTrace(
-            theorem=theorem,
-            case="partition-search",
-            named=named,
-            steps=(),
-            verdict=NOT_FOUND,
-        )
+        return WitnessTrace(theorem, "partition-search", named, (), NOT_FOUND)
     part = Partition.of(g, side_a)
     cross = sorted(
         (min(u, v), max(u, v))
@@ -575,136 +681,56 @@ def verify_theorem_k23(g: Graph) -> WitnessTrace:
     named["side_a"] = sorted(part.side_a)
     named["side_b"] = sorted(part.side_b)
     named["cross_edges"] = [list(e) for e in cross]
-    h, l = median_positions(g.n)
     cross_set = set(cross)
     cross_spec = {"kind": "spanning", "edges": [list(e) for e in cross]}
-    rest_edges = [list(e) for e in g.edges() if (e[0], e[1]) not in cross_set]
-    rest_spec = {"kind": "spanning", "edges": rest_edges}
-    full = {"kind": "full"}
+    rest_spec = {"kind": "spanning",
+                 "edges": [list(e) for e in g.edges() if (e[0], e[1]) not in cross_set]}
     steps = [
-        _step(g, "max degree at most 3", "degree-le", {"subject": full, "bound": 3}),
-        _step(
-            g,
-            "the 2x3 complete bipartite subgraph is present",
-            "k23-present",
-            {"x1": emb.x1, "x2": emb.x2, "ys": list(ys)},
-        ),
-        _step(
-            g,
-            "unfriendly partition separates the degree-3 ends from the trio",
-            "unfriendly-shape",
-            {
-                "side_a": sorted(part.side_a),
-                "same_side": list(xs),
-                "other_side": list(ys),
-            },
-        ),
+        _degree_le_three(g),
+        _step(g, "the 2x3 complete bipartite subgraph is present", "k23-present",
+              {"x1": emb.x1, "x2": emb.x2, "ys": list(ys)}),
+        _step(g, "unfriendly partition separates the degree-3 ends from the trio",
+              "unfriendly-shape",
+              {"side_a": sorted(part.side_a), "same_side": list(xs), "other_side": list(ys)}),
         _step(g, "crossing-edge subgraph is bipartite", "bipartite", {"subject": cross_spec}),
-        _step(
-            g,
-            "the two ends are twins in the crossing subgraph, covering the trio",
-            "same-neighborhood",
-            {"subject": cross_spec, "u": emb.x1, "v": emb.x2, "contains": list(ys)},
-        ),
-        _step(
-            g,
-            "crossing subgraph has both median eigenvalues exactly zero",
-            "certify-r-le",
-            {"subject": cross_spec, "bound": "0"},
-        ),
-        _step(
-            g,
-            "leftover subgraph has max degree at most 1",
-            "degree-le",
-            {"subject": rest_spec, "bound": 1},
-        ),
-        _step(
-            g,
-            "leftover subgraph has no eigenvalue above 1 (exact)",
-            "count-le",
-            {"subject": rest_spec, "which": "above", "threshold": "1", "bound": 0},
-        ),
-        _step(
-            g,
-            "leftover subgraph has no eigenvalue below -1 (exact)",
-            "count-le",
-            {"subject": rest_spec, "which": "below", "threshold": "-1", "bound": 0},
-        ),
-        _step(
-            g,
-            f"addition bound: at most {h - 1} eigenvalues above 1 (exact part counts)",
-            "weyl-count",
-            {"edges": cross_spec["edges"], "thresholds": ["0", "1"], "which": "above",
-             "bound": h - 1},
-        ),
-        _step(
-            g,
-            f"addition bound: at most {g.n - l} eigenvalues below -1 (exact part counts)",
-            "weyl-count",
-            {"edges": cross_spec["edges"], "thresholds": ["0", "-1"], "which": "below",
-             "bound": g.n - l},
-        ),
-        _step(
-            g,
-            "median eigenvalues certified within [-1, 1]",
-            "certify-r-le",
-            {"subject": full, "bound": "1"},
-        ),
+        _step(g, "the two ends are twins in the crossing subgraph, covering the trio",
+              "same-neighborhood",
+              {"subject": cross_spec, "u": emb.x1, "v": emb.x2, "contains": list(ys)}),
+        _exact("crossing subgraph has both median eigenvalues exactly zero", "certify-r-le",
+               {"subject": cross_spec, "bound": "0"}),
+        _step(g, "leftover subgraph has max degree at most 1", "degree-le",
+              {"subject": rest_spec, "bound": 1}),
+        *(_exact(f"leftover subgraph has no eigenvalue {which} {t} (exact)", "count-le",
+                 {"subject": rest_spec, "which": which, "threshold": t, "bound": 0})
+          for which, t in _TAILS),
+        *(_exact(f"addition bound: at most {bound} eigenvalues {which} {t} (exact part counts)",
+                 "weyl-count",
+                 {"edges": cross_spec["edges"], "thresholds": ["0", t], "which": which,
+                  "bound": bound})
+          for (which, t), bound in _tail_bounds(g.n)),
+        _certify_r_le_one(),
     ]
-    return WitnessTrace(
-        theorem=theorem,
-        case="k23",
-        named=named,
-        steps=tuple(steps),
-        verdict=_verdict_from(steps),
-    )
+    return WitnessTrace(theorem, "k23", named, tuple(steps), None)
 
 
 # ---------------------------------------------------------------------------
 # second main verifier: induction over treewidth-2 graphs
 # ---------------------------------------------------------------------------
 
-def _count_bound_steps(
-    g: Graph,
-    subject: dict,
-    label: str,
-    upper_bound: int,
-) -> list[TraceStep]:
+def _count_bound_steps(subject: dict, label: str, upper_bound: int) -> list[TraceStep]:
     """Exact tail-count bounds at both thresholds for one subgraph."""
-    return [
-        _step(
-            g,
-            f"{label}: at most {upper_bound} eigenvalues above 1 (exact)",
-            "count-le",
-            {"subject": subject, "which": "above", "threshold": "1", "bound": upper_bound},
-        ),
-        _step(
-            g,
-            f"{label}: at most {upper_bound} eigenvalues below -1 (exact)",
-            "count-le",
-            {"subject": subject, "which": "below", "threshold": "-1", "bound": upper_bound},
-        ),
-    ]
+    return [_exact(f"{label}: at most {upper_bound} eigenvalues {which} {t} (exact)", "count-le",
+                   {"subject": subject, "which": which, "threshold": t, "bound": upper_bound})
+            for which, t in _TAILS]
 
 
 def _interlace_steps(g: Graph, deleted: list[int], label: str) -> list[TraceStep]:
     """The deletion's tail counts plus the deleted vertices bound the whole
     graph's: at most h - 1 eigenvalues above 1 and n - l below -1."""
-    h, l = median_positions(g.n)
-    return [
-        _step(
-            g,
-            f"{label} interlacing: at most {h - 1} eigenvalues above 1 (exact)",
-            "interlace-count",
-            {"deleted": deleted, "threshold": "1", "which": "above", "bound": h - 1},
-        ),
-        _step(
-            g,
-            f"{label} interlacing: at most {g.n - l} eigenvalues below -1 (exact)",
-            "interlace-count",
-            {"deleted": deleted, "threshold": "-1", "which": "below", "bound": g.n - l},
-        ),
-    ]
+    return [_exact(f"{label} interlacing: at most {bound} eigenvalues {which} {t} (exact)",
+                   "interlace-count",
+                   {"deleted": deleted, "threshold": t, "which": which, "bound": bound})
+            for (which, t), bound in _tail_bounds(g.n)]
 
 
 def _sp_case(g: Graph) -> str:
@@ -724,57 +750,30 @@ def _sp_case(g: Graph) -> str:
     return "cut-vertex" if cut_vertices(g) else "two-connected"
 
 
-def _cut_vertex_split(g: Graph) -> tuple[int, list[int], list[int], list[dict]]:
-    """The cut-vertex case's split: v, the least cut vertex; the odd
-    component of G - v with the least vertex; the rest of G - v; and the
-    subjects counted (the component, the rest, G - v)."""
-    v = min(cut_vertices(g))
-    one = min((c for c in _components_without(g, {v}) if len(c) % 2 == 1), key=min)
-    one, rest = sorted(one), sorted(set(range(g.n)) - {v} - one)
-    subjects = [{"kind": "induced", "vertices": one}, {"kind": "induced", "vertices": rest},
-                {"kind": "delete", "vertices": [v]}]
-    return v, one, rest, subjects
-
-
-def _sp_subjects(g: Graph) -> list[Graph]:
-    """The subgraphs whose counts at +-1 verify_theorem_sp will read, as the
-    graphs its steps read from g's fact record: those of the cut-vertex
-    case, none for any other case."""
-    if _sp_case(g) != "cut-vertex":
-        return []
-    return [_subject_graph(g, spec) for spec in _cut_vertex_split(g)[3]]
-
-
 def _sp_case_cut_vertex(g: Graph, named: dict) -> tuple[list[TraceStep], dict]:
+    """The split at v, the least cut vertex: the odd component of G - v
+    with the least vertex, and the rest of G - v."""
     n = g.n
-    v, part_one, part_rest, (one_spec, rest_spec, del_spec) = _cut_vertex_split(g)
+    v = min(cut_vertices(g))
+    part_one = min((c for c in _components_without(g, {v}) if len(c) % 2 == 1), key=min)
+    part_one, part_rest = sorted(part_one), sorted(set(range(n)) - {v} - part_one)
+    del_spec = {"kind": "delete", "vertices": [v]}
     named.update({"cut_vertex": v, "odd_component": part_one, "remainder": part_rest})
-    steps = [
+    return [
         _step(g, f"vertex {v} is a cut vertex", "cut-vertex", {"vertex": v}),
-        _step(
-            g,
-            "chosen component of the deletion has odd order",
-            "size-parity",
-            {"vertices": part_one, "parity": "odd"},
-        ),
-        _step(
-            g,
-            "chosen set is a full component of the deletion",
-            "component-of",
-            {"subject": del_spec, "vertices": part_one},
-        ),
-        _step(
-            g,
-            "remainder has even order",
-            "size-parity",
-            {"vertices": part_rest, "parity": "even"},
-        ),
-    ]
-    steps += _count_bound_steps(g, one_spec, "odd component", (len(part_one) - 1) // 2)
-    steps += _count_bound_steps(g, rest_spec, "remainder", (len(part_rest) - 2) // 2)
-    steps += _count_bound_steps(g, del_spec, "deletion", (n - 4) // 2)
-    steps += _interlace_steps(g, del_spec["vertices"], "single-vertex deletion")
-    return steps, named
+        _step(g, "chosen component of the deletion has odd order", "size-parity",
+              {"vertices": part_one, "parity": "odd"}),
+        _step(g, "chosen set is a full component of the deletion", "component-of",
+              {"subject": del_spec, "vertices": part_one}),
+        _step(g, "remainder has even order", "size-parity",
+              {"vertices": part_rest, "parity": "even"}),
+        *_count_bound_steps({"kind": "induced", "vertices": part_one}, "odd component",
+                            (len(part_one) - 1) // 2),
+        *_count_bound_steps({"kind": "induced", "vertices": part_rest}, "remainder",
+                            (len(part_rest) - 2) // 2),
+        *_count_bound_steps(del_spec, "deletion", (n - 4) // 2),
+        *_interlace_steps(g, del_spec["vertices"], "single-vertex deletion"),
+    ], named
 
 
 def _arc_split(cyc: list[int], u: int, v: int) -> tuple[list[int], list[int]]:
@@ -872,12 +871,8 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
     named["cycle"] = list(cyc)
     steps = [
         _step(g, "recorded sequence is a cycle of the graph", "cycle-in-graph", {"sequence": list(cyc)}),
-        _step(
-            g,
-            "no shortest C-path is longer than the shorter cycle arc between its ends",
-            "locally-longest-cycle",
-            {"cycle": list(cyc)},
-        ),
+        _step(g, "no shortest C-path is longer than the shorter cycle arc between its ends",
+              "locally-longest-cycle", {"cycle": list(cyc)}),
     ]
     # the least (length, path) C-path, read from the smaller end; g is not a
     # cycle, so one exists
@@ -885,25 +880,13 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
     path = min(_c_path(g, cyc, lengths[w], u) for w in cyc
                for u, d in lengths[w].items() if u in lengths and u < w and d == shortest)
     u, v = path[0], path[-1]
-    named["path"] = list(path)
-    named["u"] = u
-    named["v"] = v
-    steps.append(
-        _step(
-            g,
-            "path avoids cycle edges and interior cycle vertices",
-            "chordal-path",
-            {"path": list(path), "cycle": list(cyc)},
-        )
-    )
-    steps.append(
-        _step(
-            g,
-            "path endpoints are not consecutive on the cycle",
-            "not-consecutive-on-cycle",
-            {"cycle": list(cyc), "u": u, "v": v},
-        )
-    )
+    named.update({"path": list(path), "u": u, "v": v})
+    steps += [
+        _step(g, "path avoids cycle edges and interior cycle vertices", "chordal-path",
+              {"path": list(path), "cycle": list(cyc)}),
+        _step(g, "path endpoints are not consecutive on the cycle", "not-consecutive-on-cycle",
+              {"cycle": list(cyc), "u": u, "v": v}),
+    ]
     if not steps[-1].ok:
         return steps, named, "two-connected", ()
     arc_a, arc_b = _arc_split(cyc, u, v)
@@ -911,7 +894,7 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
     if len(arc_a) == 1 and len(arc_b) == 1:
         # both arcs are single vertices: the graph should be the 2x3 complete
         # bipartite graph itself; delegate to its dedicated verifier
-        child = verify_theorem_k23(g)
+        child = _k23_trace(g)
         named["delegated"] = "k23-bound"
         return steps, named, "k23-decomposition", (child,)
     if len(arc_b) == 1:
@@ -923,14 +906,8 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
     named.update({"u1": u1, "v1": v1, "u2": u2, "v2": v2})
     # claim: removing {u2, v} disconnects the graph
     del_u2v = {"kind": "delete", "vertices": sorted({u2, v})}
-    steps.append(
-        _step(
-            g,
-            "removing the far cycle-neighbor and one path end disconnects the graph",
-            "not-connected",
-            {"subject": del_u2v},
-        )
-    )
+    steps.append(_step(g, "removing the far cycle-neighbor and one path end disconnects the graph",
+                       "not-connected", {"subject": del_u2v}))
     if not steps[-1].ok:
         return steps, named, "two-connected", ()
     comps = _components_without(g, {u2, v})
@@ -938,26 +915,13 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
     named["W"] = sorted(part_w)
     w_minus_u = sorted(set(part_w) - {u})
     expected = 1 if g.has_edge(u, v) else 2
-    steps.append(
-        _step(
-            g,
-            f"component of the first end, minus it, splits into {expected} piece(s)",
-            "components-count",
-            {"subject": {"kind": "induced", "vertices": w_minus_u}, "equals": expected},
-        )
-    )
-    for piece in _components_without(g, set(range(n)) - set(w_minus_u)):
-        steps.append(
-            _step(
-                g,
-                "piece is a full component after deleting both path ends",
-                "component-of",
-                {
-                    "subject": {"kind": "delete", "vertices": sorted({u, v})},
-                    "vertices": sorted(piece),
-                },
-            )
-        )
+    steps.append(_step(g, f"component of the first end, minus it, splits into {expected} piece(s)",
+                       "components-count",
+                       {"subject": {"kind": "induced", "vertices": w_minus_u}, "equals": expected}))
+    steps += [_step(g, "piece is a full component after deleting both path ends", "component-of",
+                    {"subject": {"kind": "delete", "vertices": sorted({u, v})},
+                     "vertices": sorted(piece)})
+              for piece in _components_without(g, set(range(n)) - set(w_minus_u))]
     if len(part_w) % 2 == 0:
         g1_set = sorted(part_w)
         x = u2
@@ -968,48 +932,22 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
     named.update({"x": x, "G1": list(g1_set), "G2": list(g2_set)})
     del_xv = {"kind": "delete", "vertices": sorted({x, v})}
     steps += [
-        _step(
-            g,
-            "first part has even order",
-            "size-parity",
-            {"vertices": list(g1_set), "parity": "even"},
-        ),
-        _step(
-            g,
-            "second part has even order",
-            "size-parity",
-            {"vertices": list(g2_set), "parity": "even"},
-        ),
-        _step(
-            g,
-            "the two parts partition the deletion remainder",
-            "set-partition",
-            {
-                "parts": [list(g1_set), list(g2_set)],
-                "deleted": [x, v],
-            },
-        ),
-        _step(
-            g,
-            "no edges join the two parts",
-            "no-cross-edges",
-            {"set_a": list(g1_set), "set_b": list(g2_set)},
-        ),
-        _step(
-            g,
-            "second cycle-neighbor of the far end lies in the second part",
-            "vertex-in-set",
-            {"vertex": v2, "vertices": list(g2_set)},
-        ),
+        *(_step(g, f"{which} part has even order", "size-parity",
+                {"vertices": list(part), "parity": "even"})
+          for which, part in (("first", g1_set), ("second", g2_set))),
+        _step(g, "the two parts partition the deletion remainder", "set-partition",
+              {"parts": [list(g1_set), list(g2_set)], "deleted": [x, v]}),
+        _step(g, "no edges join the two parts", "no-cross-edges",
+              {"set_a": list(g1_set), "set_b": list(g2_set)}),
+        _step(g, "second cycle-neighbor of the far end lies in the second part", "vertex-in-set",
+              {"vertex": v2, "vertices": list(g2_set)}),
+        *_count_bound_steps({"kind": "induced", "vertices": list(g1_set)}, "first part",
+                            (len(g1_set) - 2) // 2),
+        *_count_bound_steps({"kind": "induced", "vertices": list(g2_set)}, "second part",
+                            (len(g2_set) - 2) // 2),
+        *_count_bound_steps(del_xv, "two-vertex deletion", (n - 6) // 2),
+        *_interlace_steps(g, del_xv["vertices"], "two-vertex deletion"),
     ]
-    steps += _count_bound_steps(
-        g, {"kind": "induced", "vertices": list(g1_set)}, "first part", (len(g1_set) - 2) // 2
-    )
-    steps += _count_bound_steps(
-        g, {"kind": "induced", "vertices": list(g2_set)}, "second part", (len(g2_set) - 2) // 2
-    )
-    steps += _count_bound_steps(g, del_xv, "two-vertex deletion", (n - 6) // 2)
-    steps += _interlace_steps(g, del_xv["vertices"], "two-vertex deletion")
     return steps, named, "two-connected", ()
 
 
@@ -1022,62 +960,35 @@ def verify_theorem_sp(g: Graph) -> WitnessTrace:
     recursive verification, and the final bound carries its own certificate,
     so a flaw anywhere surfaces as a failing step.
     """
+    return _deliver(g, _sp_trace(g))
+
+
+def _sp_trace(g: Graph) -> WitnessTrace:
+    """verify_theorem_sp's trace, its counts pending."""
     theorem = "series-parallel-bound"
     case = _sp_case(g)
     if case == "precondition":
         return WitnessTrace(theorem, case, {}, (), NOT_APPLICABLE)
 
     if case == "components":
-        comps = components(g)
+        comps = [sorted(c) for c in components(g)]
         children = []
-        for comp in comps:
-            host = sorted(comp)
-            sub, _ = induced_subgraph(g, host)
-            child = verify_theorem_sp(sub)
-            child = WitnessTrace(
-                theorem=child.theorem,
-                case=child.case,
-                named={**child.named, "host-vertices": host},
-                steps=child.steps,
-                verdict=child.verdict,
-                children=child.children,
-            )
+        for host in comps:
+            child = _sp_trace(_subject_graph(g, {"kind": "induced", "vertices": host}))
+            child.named["host-vertices"] = host  # each builder makes its own named
             children.append(child)
-        verdict = PASS if all(c.verdict == PASS for c in children) else FAIL
-        return WitnessTrace(
-            theorem=theorem,
-            case="components",
-            named={"components": [sorted(c) for c in comps]},
-            steps=(),
-            verdict=verdict,
-            children=tuple(children),
-        )
+        return WitnessTrace(theorem, case, {"components": comps}, (), None, tuple(children))
 
     named: dict = {}
-    full = {"kind": "full"}
-    common = [
-        _step(g, "max degree at most 3", "degree-le", {"subject": full, "bound": 3}),
-    ]
-    certify = _step(
-        g,
-        "median eigenvalues certified within [-1, 1]",
-        "certify-r-le",
-        {"subject": full, "bound": "1"},
-    )
     children: tuple[WitnessTrace, ...] = ()
     case_steps: list[TraceStep] = []  # none for base-n2 and base-n4
     if case == "odd-order":
-        children = (check_lemma_odd(g),)
+        children = (_odd_trace(g),)
     elif case == "cycle":
-        case_steps = [_step(g, "graph is a single cycle", "is-cycle", {"subject": full})]
+        case_steps = [_step(g, "graph is a single cycle", "is-cycle", {"subject": _FULL})]
     elif case == "cut-vertex":
         case_steps, named = _sp_case_cut_vertex(g, named)
     elif case == "two-connected":
         case_steps, named, case, children = _sp_case_two_connected(g, named)
-    steps = (*common, *case_steps, certify)
-    verdict = _verdict_from(steps, children)
-    if case == "k23-decomposition" and verdict == FAIL and any(
-        c.verdict == NOT_FOUND for c in children
-    ):
-        verdict = NOT_FOUND
-    return WitnessTrace(theorem, case, named, steps, verdict, children)
+    steps = (_degree_le_three(g), *case_steps, _certify_r_le_one())
+    return WitnessTrace(theorem, case, named, steps, None, children)

@@ -21,15 +21,16 @@ certificates and proof steps rest on, and it never touches a float:
 
 One kernel stacks the adjacency matrices of graphs of one order, read off
 their neighbour masks, takes their powers by batched products and, when
-asked, diagonalizes the stack; prime(graphs) runs it per order and fills
-the counts at +-1 with one shift product per sign; _count_ones does so
-without diagonalizing, for the subgraphs a verifier counts (verify sp's
-cut-vertex subgraphs), and any other fact request is a batch of one.  Each
-fact (polynomial, Z[sqrt2] shift, counts per threshold, float spectrum) is
-kept on the graph's fact record (Graph.fact), so it is computed once per
-graph.  numpy is imported inside the kernel, the shift and the count
-reader, so gen, recognize and --help, which compute no spectrum, never
-load it.
+asked, diagonalizes the stack.  prime is the one batch entry point: it
+takes the graphs whose report rows read their spectrum and counts at +-1,
+and the (graph, threshold) pairs a batch of witness traces counts (the
+subgraphs their exact steps name), runs the kernel once per order and
+fills each count with one shift product per threshold.  Any other fact
+request is a batch of one.  Each fact (polynomial, Z[sqrt2] shift, counts
+per threshold, float spectrum) is kept on the graph's fact record
+(Graph.fact), so it is computed once per graph.  numpy is imported inside
+the kernel, the shift and the count reader, so gen, recognize and --help,
+which compute no spectrum, never load it.
 """
 
 from __future__ import annotations
@@ -168,29 +169,49 @@ def _charpoly(g: Graph) -> list[int]:
     return g.fact("charpoly", lambda: _adjacency_facts([g])[0][0])
 
 
-def prime(graphs: Iterable[Graph]) -> None:
-    """Store what a report row reads on each graph's fact record, batched by
-    order: the polynomial and the float spectrum from one kernel run, the
-    counts at +1 and at -1 from one shift product each.  Graphs without
-    vertices are skipped."""
-    _count_ones(graphs, with_spectrum=True)
+def prime(graphs: Iterable[Graph], counts: Iterable[tuple[Graph, Scaled]] = ()) -> None:
+    """Store on each graph's fact record what a report row reads (the
+    polynomial, the float spectrum and the counts at +1 and -1), and for
+    each (graph, threshold) of counts the polynomial and the count there.
 
-
-def _count_ones(graphs: Iterable[Graph], with_spectrum: bool = False) -> None:
-    """prime without the float spectrum unless with_spectrum: the polynomial
-    and the counts at +-1 of each graph with vertices, batched by order.
-    The shifted coefficients stay one array from the product to the counts."""
-    by_order: dict[int, list[Graph]] = {}
+    The graphs are batched by order: one kernel run per order, a second
+    where an order mixes graphs of both kinds, since only the first ask for
+    the spectrum; then one shift product per rational threshold over the
+    graphs of that order that ask for it.  The shifted coefficients stay one
+    array from the product to the counts.  A graph of counts whose
+    polynomial is already on its record does not run through the kernel
+    again, and graphs without vertices are skipped.  A threshold with a
+    sqrt2 part is left to count_at_threshold, which keeps one shift per pair
+    +-sqrt2 on the record.
+    """
+    ones = frozenset(_bounds(1))
+    asks: dict[int, list] = {}  # [graph, thresholds, spectral] by identity, not content
     for g in graphs:
-        if g.n:
-            by_order.setdefault(g.n, []).append(g)
+        asks[id(g)] = [g, ones, True]
+    for g, t in counts:
+        ask = asks.setdefault(id(g), [g, frozenset(), False])
+        ask[1] = ask[1] | {t}
+    by_order: dict[int, list] = {}
+    for ask in asks.values():
+        if ask[0].n:
+            by_order.setdefault(ask[0].n, []).append(ask)
     for same in by_order.values():
-        facts = _adjacency_facts(same, with_spectrum=with_spectrum)
-        coeffs = _coefficients([poly for poly, _ in facts])
-        for t in ((1, 0, 1), (-1, 0, 1)):
-            counts = _read_counts(_shift_parts(coeffs, *t)[0], t)
-            for g, count in zip(same, counts):
-                g.fact(("inertia", *t), lambda: count)
+        spectral = [g for g, _, s in same if s]
+        plain = [g for g, _, s in same if not s and not g.has_fact("charpoly")]
+        polys = {}  # by identity, from this order's kernel runs
+        for batch, with_spectrum in ((spectral, True), (plain, False)):
+            if batch:
+                facts = _adjacency_facts(batch, with_spectrum=with_spectrum)
+                polys.update(zip(map(id, batch), (poly for poly, _ in facts)))
+        coeffs = _coefficients([polys.get(id(g)) or _charpoly(g) for g, _, _ in same])
+        for t in frozenset().union(*(ts for _, ts, _ in same)):
+            if t[1]:
+                continue
+            pick = [i for i, (_, ts, _) in enumerate(same) if t in ts]
+            rows = coeffs if len(pick) == len(same) else (coeffs[0][pick], coeffs[1])
+            key = ("inertia", *t)
+            for i, count in zip(pick, _read_counts(_shift_parts(rows, *t)[0], t)):
+                same[i][0].fact(key, lambda: count)
 
 
 def _sign(a: int, b: int) -> int:
@@ -226,6 +247,13 @@ def _scaled(t: ExactNumber | str) -> Scaled:
         t = Sqrt2Rational.make(t)
     d = lcm(t.a.denominator, t.b.denominator)
     return t.a.numerator * (d // t.a.denominator), t.b.numerator * (d // t.b.denominator), d
+
+
+@lru_cache(maxsize=64)
+def _bounds(bound: ExactNumber | str) -> tuple[Scaled, Scaled]:
+    """The two thresholds a bound on R is certified at: it and its negation."""
+    a, b, d = _scaled(bound)
+    return (a, b, d), (-a, -b, d)
 
 
 @lru_cache(maxsize=64)
@@ -402,9 +430,8 @@ def certify_R_le(g: Graph, bound: ExactNumber | str) -> RBoundCertificate:
     if g.n < 1:
         raise ValueError("empty graph has no median eigenvalues")
     h, l = median_positions(g.n)
-    a, b, d = _scaled(bound)
-    upper = _counts(g, (a, b, d))
-    lower = _counts(g, (-a, -b, d))
+    at_upper, at_lower = _bounds(bound)
+    upper, lower = _counts(g, at_upper), _counts(g, at_lower)
     holds = upper.above <= h - 1 and lower.below <= g.n - l
     return RBoundCertificate(
         bound=upper.threshold,

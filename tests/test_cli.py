@@ -24,6 +24,7 @@ from hlspec import (
     complete_bipartite,
     cycle_graph,
     heawood_graph,
+    parse_graph6,
     to_graph6,
 )
 
@@ -697,7 +698,8 @@ def test_prime_sees_doubling_batches(tmp_path, capsys, monkeypatch):
     sizes = []
     prime = spectra.prime
     monkeypatch.setattr(
-        spectra, "prime", lambda graphs: sizes.append(len(graphs)) or prime(graphs)
+        spectra, "prime",
+        lambda graphs, counts=(): sizes.append(len(graphs)) or prime(graphs, counts),
     )
     path = tmp_path / "corpus.g6"
     path.write_text(chunking_corpus())
@@ -754,9 +756,9 @@ def test_hl_stdout_pinned_on_the_subcubic_n11_corpus(flags):
 
 
 def test_verify_sp_batches_the_kernel_and_searches_cut_vertices_once(capsys, monkeypatch):
-    # each chunk counts its graphs, then their cut-vertex subgraphs, in one
-    # kernel run per order (only the 66 two-connected graphs' parts are still
-    # counted one run each), and each graph's cut vertices are searched once
+    # each chunk counts its graphs and every subgraph their traces name in
+    # one kernel run per order, and each graph's cut vertices are searched
+    # once
     import collections
 
     import hlspec.graph_core as graph_core
@@ -771,9 +773,58 @@ def test_verify_sp_batches_the_kernel_and_searches_cut_vertices_once(capsys, mon
     monkeypatch.setattr(graph_core, "_articulation", lambda g: calls.update(["search"]) or search(g))
     code, out, _ = run_main(["verify", "sp", "--jobs", "1", str(K4MF_N10)], capsys)
     assert code == 0 and len(json_lines(out)) == 1028
-    assert calls["runs"] <= 450
+    assert calls["runs"] <= 197
     assert calls["graphs"] == 4109
     assert calls["search"] <= 1028
+
+
+def counted_kernel(monkeypatch):
+    """A counter of kernel runs and of the graphs they take."""
+    import collections
+
+    import hlspec.spectra as spectra
+
+    calls: collections.Counter = collections.Counter()
+    kernel = spectra._adjacency_facts
+    monkeypatch.setattr(
+        spectra, "_adjacency_facts",
+        lambda graphs, **kw: calls.update(runs=1, graphs=len(graphs)) or kernel(graphs, **kw),
+    )
+    return calls
+
+
+@pytest.mark.parametrize("theorem, spec, classes, graphs, budget", [
+    ("sp", "n=10,k4-minor-free", 2353, 10502, 600),
+    ("k23", "n=10,contains-k23", 336, 1008, 100),
+])
+def test_verify_gen_n10_meets_its_kernel_run_budget(
+    theorem, spec, classes, graphs, budget, capsys, monkeypatch
+):
+    # every count a chunk's traces name, hosts and subgraphs alike, is
+    # counted in one kernel run per order, not one run per subgraph
+    calls = counted_kernel(monkeypatch)
+    code, out, _ = run_main(["verify", theorem, "--gen", spec], capsys)
+    assert code == 0 and len(json_lines(out)) == classes
+    assert calls["graphs"] == graphs
+    assert calls["runs"] <= budget
+
+
+def test_replay_of_the_k4mf_n10_witnesses_meets_its_kernel_run_budget(capsys, monkeypatch):
+    # batched replay recounts every subgraph of 64 witnesses in one kernel
+    # run per order, each on a fresh copy of its host
+    from hlspec.proofs import _replay_traces, trace_from_json_dict
+
+    code, out, _ = run_main(["verify", "sp", "--witness", str(K4MF_N10)], capsys)
+    assert code == 0
+    items = [(parse_graph6(r["graph6"]), trace_from_json_dict(r["witness"])) for r in json_lines(out)]
+    assert len(items) == 1028
+    calls = counted_kernel(monkeypatch)
+    replayed = []
+    for start in range(0, len(items), 64):
+        replayed += _replay_traces(items[start : start + 64])
+    assert replayed == [True] * 1028
+    assert calls["graphs"] == 4109
+    assert calls["runs"] <= 450
 
 
 def test_survey_computes_no_spectrum_of_a_skipped_graph(tmp_path, capsys, monkeypatch):
@@ -784,7 +835,10 @@ def test_survey_computes_no_spectrum_of_a_skipped_graph(tmp_path, capsys, monkey
 
     primed = []
     prime = spectra.prime
-    monkeypatch.setattr(spectra, "prime", lambda graphs: primed.extend(graphs) or prime(graphs))
+    monkeypatch.setattr(
+        spectra, "prime",
+        lambda graphs, counts=(): primed.extend(graphs) or prime(graphs, counts),
+    )
     path = tmp_path / "corpus.g6"
     path.write_text("\n".join(to_graph6(g) for g in (complete_graph(9), cycle_graph(5))) + "\n")
     code, out, _ = run_main(["verify", "survey", str(path)], capsys)

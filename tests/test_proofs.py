@@ -34,6 +34,7 @@ from hlspec import (
     heawood_graph,
     hl_index,
     is_k4_minor_free,
+    parse_graph6,
     path_graph,
     petersen_graph,
     prism_graph,
@@ -737,6 +738,24 @@ def test_replay_rejects_steps_naming_vertices_the_host_lacks():
         assert replay_trace(host, forged) is False, forged.case
 
 
+def test_replay_rejects_degenerate_vertex_pairs():
+    # a vertex is not a cycle position apart from itself, nor its own twin:
+    # each forgery names one vertex twice where the step claims two
+    h = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 3)])
+    k = parse_graph6("F?re_")  # n = 7, with a K2,3
+    sp, k23 = verify_theorem_sp(h), verify_theorem_k23(k)
+    assert (sp.case, k23.case) == ("two-connected", "k23")
+    forgeries = []
+    for g, trace, kind in ((h, sp, "not-consecutive-on-cycle"), (k, k23, "same-neighborhood")):
+        assert trace.verdict == PASS and replay_trace(g, trace) is True
+        idx = next(i for i, s in enumerate(trace.steps) if s.kind == kind)
+        data = trace.steps[idx].data
+        same = data["cycle"][0] if kind == "not-consecutive-on-cycle" else data["u"]
+        forgeries.append((g, replace_step(trace, idx, {**data, "u": same, "v": same})))
+    for g, forged in forgeries:
+        assert replay_trace(g, forged) is False, forged.theorem
+
+
 def test_replay_ties_set_partition_to_the_deleted_pair():
     # the parts must partition the host less the pair the trace deletes, not
     # whatever set the step itself names
@@ -836,6 +855,53 @@ def test_verifiers_and_replay_compute_no_float_spectrum(monkeypatch):
                 verdicts[check.__name__, trace.verdict] += 1
     assert verdicts["verify_theorem_sp", PASS] > 0 and verdicts["verify_theorem_k23", PASS] > 0
     assert not any(v == FAIL for _, v in verdicts)
+
+
+def test_reading_a_pending_step_raises():
+    # a verifier builds every exact step pending, so no verifier can branch
+    # on a count; settling fills in each outcome and verdict
+    from hlspec.proofs import _k23_trace, _odd_trace, _settle, _sp_trace
+
+    exact = collections.Counter()
+    for n in range(1, 8):
+        for g in enumerate_graphs(GenSpec(n)):
+            for build, verify in ((_sp_trace, verify_theorem_sp), (_k23_trace, verify_theorem_k23),
+                                  (_odd_trace, check_lemma_odd)):
+                trace = build(g)
+                nodes = [trace]
+                for t in nodes:
+                    nodes += t.children
+                    for step in t.steps:
+                        if step.mode == "exact":
+                            with pytest.raises(ValueError, match="settled"):
+                                step.ok
+                            exact[step.kind] += 1
+                    if vars(t)["verdict"] is None:  # a pass or fail waits for the counts
+                        with pytest.raises(ValueError, match="settled"):
+                            t.verdict
+                        exact["verdict"] += 1
+                _settle([(g, trace)])
+                assert trace == verify(g), to_graph6(g)
+    assert set(exact) == {"count-le", "certify-r-le", "interlace-count", "weyl-count", "verdict"}
+
+
+def test_k23_traces_equal_the_cli_chunk_witnesses():
+    # verify_theorem_k23 settles one graph; `verify k23 --witness` settles
+    # whole chunks together: the traces are the same on every subcubic
+    # class with a K2,3 on at most 8 vertices
+    from hlspec.cli import _map_tasks
+
+    rows = functools.partial(_verify_rows, "k23", True, False)
+    classes = [g for n in range(5, 9) for g in enumerate_graphs(GenSpec(n, filters=("contains-k23",)))]
+    tasks = [(i, to_graph6(g)) for i, g in enumerate(classes, start=1)]
+    reports = list(_map_tasks(functools.partial(_report_chunk, rows, math.inf), tasks, 1))
+    assert len(reports) == len(classes) == 62  # in chunks of 1, 2, 4, 8, 16 and 31
+    verdicts = collections.Counter()
+    for g, rep in zip(classes, reports):
+        trace = verify_theorem_k23(Graph(g.n, g.edges()))
+        assert rep["witness"] == trace.to_json_dict(), to_graph6(g)
+        verdicts[trace.verdict] += 1
+    assert verdicts[PASS] > 0
 
 
 def test_replay_recomputes_every_count(monkeypatch):
