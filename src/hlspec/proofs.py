@@ -489,7 +489,10 @@ def _replay_traces(items: Iterable[tuple[Graph, WitnessTrace]]) -> list[bool]:
         except _MALFORMED:
             tree = None
         trees.append(tree)
-    spectra.prime((), counts)
+    try:
+        spectra.prime((), counts)
+    except _MALFORMED:
+        pass  # each tree then counts what it still needs inside _checks' guard
     return [_checks(tree) for tree in trees]
 
 

@@ -21,16 +21,16 @@ certificates and proof steps rest on, and it never touches a float:
 
 One kernel stacks the adjacency matrices of graphs of one order, read off
 their neighbour masks, takes their powers by batched products and, when
-asked, diagonalizes the stack.  prime is the one batch entry point: it
-takes the graphs whose report rows read their spectrum and counts at +-1,
-and the (graph, threshold) pairs a batch of witness traces counts (the
-subgraphs their exact steps name), runs the kernel once per order and
-fills each count with one shift product per threshold.  Any other fact
-request is a batch of one.  Each fact (polynomial, Z[sqrt2] shift, counts
-per threshold, float spectrum) is kept on the graph's fact record
-(Graph.fact), so it is computed once per graph.  numpy is imported inside
-the kernel, the shift and the count reader, so gen, recognize and --help,
-which compute no spectrum, never load it.
+asked, diagonalizes the stack.  prime is the one route from a polynomial to
+a count: it takes the graphs whose report rows read their spectrum and
+counts at +-1, and the (graph, threshold) pairs a batch of witness traces
+counts (the subgraphs their exact steps name), runs the kernel once per
+order and fills each count with one shift product per threshold, +-sqrt2
+included.  A count not yet known when it is read is primed as a batch of
+one.  Each fact (polynomial, counts per threshold, float spectrum) is kept
+on the graph's fact record (Graph.fact), so it is computed once per graph.
+numpy is imported inside the kernel, the shift and the sign readers, so
+gen, recognize and --help, which compute no spectrum, never load it.
 """
 
 from __future__ import annotations
@@ -176,25 +176,23 @@ def prime(graphs: Iterable[Graph], counts: Iterable[tuple[Graph, Scaled]] = ()) 
 
     The graphs are batched by order: one kernel run per order, a second
     where an order mixes graphs of both kinds, since only the first ask for
-    the spectrum; then one shift product per rational threshold over the
-    graphs of that order that ask for it.  The shifted coefficients stay one
-    array from the product to the counts.  A graph of counts whose
+    the spectrum; then one shift product per threshold, rational or not,
+    over the graphs of that order that ask for it.  The shifted coefficients
+    stay arrays from the product to the counts.  A graph of counts whose
     polynomial is already on its record does not run through the kernel
-    again, and graphs without vertices are skipped.  A threshold with a
-    sqrt2 part is left to count_at_threshold, which keeps one shift per pair
-    +-sqrt2 on the record.
+    again.
     """
     ones = frozenset(_bounds(1))
     asks: dict[int, list] = {}  # [graph, thresholds, spectral] by identity, not content
     for g in graphs:
-        asks[id(g)] = [g, ones, True]
+        if g.n:  # an empty graph's row reads no spectrum and no count
+            asks[id(g)] = [g, ones, True]
     for g, t in counts:
         ask = asks.setdefault(id(g), [g, frozenset(), False])
         ask[1] = ask[1] | {t}
     by_order: dict[int, list] = {}
     for ask in asks.values():
-        if ask[0].n:
-            by_order.setdefault(ask[0].n, []).append(ask)
+        by_order.setdefault(ask[0].n, []).append(ask)
     for same in by_order.values():
         spectral = [g for g, _, s in same if s]
         plain = [g for g, _, s in same if not s and not g.has_fact("charpoly")]
@@ -205,24 +203,28 @@ def prime(graphs: Iterable[Graph], counts: Iterable[tuple[Graph, Scaled]] = ()) 
                 polys.update(zip(map(id, batch), (poly for poly, _ in facts)))
         coeffs = _coefficients([polys.get(id(g)) or _charpoly(g) for g, _, _ in same])
         for t in frozenset().union(*(ts for _, ts, _ in same)):
-            if t[1]:
-                continue
             pick = [i for i, (_, ts, _) in enumerate(same) if t in ts]
             rows = coeffs if len(pick) == len(same) else (coeffs[0][pick], coeffs[1])
             key = ("inertia", *t)
-            for i, count in zip(pick, _read_counts(_shift_parts(rows, *t)[0], t)):
+            for i, count in zip(pick, _read_counts(_signs(*_shift_parts(rows, *t)), t)):
                 same[i][0].fact(key, lambda: count)
 
 
-def _sign(a: int, b: int) -> int:
-    """Sign of a + b*sqrt(2) for integers a, b."""
-    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-    if sa == sb or sb == 0:
-        return sa
-    if sa == 0:
-        return sb
-    # opposite signs: a^2 = 2 b^2 has no integer solution besides 0, 0
-    return sa if a * a > 2 * b * b else sb
+def _signs(u, v=None):
+    """The signs of u + v*sqrt2 (v None: of u) for integer arrays u and v,
+    entrywise, as int8.  Where the signs of u and v differ, the sign is the
+    one of the larger of u^2 and 2 v^2, compared in Python ints, since u^2
+    can leave int64 while u fits; u^2 = 2 v^2 only at u = v = 0."""
+    import numpy as np
+
+    signs = np.sign(u).astype(np.int8)
+    if v is None:
+        return signs
+    other = np.sign(v).astype(np.int8)
+    differ = signs != other
+    wins = u[differ].astype(object) ** 2 > 2 * v[differ].astype(object) ** 2
+    signs[differ] = np.where(wins, signs[differ], other[differ])
+    return signs
 
 
 # A threshold t = (a + b*sqrt2) / d is handled as the integer triple
@@ -309,23 +311,15 @@ def _shift_parts(coeffs: tuple, a: int, b: int, d: int) -> list:
     return [rows.astype(object) @ m for m in exact]
 
 
-def _shift(rows: list[list[int]], a: int, b: int, d: int) -> list[list]:
-    """_shift_parts as lists: integers when b = 0, else (rational, sqrt2)
-    integer pairs."""
-    parts = [part.tolist() for part in _shift_parts(_coefficients(rows), a, b, d)]
-    return parts[0] if b == 0 else [list(zip(*row)) for row in zip(*parts)]
-
-
-def _read_counts(rows, t: Scaled) -> list[InertiaCount]:
-    """Descartes' counts against t from the signs of each row of integers:
-    the coefficients of p(x + t), leading (positive) first, or their signs.
-    The sign changes count the roots above t, and the index of the last
-    nonzero sign is n minus the multiplicity of t.  Each zero takes the last
-    nonzero sign before it, so zeros add no change."""
+def _read_counts(signs, t: Scaled) -> list[InertiaCount]:
+    """Descartes' counts against t from each row of signs: those of the
+    coefficients of p(x + t), leading (positive) first.  The sign changes
+    count the roots above t, and the index of the last nonzero sign is n
+    minus the multiplicity of t.  Each zero takes the last nonzero sign
+    before it, so zeros add no change."""
     import numpy as np
 
     a, b, d = t
-    signs = np.sign(np.asarray(rows)).astype(np.int8)
     n = signs.shape[1] - 1
     nonzero = signs != 0
     last = n - nonzero[:, ::-1].argmax(axis=1)
@@ -337,25 +331,13 @@ def _read_counts(rows, t: Scaled) -> list[InertiaCount]:
             for up, low in zip(above.tolist(), last.tolist())]
 
 
-def _inertia(g: Graph, t: Scaled) -> InertiaCount:
-    """Count the roots of g's characteristic polynomial p against t.
-
-    A rational t takes the plain-integer shift.  The coefficients of
-    p(x + a - b*sqrt2) are the conjugates (u, -v) of the pairs (u, v) at
-    a + b*sqrt2, so one shift, kept on g's fact record, serves both signs of
-    b; each pair's sign is an integer test.
-    """
-    a, b, d = t
-    coeffs = _charpoly(g)
-    if b == 0:
-        return _read_counts(_shift_parts(_coefficients([coeffs]), a, 0, d)[0], t)[0]
-    pairs = g.fact(("shift", a, abs(b), d), lambda: _shift([coeffs], a, abs(b), d)[0])
-    return _read_counts([[_sign(u, v if b > 0 else -v) for u, v in pairs]], t)[0]
-
-
 def _counts(g: Graph, t: Scaled) -> InertiaCount:
-    """Counts against t, from g's fact record when already known."""
-    return g.fact(("inertia", *t), lambda: _inertia(g, t))
+    """Counts against t from g's fact record, primed as a batch of one when
+    not yet there."""
+    key = ("inertia", *t)
+    if not g.has_fact(key):
+        prime((), [(g, t)])
+    return g._facts[key]
 
 
 def count_at_threshold(g: Graph, t: ExactNumber | str) -> InertiaCount:

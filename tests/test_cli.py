@@ -149,8 +149,10 @@ def test_hl_sqrt2_field_matches_direct_certificate(tmp_path, capsys):
 
 
 def test_hl_shifts_over_sqrt2_only_without_le_one(tmp_path, capsys, monkeypatch):
-    # the Z[sqrt2] shift runs once for each graph not certified <= 1, and
-    # for no other row
+    # the shifts at +sqrt2 and at -sqrt2 each take the row of every graph
+    # not certified <= 1, and of no other row
+    import collections
+
     import hlspec.spectra as spectra
     from hlspec import GenSpec, enumerate_graphs
 
@@ -158,15 +160,17 @@ def test_hl_shifts_over_sqrt2_only_without_le_one(tmp_path, capsys, monkeypatch)
     lines += [to_graph6(heawood_graph()), "EtFW", "Eb}g"]
     path = tmp_path / "corpus.g6"
     path.write_text("\n".join(lines) + "\n")
-    calls = []
-    shift = spectra._shift
-    monkeypatch.setattr(spectra, "_shift", lambda *a: calls.append(a) or shift(*a))
+    rows = collections.Counter()  # coefficient rows shifted, by threshold
+    shift = spectra._shift_parts
+    monkeypatch.setattr(spectra, "_shift_parts",
+                        lambda coeffs, *t: rows.update({t: len(coeffs[0])}) or shift(coeffs, *t))
     code, out, _ = run_main(["hl", str(path)], capsys)
     assert code == 0
     reports = json_lines(out)
     assert len(reports) == len(lines)
     assert [r["graph6"] for r in reports if not r["certified_le_one"]] == lines[-3:]
-    assert len([a for a in calls if a[2] != 0]) == 3  # b != 0: over Z[sqrt2]
+    # b != 0: over Z[sqrt2]
+    assert {t: k for t, k in rows.items() if t[1]} == {(0, 1, 1): 3, (0, -1, 1): 3}
 
 
 def test_hl_strict_malformed_exits_2():
@@ -825,6 +829,60 @@ def test_replay_of_the_k4mf_n10_witnesses_meets_its_kernel_run_budget(capsys, mo
     assert replayed == [True] * 1028
     assert calls["graphs"] == 4109
     assert calls["runs"] <= 450
+
+
+@pytest.fixture(scope="module")
+def dense_n8(tmp_path_factory):
+    """The 11,117 connected classes at n = 8 of any degree, as a graph6 file:
+    119 of them are not certified R <= 1, so their rows count at +-sqrt2."""
+    from hlspec import GenSpec, enumerate_graphs
+
+    path = tmp_path_factory.mktemp("dense") / "dense_n8.g6"
+    graphs = enumerate_graphs(GenSpec(8, connected=True, max_degree=None))
+    path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    return path
+
+
+@pytest.mark.parametrize("command, sha256", [
+    ("hl", "d3907ed723896d996e72a93178760bbd591cfec1196920dae4eeceb3f9e01e2c"),
+    ("verify survey", "81d293d07f1f93e0faa9ea45ec7f12645cdc97ecb8957c2e1cd40d51d29ded2f"),
+])
+def test_stdout_pinned_on_the_dense_n8_corpus(command, sha256, dense_n8, capsys):
+    code, out, _ = run_main([*command.split(), str(dense_n8)], capsys)
+    assert code == 0 and len(json_lines(out)) == 11117
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_every_shift_runs_inside_prime(dense_n8, capsys, monkeypatch):
+    # one count path: hl at +-1 and +-sqrt2, verify sp and replay shift a
+    # polynomial only inside spectra.prime
+    import collections
+
+    import hlspec.spectra as spectra
+    from hlspec.proofs import _replay_traces, trace_from_json_dict
+
+    depth, shifts = [0], collections.Counter()
+    prime, shift = spectra.prime, spectra._shift_parts
+
+    def counting_prime(*args):
+        depth[0] += 1
+        try:
+            return prime(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(spectra, "prime", counting_prime)
+    monkeypatch.setattr(spectra, "_shift_parts",
+                        lambda coeffs, *t: shifts.update([(t, depth[0] > 0)]) or shift(coeffs, *t))
+    code, out, _ = run_main(["hl", str(dense_n8)], capsys)
+    assert code == 0
+    assert sum(not r["certified_le_one"] for r in json_lines(out)) == 119
+    code, out, _ = run_main(["verify", "sp", "--witness", str(K4MF_N10)], capsys)
+    assert code == 0
+    items = [(parse_graph6(r["graph6"]), trace_from_json_dict(r["witness"])) for r in json_lines(out)]
+    assert _replay_traces(items) == [True] * 1028
+    assert {t for t, _ in shifts} >= {(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)}
+    assert {inside for _, inside in shifts} == {True}
 
 
 def test_survey_computes_no_spectrum_of_a_skipped_graph(tmp_path, capsys, monkeypatch):

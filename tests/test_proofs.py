@@ -454,6 +454,23 @@ def test_replay_rejects_pass_with_a_failed_step():
         assert replay_trace(h, dataclasses.replace(trace, steps=steps)) is verdict
 
 
+def test_replay_rejects_a_threshold_it_cannot_count():
+    # 1e4400 parses as a Fraction, but its count's token has more digits than
+    # str() of an int may: the forged cut-vertex trace replays False, alone
+    # and in a batch, and the honest traces it is batched with still replay
+    from hlspec.proofs import _replay_traces
+
+    g = parse_graph6("I???FAW`_")
+    trace = verify_theorem_sp(g)
+    assert (g.n, trace.case, trace.verdict) == (10, "cut-vertex", PASS)
+    i = next(i for i, s in enumerate(trace.steps) if s.kind == "count-le")
+    huge = dataclasses.replace(trace.steps[i], data={**trace.steps[i].data, "threshold": "1e4400"})
+    forged = dataclasses.replace(trace, steps=trace.steps[:i] + (huge,) + trace.steps[i + 1 :])
+    assert replay_trace(g, forged) is False
+    honest = [(h, verify_theorem_sp(h)) for h in (cycle_graph(6), g)]
+    assert _replay_traces([honest[0], (g, forged), honest[1]]) == [True, False, True]
+
+
 def test_replay_rejects_sp_trace_on_a_host_with_a_k4_minor():
     # every step of this base-n4 trace holds on K4 and it ends in the exact
     # R <= 1 claim, but K4 is its own K4 minor: verify_theorem_sp says
@@ -910,19 +927,22 @@ def test_replay_recomputes_every_count(monkeypatch):
     import hlspec.spectra as spectra
 
     calls: collections.Counter = collections.Counter()
-    kernel, inertia = spectra._adjacency_facts, spectra._inertia
+    kernel, prime = spectra._adjacency_facts, spectra.prime
 
     def counting_kernel(graphs, with_spectrum=False):
         for g in graphs:
             calls["charpoly", g.n, tuple(g.edges())] += 1
         return kernel(graphs, with_spectrum)
 
-    def counting_inertia(g, t):
-        calls["inertia", g.n, tuple(g.edges()), t] += 1
-        return inertia(g, t)
+    def counting_prime(graphs, counts=()):
+        # prime counts each (graph, threshold) once per call, graphs by identity
+        counts = list(counts)
+        for g, t in {(id(g), t): (g, t) for g, t in counts}.values():
+            calls["inertia", g.n, tuple(g.edges()), t] += 1
+        return prime(graphs, counts)
 
     monkeypatch.setattr(spectra, "_adjacency_facts", counting_kernel)
-    monkeypatch.setattr(spectra, "_inertia", counting_inertia)
+    monkeypatch.setattr(spectra, "prime", counting_prime)
     classes = enumerate_graphs(GenSpec(n=8, connected=True, filters=("k4-minor-free",)))
     graphs = [g for g, _ in sample_traces()] + classes[:40]
     for shared in graphs:

@@ -33,10 +33,10 @@ from hlspec.spectra import (
     SQRT2,
     _adjacency_facts,
     _charpoly,
-    _inertia,
-    _shift,
+    _coefficients,
     _shift_matrices,
-    _sign,
+    _shift_parts,
+    _signs,
     certify_R_le,
     count_at_threshold,
     hl_index,
@@ -119,13 +119,49 @@ ORACLE_R = {
 # exact signs in Z[sqrt(2)] and threshold tokens
 # ---------------------------------------------------------------------------
 
+def signs_of(*pairs):
+    """_signs of (u, v) pairs, as one int64 row of each part."""
+    import numpy as np
+
+    u, v = (np.array([part], dtype=np.int64) for part in zip(*pairs))
+    return _signs(u, v)[0].tolist()
+
+
 def test_sqrt2_rational_exact_sign_near_zero():
     # continued-fraction convergents of sqrt2 sit on alternating sides,
-    # so these are within 1e-2 of zero but have known exact signs
-    assert _sign(-99, 70) == -1  # 70*sqrt2 = 98.9949...
-    assert _sign(-140, 99) == 1  # 99*sqrt2 = 140.0071...
-    assert _sign(0, 0) == 0
-    assert _sign(0, -1) == -1
+    # so these are within 1e-2 of zero but have known exact signs:
+    # 70*sqrt2 = 98.9949..., 99*sqrt2 = 140.0071...
+    assert signs_of((-99, 70), (-140, 99), (0, 0), (0, -1)) == [-1, 1, 0, -1]
+
+
+def test_sqrt2_signs_exact_where_u_squared_leaves_int64():
+    # Pell pairs p^2 - 2 q^2 = +-1 with 3.1e9 < p < 2^62: p fits in int64 and
+    # p^2 does not, and p - q*sqrt2 is within 1e-9 of zero; against a small
+    # sqrt2 part, p^2 wrapped around in int64 would read as the smaller
+    pairs, p, q = [], 1, 1
+    while p < 2 ** 62:
+        if p > 3.1e9:
+            pairs.append((p, q))
+        p, q = p + 2 * q, p + q
+    assert len(pairs) > 10 and all(p * p > 2 ** 63 for p, _ in pairs)
+    assert {p * p - 2 * q * q for p, q in pairs} == {1, -1}
+    for p, q in pairs:
+        sign = 1 if p * p > 2 * q * q else -1
+        assert signs_of((p, -q), (-p, q), (-p, -q), (p, q)) == [sign, -sign, -1, 1], (p, q)
+        assert signs_of((p, -1), (-p, 1), (p, -q - 1), (-p, q + 1)) == [1, -1, -1, 1], (p, q)
+
+
+def test_sqrt2_counts_match_sympy_where_the_int64_shift_leaves_int64_squares():
+    # K20 less a few seeded edges: its int64 shift at -sqrt2 has coefficients
+    # u + v*sqrt2 with u and v of opposite signs and |u| > 3.1e9
+    g = random_graph(20, 0.9, seed=1)
+    coeffs = _coefficients([_charpoly(g)])
+    assert coeffs[1] * _shift_matrices(20, 0, -1, 1)[2] < 2 ** 63  # the int64 route
+    u, v = (part[0].tolist() for part in _shift_parts(coeffs, 0, -1, 1))
+    assert any(abs(x) > 3.1e9 and x * y < 0 for x, y in zip(u, v))
+    for t, token in ((sympy.sqrt(2), "sqrt2"), (-sympy.sqrt(2), "-sqrt2")):
+        count = count_at_threshold(g, token)
+        assert (count.above, count.at, count.below) == oracle_counts(g, t), token
 
 
 def test_threshold_token_round_trip():
@@ -398,39 +434,61 @@ def test_half_power_charpoly_in_python_ints_odd_n():
 
 
 def test_integer_shift_matches_pair_shift(monkeypatch):
+    import numpy as np
+
     import hlspec.spectra as spectra
+
+    def oracle_parts(coeffs, a, b, d):
+        rows = coeffs[0].tolist()
+        return [np.array([[u for u, _ in shift_pairs(row, a, b, d)] for row in rows], dtype=object)]
 
     thresholds = {"1": (1, 1), "-1": (-1, 1), "3/2": (3, 2), "-7/3": (-7, 3)}
     for seed in range(40):
         g = random_graph(3 + seed % 10, 0.35, seed=seed)
         coeffs = _charpoly(g)
         for token, (a, d) in thresholds.items():
-            assert [(c, 0) for c in _shift([coeffs], a, 0, d)[0]] == shift_pairs(coeffs, a, 0, d)
-            by_int = _inertia(g, (a, 0, d))
+            parts = _shift_parts(_coefficients([coeffs]), a, 0, d)
+            assert len(parts) == 1
+            assert [(c, 0) for c in parts[0][0].tolist()] == shift_pairs(coeffs, a, 0, d)
+            by_int = count_at_threshold(fresh(g), token)
             with monkeypatch.context() as m:
-                m.setattr(spectra, "_shift",
-                          lambda rows, a, b, d: [[u for u, _ in shift_pairs(rows[0], a, b, d)]])
-                assert _inertia(g, (a, 0, d)) == by_int
+                m.setattr(spectra, "_shift_parts", oracle_parts)
+                assert count_at_threshold(fresh(g), token) == by_int
             assert by_int == count_at_threshold(g, token)
             assert (by_int.above, by_int.at, by_int.below) == oracle_counts(g, Fraction(a, d))
 
 
-def test_certify_sqrt2_runs_one_pair_shift(monkeypatch):
-    # counted, not timed: the counts below -sqrt2 are read from the conjugates
-    # of the shift at +sqrt2, which the graph's fact record keeps
+def test_certify_sqrt2_runs_one_shift_per_threshold_inside_prime(monkeypatch):
+    # counted, not timed: with the polynomial known, the counts at +-sqrt2
+    # take no kernel run and one shift product each, both inside prime, and
+    # the graph's fact record then answers every later request
     import hlspec.spectra as spectra
 
-    calls = []
-    shift = spectra._shift
-    monkeypatch.setattr(spectra, "_shift", lambda *args: calls.append(args[1:]) or shift(*args))
+    calls, runs, depth = [], [], [0]
+    kernel, shift, prime = spectra._adjacency_facts, spectra._shift_parts, spectra.prime
+
+    def counting_prime(*args):
+        depth[0] += 1
+        try:
+            return prime(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(spectra, "_adjacency_facts",
+                        lambda *args, **kw: runs.append(args) or kernel(*args, **kw))
+    monkeypatch.setattr(spectra, "_shift_parts",
+                        lambda coeffs, *t: calls.append((t, depth[0])) or shift(coeffs, *t))
+    monkeypatch.setattr(spectra, "prime", counting_prime)
     for tag, make in sorted(NAMED.items()):
         g = make()
+        _charpoly(g)
         calls.clear()
+        runs.clear()
         cert = certify_R_le(g, SQRT2)
-        assert calls == [(0, 1, 1)], tag
+        assert runs == [] and sorted(calls) == [((0, -1, 1), 1), ((0, 1, 1), 1)], tag
         assert count_at_threshold(g, "-sqrt2") == cert.at_lower
         assert count_at_threshold(g, "sqrt2") == cert.at_upper
-        assert calls == [(0, 1, 1)], tag
+        assert len(calls) == 2, tag
 
 
 def test_counts_below_minus_sqrt2_from_conjugates_match_direct_shift_and_oracle():
@@ -446,7 +504,8 @@ def test_counts_below_minus_sqrt2_from_conjugates_match_direct_shift_and_oracle(
     minus_sqrt2 = -sympy.sqrt(2)
     for g in subcubic + dense:
         coeffs = _charpoly(g)
-        assert _shift([coeffs], 0, -1, 1) == [[(u, -v) for u, v in _shift([coeffs], 0, 1, 1)[0]]]
+        plus, minus = (_shift_parts(_coefficients([coeffs]), 0, b, 1) for b in (1, -1))
+        assert minus[0].tolist() == plus[0].tolist() and minus[1].tolist() == (-plus[1]).tolist()
         count = count_at_threshold(g, "-sqrt2")
         assert (count.above, count.at, count.below) == oracle_counts(g, minus_sqrt2), g
 
@@ -505,7 +564,7 @@ def test_batched_charpoly_matches_batch_of_one_and_sympy(seed):
         expected = [int(c) for c in sympy.Matrix(adjacency_rows(g)).charpoly(_X).all_coeffs()]
         assert _charpoly(primed) == _adjacency_facts([one])[0][0] == expected, g.n
         for t in ((1, 0, 1), (-1, 0, 1)):
-            assert count_at_threshold(primed, Fraction(t[0])) == _inertia(fresh(g), t)
+            assert count_at_threshold(primed, Fraction(t[0])) == count_at_threshold(fresh(g), t[0])
         assert spectrum(primed) == spectrum(one)
 
 
@@ -557,12 +616,13 @@ def test_matrix_shift_matches_horner_oracle():
         for a, b, d in thresholds:
             column_sum = _shift_matrices(n, a, b, d)[2]
             routes.add(max(abs(c) for row in rows for c in row) * column_sum < 2 ** 63)
-            shifted = _shift(rows, a, b, d)
-            for row, got in zip(rows, shifted):
+            parts = [part.tolist() for part in _shift_parts(_coefficients(rows), a, b, d)]
+            assert len(parts) == (2 if b else 1)
+            for i, row in enumerate(rows):
                 if b == 0:
-                    assert got == shift_int(row, a, d), (n, a, b, d)
+                    assert parts[0][i] == shift_int(row, a, d), (n, a, b, d)
                 else:
-                    assert got == shift_pairs(row, a, b, d), (n, a, b, d)
+                    assert list(zip(parts[0][i], parts[1][i])) == shift_pairs(row, a, b, d), (n, a, b, d)
     assert routes == {True, False}  # both the int64 and the object route ran
     # K17 at 1/2 - sqrt2/3 must leave int64
     k17 = _charpoly(complete_graph(17))
