@@ -391,7 +391,7 @@ def cmd_verify(args) -> int:
         inputs, bad = _gen_inputs(spec), 0
     else:
         inputs, bad = _collect_graphs(args.files, args.strict)
-    from .proofs import FAIL, NOT_FOUND, PASS
+    from .proofs import FAIL, PASS
 
     totals = {"pass": 0, "fail": 0, "skipped": 0}
     max_r: float | None = None
@@ -404,7 +404,7 @@ def cmd_verify(args) -> int:
         verdict = rep["verdict"]
         if verdict == PASS:
             totals["pass"] += 1
-        elif verdict in (FAIL, NOT_FOUND):
+        elif verdict == FAIL:
             totals["fail"] += 1
         else:
             totals["skipped"] += 1

@@ -18,7 +18,6 @@ same way.
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -44,15 +43,13 @@ from .structure import (
     find_k23,
     is_unfriendly,
     k4_minor_free,
-    _first_violator,
     _flip_search,
 )
 
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
-NOT_FOUND = "not-found"
-_VERDICTS = (PASS, FAIL, NOT_APPLICABLE, NOT_FOUND)
+_VERDICTS = (PASS, FAIL, NOT_APPLICABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +321,10 @@ def _eval_component_of(g: Graph, data: dict) -> bool:
 
 
 def _eval_k23_present(g: Graph, data: dict) -> bool:
-    x1, x2, *ys = _host_vertices(g, [data["x1"], data["x2"], *data["ys"]])
-    return all(g.has_edge(x, y) for x in (x1, x2) for y in ys)
+    # five distinct vertices: the two ends and a trio
+    named = _host_vertices(g, [data["x1"], data["x2"], *data["ys"]])
+    x1, x2, *ys = named
+    return len(set(named)) == 5 and all(g.has_edge(x, y) for x in (x1, x2) for y in ys)
 
 
 _EVALUATORS = {
@@ -409,8 +408,7 @@ def _settle(pending: list[tuple[Graph, WitnessTrace]], graphs: Iterable[Graph] =
     graphs, is computed first in one kernel run per order (spectra.prime).
     Then each exact step's ok is read from the counts on the fact records,
     and each pending verdict, children first, is pass when every step held
-    and every child passed, not-found when a k23 delegation found no
-    partition, and fail otherwise.
+    and every child passed, and fail otherwise.
     """
     trees = [_tree(g, trace) for g, trace in pending]
     spectra.prime(graphs, [pair for tree in trees for pair in _counted(tree)])
@@ -420,10 +418,7 @@ def _settle(pending: list[tuple[Graph, WitnessTrace]], graphs: Iterable[Graph] =
                 if step.mode == "exact":
                     object.__setattr__(step, "ok", _EVALUATORS[step.kind][0](host, step.data))
             if vars(t)["verdict"] is None:
-                not_found = t.case == "k23-decomposition" and any(
-                    c.verdict == NOT_FOUND for c in t.children)
-                verdict = PASS if _held(t) else NOT_FOUND if not_found else FAIL
-                object.__setattr__(t, "verdict", verdict)
+                object.__setattr__(t, "verdict", PASS if _held(t) else FAIL)
 
 
 # the (graph, trace) pairs the public verifiers return in a _settling() block
@@ -462,7 +457,7 @@ def replay_trace(g: Graph, trace: WitnessTrace) -> bool:
     pass verdict follows from it.
 
     Returns True iff each trace (child or not) names a theorem this package
-    emits (a key of _APPLIES) and one of the four verdicts and is
+    emits (a key of _APPLIES) and one of the three verdicts and is
     not-applicable exactly when its host fails that theorem's precondition,
     each step's re-evaluated outcome matches what was recorded, every child
     trace replays against its named host vertices, a pass trace (children
@@ -560,7 +555,7 @@ def _odd_applies(g: Graph) -> bool:
 
 
 # Each theorem's precondition, where its verifier answers not-applicable
-# exactly when it fails (not-found counts as applicable).
+# exactly when it fails.
 _APPLIES = {
     "series-parallel-bound": _sp_applies,
     "k23-bound": lambda g: g.max_degree() <= 3 and find_k23(g) is not None,
@@ -608,53 +603,13 @@ def _odd_trace(g: Graph) -> WitnessTrace:
 # first main verifier: the common-trio argument
 # ---------------------------------------------------------------------------
 
-def _shaped_partition(g: Graph, xs: tuple[int, int], ys: tuple[int, int, int]) -> frozenset[int] | None:
-    """An unfriendly partition with both xs on one side and all ys on the
-    other, as the xs side; None if the search exhausts without finding one.
-
-    The flip search from the empty side comes first.  If it misses the
-    shape, every xs side (xs plus a subset of the n - 5 other vertices) is
-    tried through n = 16, so the answer there is exact; beyond, only flip
-    searches from 32 seeded sides are tried.
-    """
-    x_bits = sum(1 << x for x in xs)
-    y_bits = sum(1 << y for y in ys)
-    full = (1 << g.n) - 1
-
-    def members(mask: int) -> frozenset[int]:
-        return frozenset(v for v in range(g.n) if (mask >> v) & 1)
-
-    def shaped(fixpoint: int) -> frozenset[int] | None:
-        for side in (fixpoint, full ^ fixpoint):
-            if side & x_bits == x_bits and not side & y_bits:
-                return members(side)
-        return None
-
-    got = shaped(_flip_search(g, 0))
-    if got is not None:
-        return got
-    if g.n > 16:
-        for seed in range(32):
-            got = shaped(_flip_search(g, random.Random(seed).getrandbits(g.n)))
-            if got is not None:
-                return got
-        return None
-    free = full ^ x_bits ^ y_bits
-    extra = 0
-    while True:  # the subsets of free in increasing order
-        if _first_violator(g, x_bits | extra) is None:
-            return members(x_bits | extra)
-        extra = (extra - free) & free
-        if not extra:
-            return None
-
-
 def verify_theorem_k23(g: Graph) -> WitnessTrace:
     """Replay the argument that a max-degree-3 graph containing a complete
     2x3 bipartite subgraph has both median eigenvalues in [-1, 1].
 
-    Steps: find an unfriendly partition separating the two degree-3 ends
-    from the middle trio, split the edges into the crossing (bipartite,
+    Steps: build an unfriendly partition separating the two degree-3 ends
+    from the middle trio (a flip search from the ends' side, which never
+    moves the five), split the edges into the crossing (bipartite,
     twin-bearing, hence median-zero) spanning subgraph and the within-side
     leftover (max degree 1), bound both tails of the whole graph by Weyl's
     addition inequality on the parts' exact counts, and certify the final
@@ -669,13 +624,14 @@ def _k23_trace(g: Graph) -> WitnessTrace:
     emb = find_k23(g)
     if g.max_degree() > 3 or emb is None:
         return WitnessTrace(theorem, "precondition", {}, (), NOT_APPLICABLE)
-    xs = (emb.x1, emb.x2)
     ys = (emb.y1, emb.y2, emb.y3)
     named: dict = {"x1": emb.x1, "x2": emb.x2, "ys": list(ys)}
-    side_a = _shaped_partition(g, xs, ys)
-    if side_a is None:
-        return WitnessTrace(theorem, "partition-search", named, (), NOT_FOUND)
-    part = Partition.of(g, side_a)
+    # The flip search from side {x1, x2} ends in an unfriendly partition of
+    # the argument's shape.  With max degree 3, each x has exactly the trio
+    # as neighbours, and each y both xs and at most one more; so while the
+    # xs share a side and the trio holds the other, none of the five has
+    # more neighbours on its own side than across, and none ever flips.
+    part = Partition.of(g, _bits(_flip_search(g, (1 << emb.x1) | (1 << emb.x2))))
     cross = sorted(
         (min(u, v), max(u, v))
         for u, v in g.edges()
@@ -694,7 +650,8 @@ def _k23_trace(g: Graph) -> WitnessTrace:
               {"x1": emb.x1, "x2": emb.x2, "ys": list(ys)}),
         _step(g, "unfriendly partition separates the degree-3 ends from the trio",
               "unfriendly-shape",
-              {"side_a": sorted(part.side_a), "same_side": list(xs), "other_side": list(ys)}),
+              {"side_a": sorted(part.side_a), "same_side": [emb.x1, emb.x2],
+               "other_side": list(ys)}),
         _step(g, "crossing-edge subgraph is bipartite", "bipartite", {"subject": cross_spec}),
         _step(g, "the two ends are twins in the crossing subgraph, covering the trio",
               "same-neighborhood",

@@ -1,6 +1,6 @@
 """Combinatorial structure: unfriendly vertex bipartitions and their flip
-search (the k23 verifier's shaped-partition search runs on these),
-K_{2,3} subgraphs and K4-minor recognition.
+search (the k23 verifier builds its partition with it), K_{2,3} subgraphs
+and K4-minor recognition.
 
 K4-minor-freeness has one decider, a reduction on neighbor bitmasks that
 records its steps; tests check it against a brute-force contraction oracle
@@ -70,7 +70,7 @@ def _flip_search(g: Graph, a_mask: int) -> int:
 
 @dataclass(frozen=True)
 class K23Embedding:
-    """Six vertices spanning a complete-bipartite 2x3 subgraph of the host.
+    """Five vertices spanning a complete-bipartite 2x3 subgraph of the host.
 
     x1, x2 are the two degree-3 ends; y1 < y2 < y3 the middle trio.  The
     subgraph need not be induced.

@@ -738,6 +738,27 @@ def test_verify_sp_stdout_pinned_on_the_k4mf_n10_corpus(flags):
     assert hashlib.sha256(outputs[0].encode()).hexdigest() == K4MF_N10_VERIFY_SP_SHA256[flags]
 
 
+# generated n = 10 classes: the 336 subcubic ones with a K2,3, whose k23
+# witnesses name the partition that the flip search from the two ends' side
+# builds, and the 1028 K4-minor-free ones, whose sp witnesses do not depend
+# on where that search starts; neither stdout ends in a fail
+GEN_N10_VERIFY_SHA256 = {
+    "k23 --witness --gen n=10,contains-k23":
+        "3a9992c4b7d758f5ce0dfb939766335a6d705cc16d85f336cdaeac654bc06221",
+    "k23 --gen n=10,contains-k23":
+        "f62cc0a0be9455205c4d557712b98ca129df0b77ac9d14a8712a7465330d50ae",
+    "sp --witness --gen n=10,k4-minor-free":
+        "ca252b7b7b7db6eb0df2c1ade9839bfe1701ac081046dedeb6ff6d31fd1f6446",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GEN_N10_VERIFY_SHA256))
+def test_verify_stdout_pinned_on_generated_n10_classes(args):
+    proc = run_cli(["verify", *args.split()])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == GEN_N10_VERIFY_SHA256[args]
+
+
 # the 5,524 connected subcubic classes at n = 11: 87 full 64-graph chunks
 # through the kernel, which the 7-line golden corpus never fills
 SUBCUBIC_N11 = REPO / "perfbench" / "data" / "subcubic_n11.g6"

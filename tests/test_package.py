@@ -29,9 +29,8 @@ EXPORTS = {
     ],
     "enumeration": ["HARD_CAP", "GenSpec", "canonical_key", "enumerate_graphs"],
     "proofs": [
-        "FAIL", "NOT_APPLICABLE", "NOT_FOUND", "PASS", "TraceStep", "WitnessTrace",
-        "check_lemma_odd", "replay_trace", "trace_from_json_dict", "verify_theorem_k23",
-        "verify_theorem_sp",
+        "FAIL", "NOT_APPLICABLE", "PASS", "TraceStep", "WitnessTrace", "check_lemma_odd",
+        "replay_trace", "trace_from_json_dict", "verify_theorem_k23", "verify_theorem_sp",
     ],
 }
 

@@ -19,7 +19,6 @@ import pytest
 from hlspec import (
     FAIL,
     NOT_APPLICABLE,
-    NOT_FOUND,
     PASS,
     GenSpec,
     Graph,
@@ -45,11 +44,10 @@ from hlspec import (
     verify_theorem_k23,
     verify_theorem_sp,
 )
+from hlspec import structure
 from hlspec.cli import _report_chunk, _verify_rows
-from hlspec.proofs import (
-    _APPLIES, _EVALUATORS, _c_path, _c_path_lengths, _shaped_partition, _step,
-)
-from hlspec.structure import _flip_search, find_k23, k4_minor_free
+from hlspec.proofs import _APPLIES, _EVALUATORS, _c_path, _c_path_lengths, _step
+from hlspec.structure import find_k23, k4_minor_free
 
 from oracle import brute_force_shaped_unfriendly, is_locally_longest_cycle, is_unfriendly_side
 
@@ -153,39 +151,37 @@ def planted_k23_graph(n: int, seed: int) -> Graph:
     return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
-def check_shaped_partition(g, xs, ys, exact=True) -> bool:
-    """Check _shaped_partition on one shape against brute force, and return
-    whether the first flip search missed the shape, so that the exhaustive
-    search (n <= 16) or the seeded flips (n > 16) ran."""
-    got = _shaped_partition(g, xs, ys)
-    if got is not None:
-        assert set(xs) <= got and not got & set(ys) and is_unfriendly_side(g, got)
-    if exact:
-        assert (got is not None) == brute_force_shaped_unfriendly(g, xs, ys), (to_graph6(g), xs, ys)
-    first = _flip_search(g, 0)
-    return len({(first >> x) & 1 for x in xs} | {1 - ((first >> y) & 1) for y in ys}) > 1
+def test_k23_partition_has_the_argument_shape_at_every_order(monkeypatch):
+    # the flip search from side {x1, x2} never moves an end or a trio vertex
+    # (the lemma in _k23_trace), so it ends in the argument's shape: on every
+    # subcubic class with a K2,3 on n <= 9, where brute force agrees that
+    # such a partition exists, and on seeded planted graphs on 15 to 60
+    # vertices, past where a walk over every side stays cheap
+    flipped = []
 
+    def first_violator(g, a_mask, real=structure._first_violator):
+        flipped.append(real(g, a_mask))
+        return flipped[-1]
 
-def test_shaped_partition_matches_brute_force():
-    # the k23 verifier's calls: every subcubic class with a K2,3 on n <= 9
-    # and seeded random subcubic graphs with a planted K2,3 on 13 and 14
-    # vertices, each under its find_k23 embedding
+    monkeypatch.setattr(structure, "_first_violator", first_violator)
     graphs = [g for n in range(5, 10) for g in enumerate_graphs(GenSpec(n)) if find_k23(g)]
-    planted = [planted_k23_graph(13 + seed % 2, seed) for seed in range(40)]
+    planted = [planted_k23_graph(n, seed) for seed, n in enumerate(range(15, 61, 3))]
+    moved = 0
     for g in graphs + planted:
         emb = find_k23(g)
-        check_shaped_partition(g, (emb.x1, emb.x2), (emb.y1, emb.y2, emb.y3))
-    # arbitrary shapes also reach the searches that run when the first flip
-    # search misses: the exhaustive one is exact through n = 16, while the
-    # seeded flips beyond it find only true partitions but may miss one
-    rng = random.Random(7)
-    misses = 0
-    beyond = [planted_k23_graph(17 + seed % 2, seed) for seed in range(20)]
-    for g in graphs[::4] + planted + beyond:
-        picked = rng.sample(range(g.n), 5)
-        misses += check_shaped_partition(g, tuple(picked[:2]), tuple(picked[2:]),
-                                         exact=g.n <= 16)
-    assert misses > 20
+        xs, ys = (emb.x1, emb.x2), (emb.y1, emb.y2, emb.y3)
+        if g.n <= 9:
+            assert brute_force_shaped_unfriendly(g, xs, ys), to_graph6(g)
+        flipped.clear()
+        trace = verify_theorem_k23(g)
+        assert not set(flipped) & {*xs, *ys}, to_graph6(g)
+        moved += len(flipped) - flipped.count(None)
+        shape = next(s for s in trace.steps if s.kind == "unfriendly-shape")
+        side_a = set(shape.data["side_a"])
+        assert shape.ok and set(xs) <= side_a and not side_a & set(ys)
+        assert is_unfriendly_side(g, side_a)
+        assert trace.verdict == PASS and replay_trace(g, trace) is True, to_graph6(g)
+    assert moved > 100  # the search does flip vertices outside the five
 
 
 # series-parallel theorem
@@ -565,13 +561,13 @@ def test_replay_rejects_not_applicable_k23_and_odd_order_traces_where_they_apply
             assert trace.verdict == NOT_APPLICABLE and replay_trace(host, trace) is True
 
 
-def test_replay_accepts_not_found_k23_traces():
-    # not-found counts as applicable: it passes the precondition check on
-    # K2,3, which has a K2,3 subgraph, and fails it on C6, which has none
-    g = complete_bipartite(2, 3)
-    trace = WitnessTrace("k23-bound", "partition-search", {}, (), NOT_FOUND)
-    assert replay_trace(g, trace) is True
-    assert replay_trace(cycle_graph(6), trace) is False
+def test_replay_rejects_not_found_k23_traces():
+    # the k23 verifier always builds its partition, so no verdict says it
+    # found none: not on K2,3, which has a K2,3 subgraph, nor on C6, which
+    # has none
+    trace = WitnessTrace("k23-bound", "partition-search", {}, (), "not-found")
+    for g in (complete_bipartite(2, 3), cycle_graph(6)):
+        assert replay_trace(g, trace) is False
 
 
 def test_replay_rejects_not_applicable_twins_traces_where_they_apply():
@@ -617,7 +613,7 @@ def test_witness_schema_enums_match_what_replay_accepts():
         ).read_text()
     )
     assert set(schema["properties"]["theorem"]["enum"]) == set(_APPLIES)
-    assert set(schema["properties"]["verdict"]["enum"]) == {PASS, FAIL, NOT_APPLICABLE, NOT_FOUND}
+    assert set(schema["properties"]["verdict"]["enum"]) == {PASS, FAIL, NOT_APPLICABLE}
     # a renamed step kind fails schema validation, not just replay
     kinds = schema["properties"]["steps"]["items"]["properties"]["kind"]["enum"]
     assert len(kinds) == len(set(kinds)) and set(kinds) == set(_EVALUATORS)
@@ -756,8 +752,9 @@ def test_replay_rejects_steps_naming_vertices_the_host_lacks():
 
 
 def test_replay_rejects_degenerate_vertex_pairs():
-    # a vertex is not a cycle position apart from itself, nor its own twin:
-    # each forgery names one vertex twice where the step claims two
+    # a vertex is not a cycle position apart from itself, nor its own twin,
+    # nor two of a K2,3's five vertices: each forgery names one vertex twice
+    # where the step claims distinct ones
     h = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 3)])
     k = parse_graph6("F?re_")  # n = 7, with a K2,3
     sp, k23 = verify_theorem_sp(h), verify_theorem_k23(k)
@@ -769,6 +766,11 @@ def test_replay_rejects_degenerate_vertex_pairs():
         data = trace.steps[idx].data
         same = data["cycle"][0] if kind == "not-consecutive-on-cycle" else data["u"]
         forgeries.append((g, replace_step(trace, idx, {**data, "u": same, "v": same})))
+    idx = next(i for i, s in enumerate(k23.steps) if s.kind == "k23-present")
+    data = k23.steps[idx].data
+    x1, (y1, y2, _) = data["x1"], data["ys"]
+    forgeries += [(k, replace_step(k23, idx, {**data, "x2": x1})),
+                  (k, replace_step(k23, idx, {**data, "ys": [y1, y2, y1]}))]
     for g, forged in forgeries:
         assert replay_trace(g, forged) is False, forged.theorem
 
@@ -1052,16 +1054,16 @@ def test_survey_flags_match_structure_predicates():
 
 
 def test_verdict_values_are_distinct_strings():
-    assert len({PASS, FAIL, NOT_APPLICABLE, NOT_FOUND}) == 4
-    for v in (PASS, FAIL, NOT_APPLICABLE, NOT_FOUND):
+    assert len({PASS, FAIL, NOT_APPLICABLE}) == 3
+    for v in (PASS, FAIL, NOT_APPLICABLE):
         assert isinstance(v, str)
 
 
 def test_traces_carry_verdict_constants_only():
     for _, trace in sample_traces():
-        assert trace.verdict in (PASS, FAIL, NOT_APPLICABLE, NOT_FOUND)
+        assert trace.verdict in (PASS, FAIL, NOT_APPLICABLE)
         stack = list(trace.children)
         while stack:
             child = stack.pop()
-            assert child.verdict in (PASS, FAIL, NOT_APPLICABLE, NOT_FOUND)
+            assert child.verdict in (PASS, FAIL, NOT_APPLICABLE)
             stack.extend(child.children)
