@@ -40,6 +40,7 @@ honest.
 from __future__ import annotations
 
 import copy
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -58,77 +59,96 @@ _HEREDITARY = frozenset({"k4-minor-free", "bipartite"})
 # canonical form
 # ---------------------------------------------------------------------------
 
-def _refine(
-    masks: list[int], cells: list[list[int]], cmasks: list[int], stable: Iterable[int] = ()
-) -> tuple[list[list[int]], list[int]]:
+def _refine(masks: list[int], cmasks: list[int], stable: Iterable[int] = ()) -> list[int]:
     """Equitable refinement: split cells by neighbor counts into each cell.
 
-    cmasks[i] is the vertex mask of cells[i], and the refined cells come
-    back with theirs.  The first cell not yet used as a splitter splits every
-    cell into pieces ordered by count, and the scan goes on from the first
-    new piece, so the refinement depends only on the isomorphism type and
-    the incoming cell order.  stable holds cell masks the partition is
-    already equitable against (the cells of an equitable partition this one
-    refines).  Splitting never undoes that, so a stable splitter splits
-    nothing and is skipped, as is a cell that holds no neighbor of it.
+    A cell is its vertex mask; the cell order is the partition's.  The first
+    cell not yet used as a splitter splits every cell into pieces ordered by
+    count, and the scan goes on from the first new piece, so the refinement
+    depends only on the isomorphism type and the incoming cell order.  A
+    splitter of several vertices counts neighbors into it as bit planes over
+    all vertices at once (plane k holds the vertices whose count has bit k
+    set); a cell splits on each plane from the top down, zero side first,
+    which orders its pieces by count.  stable holds cell masks that split
+    nothing by the time the scan reaches them, such as the cells of an
+    equitable partition this one refines (splitting never undoes that); a
+    stable splitter is skipped, as is a cell that holds no neighbor of it.
     """
-    cells, cmasks = list(cells), list(cmasks)
+    cmasks = list(cmasks)
     known = set(stable)
     # the vertices of non-singleton cells; once there are none, stop
-    loose = sum(m for cell, m in zip(cells, cmasks) if len(cell) > 1)
+    loose = sum(m for m in cmasks if m & (m - 1))
     i = 0
-    while loose and i < len(cells):
+    while loose and i < len(cmasks):
         smask = cmasks[i]
+        i += 1
         if smask in known:
-            i += 1
             continue
         known.add(smask)
-        splitter = cells[i]
-        i += 1
-        reach = 0
-        for v in splitter:
-            reach |= masks[v]
+        if smask & (smask - 1):
+            planes: list[int] = []
+            reach = 0
+            rest = smask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                carry = masks[low.bit_length() - 1]
+                reach |= carry
+                # add the member's neighbors into the planes, bit by bit
+                k = 0
+                while carry:
+                    if k == len(planes):
+                        planes.append(carry)
+                        break
+                    plane = planes[k]
+                    planes[k] = plane ^ carry
+                    carry &= plane
+                    k += 1
+            planes.reverse()
+        else:
+            reach = masks[smask.bit_length() - 1]
+            planes = [reach]
         live = reach & loose
         # split from the back, so the cells still to visit keep their index
-        j = len(cells)
-        while live and j:
+        j = len(cmasks)
+        while live:
             j -= 1
             cmask = cmasks[j]
             if not cmask & live:
                 continue
-            cell = cells[j]
-            if len(splitter) == 1:
-                inside = cmask & reach
-                if inside == cmask:
+            live &= ~cmask
+            pmasks = None
+            for plane in planes:
+                one = cmask & plane
+                if not one or one == cmask:
                     continue
-                parts: list[list[int]] = [[], []]
-                for v in cell:
-                    parts[inside >> v & 1].append(v)
-                pmasks = [cmask ^ inside, inside]
-            else:
-                buckets: dict[int, list[int]] = {}
-                bmasks: dict[int, int] = {}
-                for v in cell:
-                    k = (masks[v] & smask).bit_count()
-                    buckets.setdefault(k, []).append(v)
-                    bmasks[k] = bmasks.get(k, 0) | 1 << v
-                if len(buckets) == 1:
-                    continue
-                counts = sorted(buckets)
-                parts = [buckets[k] for k in counts]
-                pmasks = [bmasks[k] for k in counts]
+                if pmasks is None:
+                    pmasks = [cmask ^ one, one]
+                else:  # each piece splits into its zero side, then its one side
+                    pmasks = [p for m in pmasks for p in (m & ~plane, m & plane) if p]
+            if pmasks is None:
+                continue
             # the last piece of a cell the partition is equitable against
             # splits nothing by the time the scan reaches it: the pieces
             # before it are splitters by then, and the cell less them is it
             if cmask in known:
                 known.add(pmasks[-1])
-            for part, m in zip(parts, pmasks):
-                if len(part) == 1:
+            for m in pmasks:
+                if not m & (m - 1):
                     loose ^= m
-            cells[j : j + 1] = parts
             cmasks[j : j + 1] = pmasks
-            i = min(i, j)
-    return cells, cmasks
+            if j < i:
+                i = j
+    return cmasks
+
+
+@functools.cache
+def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """bits[i][j]: the leaf-code bit of pair {i, j}; (i, j), i < j, is bit offset[i] - j."""
+    nbits = n * (n - 1) // 2
+    offset = [nbits + i * (i + 3) // 2 - i * n for i in range(n)]
+    return tuple(tuple(1 << offset[min(i, j)] - max(i, j) if i != j else 0 for j in range(n))
+                 for i in range(n))
 
 
 def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> bytes:
@@ -150,7 +170,10 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
     every branch on the cell is the image of that one, leaves and codes
     included; and a twin splits no cell, so the partition stays equitable.
     Automorphisms discovered at equal-code leaves let sibling branches in
-    the same orbit be skipped.
+    the same orbit be skipped.  The search runs on neighbor masks alone: a
+    cell is its vertex mask, a branch is the parent partition's head and tail
+    around the individualized vertex and the rest of its cell, and a leaf's
+    order is read off its singleton masks.
 
     The automorphisms the search found (the twin swaps and the leaf ones;
     permutations v -> p[v], not the identity) are appended to
@@ -161,48 +184,39 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
         raise ValueError("canonical form is sized for graph6-scale graphs")
     if n == 0:
         return bytes([0])
-    masks = [g.neighbor_mask(v) for v in range(n)]
+    masks = g._mask
     edges = g.edges()
     nbits = n * (n - 1) // 2
-    # pair (i, j), i < j, of a leaf order is bit offset[i] - j of its code
-    offset = [nbits + i * (i + 3) // 2 - i * n for i in range(n)]
+    bits = _pair_bits(n)
     best: int | None = None
-    best_order: list[int] | None = None
+    best_pos: list[int] = []
     autos: list[list[int]] = []
 
-    def leaf(order: list[int]) -> None:
-        nonlocal best, best_order
-        pos = sorted(range(n), key=order.__getitem__)  # pos[order[i]] = i
-        code = 0
-        for a, b in edges:
-            i, j = pos[a], pos[b]
-            code |= 1 << (offset[i] - j if i < j else offset[j] - i)
-        if best is None or code < best:
-            best = code
-            best_order = order
-        elif code == best and best_order is not None:
-            # equal codes define an automorphism: best_order[i] -> order[i]
-            gamma = [0] * n
-            for a, b in zip(best_order, order):
-                gamma[a] = b
-            if gamma != list(range(n)):
-                autos.append(gamma)
-
-    def descend(cells: list[list[int]], cmasks: list[int], prefix: list[int]) -> None:
-        if len(cells) == n:
-            leaf([c[0] for c in cells])
+    def descend(cmasks: list[int], prefix: list[int]) -> None:
+        nonlocal best, best_pos
+        if len(cmasks) == n:
+            # a leaf: every cell is a singleton, and pos[v] is the index of 1 << v
+            pos = sorted(range(n), key=cmasks.__getitem__)
+            code = sum([bits[pos[a]][pos[b]] for a, b in edges])
+            if best is None or code < best:
+                best, best_pos = code, pos
+            elif code == best and pos != best_pos:
+                # equal codes define an automorphism: v -> the vertex at v's
+                # position in the best leaf
+                autos.append([cmasks[i].bit_length() - 1 for i in best_pos])
             return
-        target = next(idx for idx, c in enumerate(cells) if len(c) > 1)
-        cell = cells[target]
+        for target, cmask in enumerate(cmasks):
+            if cmask & (cmask - 1):
+                break
+        head, tail = cmasks[:target], cmasks[target + 1 :]
+        cell = list(_bits(cmask))
         if len({masks[v] for v in cell}) == 1 or len({masks[v] | 1 << v for v in cell}) == 1:
             # a cell of twins is individualized whole (see the docstring)
             for a, b in zip(cell, cell[1:]):
                 swap = list(range(n))
                 swap[a], swap[b] = b, a
                 autos.append(swap)
-            whole = cells[:target] + [[v] for v in cell] + cells[target + 1 :]
-            wmasks = cmasks[:target] + [1 << v for v in cell] + cmasks[target + 1 :]
-            descend(whole, wmasks, prefix + cell)
+            descend(head + [1 << v for v in cell] + tail, prefix + cell)
             return
         # orbits of the known automorphisms fixing the individualized prefix,
         # as a union-find that takes in each automorphism once, when found
@@ -222,22 +236,22 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
             if explored:
                 for a in autos[absorbed:]:
                     if all(a[p] == p for p in prefix):
-                        for x in range(n):
-                            rx, ry = find(x), find(a[x])
-                            if rx != ry:
-                                parent[rx] = ry
+                        for x, y in enumerate(a):
+                            if x != y:
+                                rx, ry = find(x), find(y)
+                                if rx != ry:
+                                    parent[rx] = ry
                 absorbed = len(autos)
                 if any(find(v) == find(u) for u in explored):
                     continue
             explored.append(v)
-            rest = [w for w in cell if w != v]
-            branched = cells[:target] + [[v], rest] + cells[target + 1 :]
-            bmasks = cmasks[:target] + [1 << v, cmasks[target] ^ 1 << v] + cmasks[target + 1 :]
             prefix.append(v)
-            descend(*_refine(masks, branched, bmasks, cmasks), prefix)
+            # the cell's rest splits nothing once 1 << v has split: cmasks is equitable
+            rest = cmask ^ 1 << v
+            descend(_refine(masks, head + [1 << v, rest] + tail, cmasks + [rest]), prefix)
             prefix.pop()
 
-    descend(*_refine(masks, [list(range(n))], [(1 << n) - 1]), [])
+    descend(_refine(masks, [(1 << n) - 1]), [])
     assert best is not None
     if generators is not None:
         generators.extend(dict.fromkeys(tuple(a) for a in autos))
@@ -281,12 +295,12 @@ def _passes_hereditary(g: Graph, hered: frozenset[str]) -> bool:
     return True
 
 
-def _made_by_earlier_parent(linked: int, pendants: Iterable[int], smask: int) -> bool:
+def _made_by_earlier_parent(linked: int, pendants: dict[int, int], smask: int) -> bool:
     """True when deleting some old vertex from the child (the parent plus a
     vertex v joined to ``smask``) leaves more isolated vertices than
     deleting v.  ``linked`` masks the parent's vertices that have a neighbor,
-    and ``pendants`` holds, for each vertex u that has pendants, the mask of
-    the vertices whose only neighbor is u.
+    and ``pendants`` maps each vertex u that has pendants, as 1 << u, to the
+    mask of the vertices whose only neighbor is u.
 
     score[u] counts the vertices whose only neighbor in the child is u, less
     one if u itself is isolated: deleting u leaves iso(child) + score[u]
@@ -300,7 +314,7 @@ def _made_by_earlier_parent(linked: int, pendants: Iterable[int], smask: int) ->
     if not smask & (smask - 1) and smask & linked:
         return True
     joined = (smask & ~linked).bit_count()
-    return any((p & ~smask).bit_count() > joined for p in pendants)
+    return any((p & ~smask).bit_count() > joined for p in pendants.values())
 
 
 def _level(
@@ -330,12 +344,12 @@ def _level(
         found: dict[bytes, _Class] = {}
         built = skipped = disconnected = earlier = tested = keyed = 0
         for parent, gens in parents:
-            masks = [parent.neighbor_mask(v) for v in range(n - 1)]
+            masks = parent._mask
             if max_degree is None:
                 eligible = list(range(n - 1))
                 cap = n - 1
             else:
-                eligible = [v for v in range(n - 1) if parent.degree(v) < max_degree]
+                eligible = [v for v, m in enumerate(masks) if m.bit_count() < max_degree]
                 cap = min(max_degree, n - 1)
             # the child is connected iff the new vertex meets every component,
             # which takes one neighbor per component; any nonempty subset
@@ -366,7 +380,8 @@ def _level(
                     if len(comp_masks) > 1 and not all(smask & c for c in comp_masks):
                         disconnected += 1
                         continue
-                    if _made_by_earlier_parent(linked, pendants.values(), smask):
+                    # the test is False on two or more vertices and no pendants
+                    if (size < 2 or pendants) and _made_by_earlier_parent(linked, pendants, smask):
                         earlier += 1
                         continue
                     # mark the subset's orbit under the parent's group
@@ -378,7 +393,8 @@ def _level(
                             if m not in seen:
                                 seen.add(m)
                                 orbit.append(mapped)
-                    child = parent.with_vertex(_bits(smask))
+                    child = Graph._of_masks(
+                        (*(m | (smask >> v & 1) << n - 1 for v, m in enumerate(masks)), smask))
                     built += 1
                     # a new vertex of degree <= 1 keeps every hereditary
                     # property the parent has: it adds no cycle and no minor

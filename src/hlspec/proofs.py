@@ -696,7 +696,7 @@ def _interlace_steps(g: Graph, deleted: list[int], label: str) -> list[TraceStep
 def _sp_case(g: Graph) -> str:
     """The case of the sp induction that g takes: the theorem's precondition
     failing, components, odd order, n = 2 or 4, a cycle, a cut vertex, or
-    two-connected (the last may delegate to the k23 verifier)."""
+    two-connected."""
     if not _sp_applies(g):
         return "precondition"
     if not is_connected(g):
@@ -824,8 +824,8 @@ def _ear_cycle(g: Graph) -> tuple[list[int], dict]:
         cyc = _c_path(g, cyc, lengths[b], a) + ahead[ahead.index(b) + 1:]
 
 
-def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict, str, tuple]:
-    """Returns (steps, named, case, children)."""
+def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict]:
+    """Returns (steps, named)."""
     n = g.n
     cyc, lengths = _ear_cycle(g)
     named["cycle"] = list(cyc)
@@ -848,15 +848,14 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
               {"cycle": list(cyc), "u": u, "v": v}),
     ]
     if not steps[-1].ok:
-        return steps, named, "two-connected", ()
+        return steps, named
+    # The arcs are never both single vertices: then the cycle would be u a v b,
+    # with u and v saturated by a, b and the C-path's interior w (or a chord
+    # uv).  A further vertex reaching two of {a, b, w} gives a K4 minor, one
+    # reaching only one makes that one a cut vertex; so g is K2,3 (odd-order
+    # first) or C4 plus a chord (base-n4).
     arc_a, arc_b = _arc_split(cyc, u, v)
     # label arcs so the second pair of cycle-neighbors is distinct if possible
-    if len(arc_a) == 1 and len(arc_b) == 1:
-        # both arcs are single vertices: the graph should be the 2x3 complete
-        # bipartite graph itself; delegate to its dedicated verifier
-        child = _k23_trace(g)
-        named["delegated"] = "k23-bound"
-        return steps, named, "k23-decomposition", (child,)
     if len(arc_b) == 1:
         arc_a, arc_b = arc_b, arc_a
     elif len(arc_a) > 1 and len(arc_b) > 1 and arc_b[0] < arc_a[0]:
@@ -869,7 +868,7 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
     steps.append(_step(g, "removing the far cycle-neighbor and one path end disconnects the graph",
                        "not-connected", {"subject": del_u2v}))
     if not steps[-1].ok:
-        return steps, named, "two-connected", ()
+        return steps, named
     comps = _components_without(g, {u2, v})
     part_w = next(c for c in comps if u in c)
     named["W"] = sorted(part_w)
@@ -908,7 +907,7 @@ def _sp_case_two_connected(g: Graph, named: dict) -> tuple[list[TraceStep], dict
         *_count_bound_steps(del_xv, "two-vertex deletion", (n - 6) // 2),
         *_interlace_steps(g, del_xv["vertices"], "two-vertex deletion"),
     ]
-    return steps, named, "two-connected", ()
+    return steps, named
 
 
 def verify_theorem_sp(g: Graph) -> WitnessTrace:
@@ -949,6 +948,6 @@ def _sp_trace(g: Graph) -> WitnessTrace:
     elif case == "cut-vertex":
         case_steps, named = _sp_case_cut_vertex(g, named)
     elif case == "two-connected":
-        case_steps, named, case, children = _sp_case_two_connected(g, named)
+        case_steps, named = _sp_case_two_connected(g, named)
     steps = (_degree_le_three(g), *case_steps, _certify_r_le_one())
     return WitnessTrace(theorem, case, named, steps, None, children)

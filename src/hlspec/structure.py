@@ -145,7 +145,7 @@ def _reduction(g: Graph) -> tuple[list[tuple], int, int]:
     Returns the (rule, vertices, multiplicity, after) steps, the mask of
     vertices left and the number of edges left.
     """
-    nbrs = [g.neighbor_mask(v) for v in range(g.n)]
+    nbrs = list(g._mask)
     alive, left, edges = (1 << g.n) - 1, g.n, 0
     low = two = 0  # vertices of degree <= 1, of degree 2
     for v, m in enumerate(nbrs):

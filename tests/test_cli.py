@@ -307,6 +307,18 @@ def test_gen_n10_connected_k4_minor_free_matches_frozen_corpus():
     assert proc.returncode == 0
     frozen = (REPO / "perfbench" / "data" / "k4mf_n10.g6").read_bytes()
     assert proc.stdout.encode() == frozen
+    # the work counts: the same children built, skipped, tested and keyed
+    summary = proc.stderr.strip().splitlines()[-1]
+    for count in (
+        "1028 classes",
+        "7372 children built",
+        "9683 disconnected children skipped",
+        "7868 subsets skipped by orbit",
+        "26028 children made by an earlier parent",
+        "7190 hereditary tests",
+        "4692 canonical forms",
+    ):
+        assert count in summary
 
 
 def test_gen_and_verify_sp_never_run_the_reducer(tmp_path, capsys, monkeypatch):

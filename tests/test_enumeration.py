@@ -127,32 +127,41 @@ def test_canonical_keys_of_every_subcubic_class_on_9_vertices_frozen():
     )
 
 
+def vertices(cmask):
+    return [v for v in range(cmask.bit_length()) if cmask >> v & 1]
+
+
+def branches(cmasks):
+    """Each partition that individualizes one vertex of the first
+    non-singleton cell, with the cell's rest: (partition, rest)."""
+    target = next((i for i, c in enumerate(cmasks) if c & (c - 1)), None)
+    if target is None:
+        return
+    for v in vertices(cmasks[target]):
+        rest = cmasks[target] ^ 1 << v
+        yield cmasks[:target] + [1 << v, rest] + cmasks[target + 1 :], rest
+
+
 def test_refine_with_stable_splitters_matches_plain_refinement():
     # individualizing one vertex of an equitable partition and refining with
-    # the parent's cells marked stable gives the same cells in the same order,
-    # each with its own vertex mask
+    # the parent's cells marked stable gives the same cells in the same order;
+    # so does marking the rest of the individualized cell stable too
     rng = random.Random(11)
     for _ in range(200):
         g = random_graph(rng.randint(2, 11), rng.random(), rng)
         masks = [g.neighbor_mask(v) for v in range(g.n)]
-        cells, stable = _refine(masks, [list(range(g.n))], [(1 << g.n) - 1])
-        assert stable == [sum(1 << v for v in c) for c in cells]
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
-            continue
-        for v in cells[target]:
-            rest = [w for w in cells[target] if w != v]
-            branched = cells[:target] + [[v], rest] + cells[target + 1 :]
-            bmasks = stable[:target] + [1 << v, stable[target] ^ 1 << v] + stable[target + 1 :]
-            refined = _refine(masks, branched, bmasks, stable)
-            assert refined == _refine(masks, branched, bmasks)
-            assert refined[1] == [sum(1 << w for w in c) for c in refined[0]]
+        stable = _refine(masks, [(1 << g.n) - 1])
+        for branched, rest in branches(stable):
+            refined = _refine(masks, branched, stable)
+            assert refined == _refine(masks, branched)
+            assert refined == _refine(masks, branched, stable + [rest])
 
 
 def plain_refine(masks, cells, stable=()):
     """The splitter loop _refine shortcuts: the first cell not yet used
     splits every non-singleton cell by neighbor counts, pieces in ascending
-    count order, and the scan restarts from the first cell after a split."""
+    count order, and the scan restarts from the first cell after a split.
+    Cells are vertex lists here, counts are bucketed per vertex."""
     cells = [list(c) for c in cells]
     known = set(stable)
     changed = True
@@ -176,24 +185,67 @@ def plain_refine(masks, cells, stable=()):
     return cells
 
 
-def test_refine_matches_the_plain_splitter_loop():
+def assert_refine_matches_plain(g):
     # same cells in the same order, from the unit cell and after
     # individualizing each vertex of the first non-singleton cell
+    masks = [g.neighbor_mask(v) for v in range(g.n)]
+    cmasks = _refine(masks, [(1 << g.n) - 1])
+    assert list(map(vertices, cmasks)) == plain_refine(masks, [list(range(g.n))])
+    for branched, _ in branches(cmasks):
+        expect = plain_refine(masks, list(map(vertices, branched)), cmasks)
+        assert list(map(vertices, _refine(masks, branched, cmasks))) == expect
+
+
+def test_refine_matches_the_plain_splitter_loop():
     rng = random.Random(12)
     for _ in range(300):
         g = random_graph(rng.randint(2, 12), rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
-        masks = [g.neighbor_mask(v) for v in range(g.n)]
-        cells, cmasks = _refine(masks, [list(range(g.n))], [(1 << g.n) - 1])
-        assert cells == plain_refine(masks, [list(range(g.n))])
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
-            continue
-        for v in cells[target]:
-            rest = [w for w in cells[target] if w != v]
-            branched = cells[:target] + [[v], rest] + cells[target + 1 :]
-            bmasks = cmasks[:target] + [1 << v, cmasks[target] ^ 1 << v] + cmasks[target + 1 :]
-            expect = plain_refine(masks, branched, cmasks)
-            assert _refine(masks, branched, bmasks, cmasks)[0] == expect
+        assert_refine_matches_plain(g)
+
+
+@pytest.mark.parametrize("n", [12, 30, 62])
+def test_refine_and_keys_on_dense_graphs(n):
+    # degrees near n/2, so a splitter's counts take three to six bit planes
+    rng = random.Random(n)
+    for _ in range(3):
+        g = random_graph(n, 0.5, rng)
+        assert 3 <= max(g.degrees()).bit_length() <= 6
+        assert_refine_matches_plain(g)
+        key = canonical_key(g)
+        for _ in range(2):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_key(Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])) == key
+
+
+def test_canonical_search_output_on_every_gen_n9_form_frozen(monkeypatch):
+    # sha256 over each key and the generators the search found for it, in
+    # order, for every graph gen n=9 canonicalizes from an empty level cache;
+    # frozen so a faster search cannot change a key or a generator
+    seen = []
+    search = enumeration.canonical_key
+
+    def recording(g, generators=None):
+        gens: list = []
+        key = search(g, gens)
+        seen.append((key, gens))
+        if generators is not None:
+            generators.extend(gens)
+        return key
+
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    monkeypatch.setattr(enumeration, "canonical_key", recording)
+    enumerate_graphs(GenSpec(n=9))
+    assert len(seen) == 3742
+    digest = hashlib.sha256()
+    for key, gens in seen:
+        digest.update(key)
+        for p in gens:
+            digest.update(bytes(p))
+        digest.update(b"\xff")
+    assert digest.hexdigest() == (
+        "47972e9482a47dca4f398fc71a83501b799988ca20b5af07a9ce7dea68e081df"
+    )
 
 
 def test_level_cache_classes_carry_no_reduction_trace():

@@ -221,7 +221,7 @@ def test_sp_theorem_two_connected_case():
     # a 2-connected k4-minor-free example: C6 plus a long chord path
     h = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 3)])
     trace = verify_theorem_sp(h)
-    assert trace.case in ("two-connected", "k23-decomposition")
+    assert trace.case == "two-connected"
     assert trace.verdict == PASS
 
 
