@@ -19,11 +19,6 @@ _EXPORTS = {
         "induced_delete", "induced_subgraph", "is_bipartite", "is_connected", "parse_graph6",
         "spanning_subgraph", "to_graph6",
     ),
-    "named": (
-        "complete_bipartite", "complete_graph", "cycle_graph", "diamond_graph", "empty_graph",
-        "heawood_graph", "path_graph", "paw_graph", "petersen_graph", "prism_graph",
-        "star_graph",
-    ),
     "spectra": (
         "SQRT2", "HLIndex", "InertiaCount", "RBoundCertificate", "Spectrum", "Sqrt2Rational",
         "certify_R_le", "count_at_threshold", "hl_index", "median_positions", "spectrum",

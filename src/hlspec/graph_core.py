@@ -91,23 +91,6 @@ class Graph:
         # pickles and copies carry the graph, never its fact record
         return None, {"n": self.n, "_mask": self._mask}
 
-    def with_vertex(self, neighbors: Iterable[int]) -> "Graph":
-        """This graph plus a new vertex n joined to each given neighbor.
-
-        Equal to Graph(n + 1, edges() + [(v, n) for v in neighbors]), but
-        only the neighbors' masks are rebuilt; the rest are shared.
-        """
-        n = self.n
-        mask = list(self._mask)
-        new_mask = 0
-        for v in neighbors:
-            if not 0 <= v < n:
-                raise ValueError(f"neighbor {v} out of range for n={n}")
-            mask[v] |= 1 << n
-            new_mask |= 1 << v
-        mask.append(new_mask)
-        return Graph._of_masks(tuple(mask))
-
     @property
     def m(self) -> int:
         return sum(map(int.bit_count, self._mask)) // 2

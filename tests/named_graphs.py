@@ -1,8 +1,8 @@
-"""Constructors for the small named graphs used in tests and reports."""
+"""Constructors for the small named graphs the tests check against."""
 
 from __future__ import annotations
 
-from .graph_core import Graph
+from hlspec.graph_core import Graph
 
 
 def empty_graph(n: int) -> Graph:
@@ -61,9 +61,7 @@ def petersen_graph() -> Graph:
 def heawood_graph() -> Graph:
     """The 14-vertex cubic bipartite graph of girth 6.
 
-    Cycle 0..13 plus the chords i -- i+5 (mod 14) for even i.  Its median
-    eigenvalue pair is the known extremal case among subcubic bipartite
-    graphs.
+    Cycle 0..13 plus the chords i -- i+5 (mod 14) for even i.
     """
     edges = [(i, (i + 1) % 14) for i in range(14)]
     edges += [(i, (i + 5) % 14) for i in range(0, 14, 2)]

@@ -23,7 +23,6 @@ from hlspec import (
     check_lemma_odd,
     enumerate_graphs,
     count_at_threshold,
-    heawood_graph,
     hl_index,
     induced_delete,
     is_bipartite,
@@ -35,6 +34,7 @@ from hlspec import (
 )
 from hlspec.structure import k4_minor_free
 
+from named_graphs import heawood_graph
 from oracle import adjacency_rows, brute_force_has_k4_minor
 
 

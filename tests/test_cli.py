@@ -11,22 +11,23 @@ import math
 import multiprocessing
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import hlspec
 import hlspec.cli as cli
 from hlspec import (
     FAIL,
     Graph,
     WitnessTrace,
-    complete_bipartite,
-    cycle_graph,
-    heawood_graph,
     parse_graph6,
     to_graph6,
 )
+
+from named_graphs import complete_bipartite, complete_graph, cycle_graph, heawood_graph
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -446,6 +447,32 @@ def test_verify_survey_heawood():
     assert rep["known_extremal"] is True
     assert rep["certified_le_sqrt2"] is True
     assert rep["certified_le_one"] is False
+
+
+# 14 vertices and 21 edges each, so the survey's order and size guard
+# passes and the canonical key decides: Heawood, a seeded relabelling of it,
+# and the 7-prism C7 x K2, which is cubic but not Heawood
+HEAWOOD_ORDER_SURVEY = {
+    "MhEGHC@AI?_PC@_G_": True,
+    "M?oaAggCGCq?G``A?": True,
+    "MhCKK@@GG_`@@@?o_": False,
+}
+
+
+def test_verify_survey_flags_heawood_by_its_canonical_key(tmp_path, capsys):
+    from hlspec.enumeration import canonical_key
+
+    assert cli._extremal_key() == canonical_key(heawood_graph())
+    path = tmp_path / "heawood_order.g6"
+    path.write_text("\n".join(HEAWOOD_ORDER_SURVEY) + "\n")
+    code, out, _ = run_main(["verify", "survey", str(path)], capsys)
+    assert code == 0
+    rows = json_lines(out)
+    assert [(r["n"], r["m"]) for r in rows] == [(14, 21)] * 3
+    assert {r["graph6"]: r["known_extremal"] for r in rows} == HEAWOOD_ORDER_SURVEY
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "875f53dee41913996d570a7f515f93631d546c356bee2008880f158e61d782de"
+    )
 
 
 def test_verify_survey_skips_non_subcubic():
@@ -922,7 +949,6 @@ def test_survey_computes_no_spectrum_of_a_skipped_graph(tmp_path, capsys, monkey
     # a survey row of max degree above 3 is skipped without its index, so
     # its graph is not primed; hl rows read the index at every degree
     import hlspec.spectra as spectra
-    from hlspec import complete_graph
 
     primed = []
     prime = spectra.prime
@@ -1142,7 +1168,7 @@ import sys
 import hlspec.cli as cli
 
 watched = ["numpy", "multiprocessing"] + [
-    "hlspec." + m for m in ("spectra", "structure", "enumeration", "proofs", "named")
+    "hlspec." + m for m in ("spectra", "structure", "enumeration", "proofs")
 ]
 assert not any(m in sys.modules for m in watched)
 try:
@@ -1160,6 +1186,9 @@ def test_gen_recognize_help_and_usage_errors_never_import_numpy(tmp_path):
     corpus.write_text("A_\nBw\nCr\n")
     bad = tmp_path / "bad.g6"
     bad.write_text("A_\n!!bad\n")
+    heawood_order = tmp_path / "heawood_order.g6"
+    heawood_order.write_text("\n".join(HEAWOOD_ORDER_SURVEY) + "\n")
+    seen: set[str] = set()
 
     def loaded(*args):
         proc = subprocess.run(
@@ -1168,7 +1197,9 @@ def test_gen_recognize_help_and_usage_errors_never_import_numpy(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         code, modules = json.loads(proc.stderr.splitlines()[-1])
-        return code, {m.removeprefix("hlspec.") for m in modules}
+        names = {m.removeprefix("hlspec.") for m in modules}
+        seen.update(names)
+        return code, names
 
     assert loaded("--help") == (0, set())
     assert loaded("gen", "n=7", "--connected", "--k4-minor-free") == (
@@ -1181,6 +1212,14 @@ def test_gen_recognize_help_and_usage_errors_never_import_numpy(tmp_path):
     assert loaded("verify", "sp", str(corpus)) == (
         0, {"proofs", "spectra", "structure", "numpy"}
     )
+    # the survey keys Heawood-order graphs, and builds Heawood itself
+    assert loaded("verify", "survey", str(heawood_order)) == (
+        0, {"enumeration", "proofs", "spectra", "structure", "numpy"}
+    )
+    # every module in the package is watched and loaded by some command:
+    # none is kept for the tests alone
+    package = {m.name for m in pkgutil.iter_modules(hlspec.__path__)} - {"__main__"}
+    assert (seen - {"numpy", "multiprocessing"}) | {"cli", "graph_core"} == package
     if (os.cpu_count() or 1) >= 2:
         # three lines are two chunks, so a pool starts, and the rows are
         # built in its workers

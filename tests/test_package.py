@@ -2,6 +2,7 @@
 submodule on first access, star import, dir() and unknown names."""
 
 import importlib
+import importlib.util
 
 import pytest
 
@@ -13,11 +14,6 @@ EXPORTS = {
         "Graph", "Graph6Error", "bipartition", "components", "cut_vertices",
         "induced_delete", "induced_subgraph", "is_bipartite", "is_connected", "parse_graph6",
         "spanning_subgraph", "to_graph6",
-    ],
-    "named": [
-        "complete_bipartite", "complete_graph", "cycle_graph", "diamond_graph", "empty_graph",
-        "heawood_graph", "path_graph", "paw_graph", "petersen_graph", "prism_graph",
-        "star_graph",
     ],
     "spectra": [
         "SQRT2", "HLIndex", "InertiaCount", "RBoundCertificate", "Spectrum", "Sqrt2Rational",
@@ -64,3 +60,11 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(hlspec, "prime")
     with pytest.raises(ImportError):
         exec("from hlspec import prime", {})
+
+
+def test_named_graphs_and_with_vertex_are_not_in_the_package():
+    # the named-graph constructors live in the tests (tests/named_graphs.py)
+    with pytest.raises(AttributeError):
+        hlspec.heawood_graph
+    assert importlib.util.find_spec("hlspec.named") is None
+    assert not hasattr(hlspec.Graph, "with_vertex")

@@ -25,20 +25,12 @@ from hlspec import (
     WitnessTrace,
     certify_R_le,
     check_lemma_odd,
-    complete_bipartite,
-    complete_graph,
     count_at_threshold,
-    cycle_graph,
     enumerate_graphs,
-    heawood_graph,
     hl_index,
     is_k4_minor_free,
     parse_graph6,
-    path_graph,
-    petersen_graph,
-    prism_graph,
     replay_trace,
-    star_graph,
     to_graph6,
     trace_from_json_dict,
     verify_theorem_k23,
@@ -49,6 +41,16 @@ from hlspec.cli import _report_chunk, _verify_rows
 from hlspec.proofs import _APPLIES, _EVALUATORS, _c_path, _c_path_lengths, _step
 from hlspec.structure import find_k23, k4_minor_free
 
+from named_graphs import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    heawood_graph,
+    path_graph,
+    petersen_graph,
+    prism_graph,
+    star_graph,
+)
 from oracle import brute_force_shaped_unfriendly, is_locally_longest_cycle, is_unfriendly_side
 
 SQRT2 = math.sqrt(2.0)

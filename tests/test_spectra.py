@@ -17,18 +17,6 @@ from hypothesis import strategies as st
 
 from hlspec.enumeration import GenSpec, enumerate_graphs
 from hlspec.graph_core import Graph, to_graph6
-from hlspec.named import (
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
-    heawood_graph,
-    path_graph,
-    paw_graph,
-    petersen_graph,
-    prism_graph,
-    star_graph,
-)
 from hlspec.spectra import (
     SQRT2,
     _adjacency_facts,
@@ -48,6 +36,18 @@ from hlspec.spectra import (
 )
 from hlspec.graph_core import induced_delete, spanning_subgraph
 
+from named_graphs import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    heawood_graph,
+    path_graph,
+    paw_graph,
+    petersen_graph,
+    prism_graph,
+    star_graph,
+)
 from oracle import adjacency_rows, shift_int, shift_pairs
 
 

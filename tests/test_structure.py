@@ -17,7 +17,17 @@ import pytest
 
 from hlspec.enumeration import GenSpec, enumerate_graphs
 from hlspec.graph_core import Graph
-from hlspec.named import (
+from hlspec.structure import (
+    Partition,
+    _flip_search,
+    find_k23,
+    is_k4_minor_free,
+    is_unfriendly,
+    k4_minor_free,
+    replay_reduction,
+)
+
+from named_graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -30,16 +40,6 @@ from hlspec.named import (
     prism_graph,
     star_graph,
 )
-from hlspec.structure import (
-    Partition,
-    _flip_search,
-    find_k23,
-    is_k4_minor_free,
-    is_unfriendly,
-    k4_minor_free,
-    replay_reduction,
-)
-
 from oracle import brute_force_has_k4_minor, is_unfriendly_side
 
 
