@@ -218,9 +218,16 @@ def test_refine_and_keys_on_dense_graphs(n):
             assert canonical_key(Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])) == key
 
 
-def test_canonical_search_output_on_every_gen_n9_form_frozen(monkeypatch):
+@pytest.mark.parametrize("spec, forms, digest", [
+    (GenSpec(n=9), 3742,
+     "47972e9482a47dca4f398fc71a83501b799988ca20b5af07a9ce7dea68e081df"),
+    # the benchmark's gen run: the connected last level and the K4 filter
+    (GenSpec(n=10, connected=True, filters=("k4-minor-free",)), 4692,
+     "816d379d71de6a59674ccf46918a77fc94848b3d316727930de0f7a7d8a43916"),
+], ids=["n9", "k4mf-n10"])
+def test_canonical_search_output_on_every_gen_n9_form_frozen(monkeypatch, spec, forms, digest):
     # sha256 over each key and the generators the search found for it, in
-    # order, for every graph gen n=9 canonicalizes from an empty level cache;
+    # order, for every graph gen canonicalizes from an empty level cache;
     # frozen so a faster search cannot change a key or a generator
     seen = []
     search = enumeration.canonical_key
@@ -235,17 +242,15 @@ def test_canonical_search_output_on_every_gen_n9_form_frozen(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
     monkeypatch.setattr(enumeration, "canonical_key", recording)
-    enumerate_graphs(GenSpec(n=9))
-    assert len(seen) == 3742
-    digest = hashlib.sha256()
+    enumerate_graphs(spec)
+    assert len(seen) == forms
+    h = hashlib.sha256()
     for key, gens in seen:
-        digest.update(key)
+        h.update(key)
         for p in gens:
-            digest.update(bytes(p))
-        digest.update(b"\xff")
-    assert digest.hexdigest() == (
-        "47972e9482a47dca4f398fc71a83501b799988ca20b5af07a9ce7dea68e081df"
-    )
+            h.update(bytes(p))
+        h.update(b"\xff")
+    assert h.hexdigest() == digest
 
 
 def test_level_cache_classes_carry_no_reduction_trace():
