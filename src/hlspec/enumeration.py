@@ -39,7 +39,6 @@ honest.
 
 from __future__ import annotations
 
-import copy
 import functools
 from collections import Counter
 from dataclasses import dataclass
@@ -77,7 +76,10 @@ def _refine(masks: list[int], cmasks: list[int], stable: Iterable[int] = ()) -> 
     cmasks = list(cmasks)
     known = set(stable)
     # the vertices of non-singleton cells; once there are none, stop
-    loose = sum(m for m in cmasks if m & (m - 1))
+    loose = 0
+    for m in cmasks:
+        if m & (m - 1):
+            loose |= m
     i = 0
     while loose and i < len(cmasks):
         smask = cmasks[i]
@@ -114,20 +116,27 @@ def _refine(masks: list[int], cmasks: list[int], stable: Iterable[int] = ()) -> 
         while live:
             j -= 1
             cmask = cmasks[j]
-            if not cmask & live:
+            hit = cmask & live
+            if not hit:
                 continue
-            live &= ~cmask
-            pmasks = None
-            for plane in planes:
-                one = cmask & plane
-                if not one or one == cmask:
+            live ^= hit
+            if len(planes) == 1:
+                # counts are 0 or 1: the one side is the cell's neighbors
+                if hit == cmask:
                     continue
+                pmasks = [cmask ^ hit, hit]
+            else:
+                pmasks = None
+                for plane in planes:
+                    one = cmask & plane
+                    if not one or one == cmask:
+                        continue
+                    if pmasks is None:
+                        pmasks = [cmask ^ one, one]
+                    else:  # each piece splits into its zero side, then its one side
+                        pmasks = [p for m in pmasks for p in (m & ~plane, m & plane) if p]
                 if pmasks is None:
-                    pmasks = [cmask ^ one, one]
-                else:  # each piece splits into its zero side, then its one side
-                    pmasks = [p for m in pmasks for p in (m & ~plane, m & plane) if p]
-            if pmasks is None:
-                continue
+                    continue
             # the last piece of a cell the partition is equitable against
             # splits nothing by the time the scan reaches it: the pieces
             # before it are splitters by then, and the cell less them is it
@@ -140,6 +149,14 @@ def _refine(masks: list[int], cmasks: list[int], stable: Iterable[int] = ()) -> 
             if j < i:
                 i = j
     return cmasks
+
+
+def _root(parent: list[int], x: int) -> int:
+    """x's root in a union-find, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 @functools.cache
@@ -209,8 +226,21 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
             if cmask & (cmask - 1):
                 break
         head, tail = cmasks[:target], cmasks[target + 1 :]
-        cell = list(_bits(cmask))
-        if len({masks[v] for v in cell}) == 1 or len({masks[v] | 1 << v for v in cell}) == 1:
+        # the cell's vertices and the union of their neighborhoods
+        cell = []
+        reach = 0
+        rest = cmask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            cell.append(v)
+            reach |= masks[v]
+        # a cell of an equitable partition shares one degree, so its members
+        # are open twins iff their neighbors number that degree, and closed
+        # twins iff their closed neighborhoods number one more
+        degree = masks[v].bit_count()
+        if reach.bit_count() == degree or (reach | cmask).bit_count() == degree + 1:
             # a cell of twins is individualized whole (see the docstring)
             for a, b in zip(cell, cell[1:]):
                 swap = list(range(n))
@@ -219,31 +249,29 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
             descend(head + [1 << v for v in cell] + tail, prefix + cell)
             return
         # orbits of the known automorphisms fixing the individualized prefix,
-        # as a union-find that takes in each automorphism once, when found
-        parent = list(range(n))
+        # as a union-find that takes in each automorphism once, when found;
+        # it is made when the first such automorphism arrives
+        parent: list[int] | None = None
         absorbed = 0
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         explored: list[int] = []
         for v in cell:
             # skip v if a known automorphism fixing the individualized prefix
             # maps an already-explored sibling to it
             if explored:
                 for a in autos[absorbed:]:
-                    if all(a[p] == p for p in prefix):
+                    if list(map(a.__getitem__, prefix)) == prefix:
+                        if parent is None:
+                            parent = list(range(n))
                         for x, y in enumerate(a):
                             if x != y:
-                                rx, ry = find(x), find(y)
+                                rx, ry = _root(parent, x), _root(parent, y)
                                 if rx != ry:
                                     parent[rx] = ry
                 absorbed = len(autos)
-                if any(find(v) == find(u) for u in explored):
-                    continue
+                if parent is not None:
+                    rv = _root(parent, v)
+                    if any(_root(parent, u) == rv for u in explored):
+                        continue
             explored.append(v)
             prefix.append(v)
             # the cell's rest splits nothing once 1 << v has split: cmasks is equitable
@@ -251,7 +279,16 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
             descend(_refine(masks, head + [1 << v, rest] + tail, cmasks + [rest]), prefix)
             prefix.pop()
 
-    descend(_refine(masks, [(1 << n) - 1]), [])
+    # the unit cell split by degree, in ascending pieces, as the refinement
+    # would split it; its last piece then splits nothing
+    by_degree = [0] * n
+    for v, d in enumerate(map(int.bit_count, masks)):
+        by_degree[d] |= 1 << v
+    cells = [c for c in by_degree if c]
+    descend(_refine(masks, cells, cells[-1:]), [])
+    # descend refers to itself through its closure; dropping it frees the
+    # search state now instead of at the next cycle collection
+    del descend
     assert best is not None
     if generators is not None:
         generators.extend(dict.fromkeys(tuple(a) for a in autos))
@@ -287,36 +324,6 @@ _Class = tuple[Graph, tuple[tuple[int, ...], ...]]
 _LEVEL_CACHE: dict[tuple[int, int | None, frozenset[str], bool], list[_Class]] = {}
 
 
-def _passes_hereditary(g: Graph, hered: frozenset[str]) -> bool:
-    if "bipartite" in hered and not is_bipartite(g):
-        return False
-    if "k4-minor-free" in hered and _reduction(g)[1]:
-        return False
-    return True
-
-
-def _made_by_earlier_parent(linked: int, pendants: dict[int, int], smask: int) -> bool:
-    """True when deleting some old vertex from the child (the parent plus a
-    vertex v joined to ``smask``) leaves more isolated vertices than
-    deleting v.  ``linked`` masks the parent's vertices that have a neighbor,
-    and ``pendants`` maps each vertex u that has pendants, as 1 << u, to the
-    mask of the vertices whose only neighbor is u.
-
-    score[u] counts the vertices whose only neighbor in the child is u, less
-    one if u itself is isolated: deleting u leaves iso(child) + score[u]
-    isolated vertices.  score[v] is -1 for an empty smask, else the number
-    of isolated vertices v joins; an old u scores its pendants outside
-    smask, plus one if smask is u alone, less one if u stays isolated.  So
-    without pendants only an empty smask or one linked vertex can win.
-    """
-    if not smask:
-        return linked != 0
-    if not smask & (smask - 1) and smask & linked:
-        return True
-    joined = (smask & ~linked).bit_count()
-    return any((p & ~smask).bit_count() > joined for p in pendants.values())
-
-
 def _level(
     n: int,
     max_degree: int | None,
@@ -343,6 +350,12 @@ def _level(
         parents = _level(n - 1, max_degree, hered, False, stats)
         found: dict[bytes, _Class] = {}
         built = skipped = disconnected = earlier = tested = keyed = 0
+        top = 1 << n - 1
+        # the kept children's rows are the parent's ints or this table's,
+        # not a fresh int per row
+        ints = list(range(1 << n))
+        want_bipartite = "bipartite" in hered
+        want_k4_free = "k4-minor-free" in hered
         for parent, gens in parents:
             masks = parent._mask
             if max_degree is None:
@@ -360,47 +373,72 @@ def _level(
             sizes = range(len(comp_masks), min(cap, len(eligible)) + 1)
             if not sizes:
                 continue
+            split = comp_masks if len(comp_masks) > 1 else ()
             linked = sum(1 << w for w, m in enumerate(masks) if m)
+            isolated = (top - 1) ^ linked
+            # pendants[u]: the vertices whose only neighbor is u; lone: all of them
             pendants: dict[int, int] = {}
             for w, m in enumerate(masks):
                 if m and not m & (m - 1):
                     pendants[m] = pendants.get(m, 0) | 1 << w
-            # the parent's generators as bit tables: bit v maps to bit p[v]
-            images = [{1 << v: 1 << p[v] for v in range(n - 1)}.__getitem__ for p in gens]
+            lone = sum(pendants.values())
+            # the parent's generators as bit tables: entry v is 1 << p[v]
+            tables = [(p, tuple(1 << w for w in p)) for p in gens]
             seen: set[int] = set()
+            ebits = [1 << v for v in eligible]
             for size in sizes:
-                for subset in combinations([1 << v for v in eligible], size):
-                    smask = sum(subset)
+                for subset, smask in zip(combinations(eligible, size),
+                                         map(sum, combinations(ebits, size))):
                     if smask in seen:
                         skipped += 1
                         continue
                     # automorphisms permute components and keep both tests'
                     # verdicts, so a skipped subset's orbit-mates skip the
                     # same way and its orbit is never marked
-                    if len(comp_masks) > 1 and not all(smask & c for c in comp_masks):
+                    if split and not all(map(smask.__and__, split)):
                         disconnected += 1
                         continue
-                    # the test is False on two or more vertices and no pendants
-                    if (size < 2 or pendants) and _made_by_earlier_parent(linked, pendants, smask):
+                    # Is the child C = parent + v that of an earlier parent:
+                    # does deleting some old u leave more isolated vertices
+                    # than deleting v?  score[u] counts the vertices whose
+                    # only neighbor in C is u, less one if u itself is
+                    # isolated: deleting u leaves iso(C) + score[u] isolated
+                    # vertices.  score[v] is -1 for an empty subset, else the
+                    # number of isolated vertices v joins; an old u scores its
+                    # pendants outside the subset, plus one if the subset is u
+                    # alone, less one if u stays isolated.
+                    joined = smask & isolated
+                    if joined:
+                        count = joined.bit_count()
+                        if any((p & ~smask).bit_count() > count for p in pendants.values()):
+                            earlier += 1
+                            continue
+                    elif size < 2 and (smask or linked) or lone & ~smask:
                         earlier += 1
                         continue
                     # mark the subset's orbit under the parent's group
                     orbit = [subset]
-                    for bits in orbit:
-                        for image in images:
-                            mapped = list(map(image, bits))
-                            m = sum(mapped)
+                    for vs in orbit:
+                        for p, table in tables:
+                            m = sum(map(table.__getitem__, vs))
                             if m not in seen:
                                 seen.add(m)
-                                orbit.append(mapped)
-                    child = Graph._of_masks(
-                        (*(m | (smask >> v & 1) << n - 1 for v, m in enumerate(masks)), smask))
+                                orbit.append(tuple(map(p.__getitem__, vs)))
+                    # the child's rows: the parent's, the new vertex's bit set
+                    # in its neighbors' rows, and the new vertex's row
+                    rows = list(masks)
+                    for v in subset:
+                        rows[v] = ints[rows[v] | top]
+                    rows.append(ints[smask])
+                    child = Graph._of_masks(tuple(rows))
                     built += 1
                     # a new vertex of degree <= 1 keeps every hereditary
                     # property the parent has: it adds no cycle and no minor
                     if size > 1 and hered:
                         tested += 1
-                        if not _passes_hereditary(child, hered):
+                        if want_bipartite and not is_bipartite(child):
+                            continue
+                        if want_k4_free and _reduction(child)[0]:
                             continue
                     child_gens: list[tuple[int, ...]] = []
                     ck = canonical_key(child, child_gens)
@@ -437,4 +475,5 @@ def enumerate_graphs(spec: GenSpec, stats: Counter | None = None) -> list[Graph]
     hered = frozenset(spec.filters) & _HEREDITARY
     level = _level(spec.n, spec.max_degree, hered, spec.connected, stats)
     want_k23 = "contains-k23" in spec.filters
-    return [copy.copy(g) for g, _ in level if not want_k23 or find_k23(g) is not None]
+    return [Graph._of_masks(g._mask) for g, _ in level
+            if not want_k23 or find_k23(g) is not None]

@@ -3,7 +3,7 @@ search (the k23 verifier builds its partition with it), K_{2,3} subgraphs
 and K4-minor recognition.
 
 K4-minor-freeness has one decider, a reduction on neighbor bitmasks that
-records its steps; tests check it against a brute-force contraction oracle
+can record its steps; tests check it against a brute-force contraction oracle
 kept out of the package (tests/oracle.py).
 """
 
@@ -128,9 +128,10 @@ class SPReductionTrace:
     reduced_to_empty: bool
 
 
-def _reduction(g: Graph) -> tuple[list[tuple], int, int]:
+def _reduction(g: Graph, steps: list[tuple] | None = None) -> tuple[int, int]:
     """Reduce g on neighbor bitmasks by deleting vertices of degree <= 1
-    and suppressing vertices of degree 2, recording each step.
+    and suppressing vertices of degree 2, appending each step to ``steps``
+    when it is given.
 
     Each step takes the smallest vertex of degree <= 1, else the smallest
     of degree 2 (one candidate mask each, rechecked only at the vertices
@@ -142,7 +143,7 @@ def _reduction(g: Graph) -> tuple[list[tuple], int, int]:
     admits none has minimum degree >= 3, so it has a K4 minor (Dirac 1952;
     Duffin 1965): g is K4-minor-free iff no vertex is left.
 
-    Returns the (rule, vertices, multiplicity, after) steps, the mask of
+    A step is (rule, vertices, multiplicity, after).  Returns the mask of
     vertices left and the number of edges left.
     """
     nbrs = list(g._mask)
@@ -154,7 +155,6 @@ def _reduction(g: Graph) -> tuple[list[tuple], int, int]:
         low |= (deg < 2) << v
         two |= (deg == 2) << v
     edges //= 2
-    steps: list[tuple] = []
     while low or two:
         pick = low or two
         bit = pick & -pick
@@ -168,7 +168,8 @@ def _reduction(g: Graph) -> tuple[list[tuple], int, int]:
             if m:
                 nbrs[m.bit_length() - 1] ^= bit
                 edges -= 1
-            steps.append(("leaf-delete", (v,), None, (left, edges)))
+            if steps is not None:
+                steps.append(("leaf-delete", (v,), None, (left, edges)))
         else:
             two ^= bit
             first = m & -m
@@ -177,11 +178,13 @@ def _reduction(g: Graph) -> tuple[list[tuple], int, int]:
             nbrs[a] = (nbrs[a] ^ bit) | (m ^ first)
             nbrs[b] = (nbrs[b] ^ bit) | first
             edges -= 1
-            steps.append(("suppress", (v, a, b), None, (left, edges)))
+            if steps is not None:
+                steps.append(("suppress", (v, a, b), None, (left, edges)))
             lost = 0  # a new edge ab keeps both degrees
             if merged:  # the double edge ab merges: a and b each lose a degree
                 edges -= 1
-                steps.append(("parallel-merge", (a, b), 2, (left, edges)))
+                if steps is not None:
+                    steps.append(("parallel-merge", (a, b), 2, (left, edges)))
                 lost = m
         while lost:
             end = lost & -lost
@@ -192,12 +195,13 @@ def _reduction(g: Graph) -> tuple[list[tuple], int, int]:
                 two &= ~end
             elif deg == 2:
                 two |= end
-    return steps, alive, edges
+    return alive, edges
 
 
 def is_k4_minor_free(g: Graph) -> tuple[bool, SPReductionTrace]:
     """Whether g has no K4 minor, with the steps of _reduction as a trace."""
-    steps, alive, edges = _reduction(g)
+    steps: list[tuple] = []
+    alive, edges = _reduction(g, steps)
     trace = SPReductionTrace(
         steps=tuple(ReductionStep(*s) for s in steps),
         final_vertices=alive.bit_count(),
@@ -210,7 +214,7 @@ def is_k4_minor_free(g: Graph) -> tuple[bool, SPReductionTrace]:
 def k4_minor_free(g: Graph) -> bool:
     """Whether g has no K4 minor, kept on g's fact record.  No trace is
     built; is_k4_minor_free builds one where it is wanted."""
-    return g.fact("k4-minor-free", lambda: not _reduction(g)[1])
+    return g.fact("k4-minor-free", lambda: not _reduction(g)[0])
 
 
 def replay_reduction(g: Graph, trace: SPReductionTrace) -> bool:

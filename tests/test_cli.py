@@ -569,7 +569,8 @@ def test_verify_sp_computes_each_fact_once(monkeypatch):
     reduction_, trace_ = structure._reduction, structure.SPReductionTrace
     kernel = spectra._adjacency_facts
     monkeypatch.setattr(
-        structure, "_reduction", lambda g: calls.update(["reduction"]) or reduction_(g)
+        structure, "_reduction",
+        lambda g, steps=None: calls.update(["reduction"]) or reduction_(g, steps),
     )
     monkeypatch.setattr(
         structure, "SPReductionTrace", lambda **kw: calls.update(["trace"]) or trace_(**kw)
@@ -1015,7 +1016,8 @@ def test_recognize_runs_the_reducer_once_per_graph(monkeypatch):
     calls: collections.Counter = collections.Counter()
     reduction_, trace_ = structure._reduction, structure.SPReductionTrace
     monkeypatch.setattr(
-        structure, "_reduction", lambda g: calls.update(["reduction"]) or reduction_(g)
+        structure, "_reduction",
+        lambda g, steps=None: calls.update(["reduction"]) or reduction_(g, steps),
     )
     monkeypatch.setattr(
         structure, "SPReductionTrace", lambda **kw: calls.update(["trace"]) or trace_(**kw)

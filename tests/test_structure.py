@@ -20,6 +20,7 @@ from hlspec.graph_core import Graph
 from hlspec.structure import (
     Partition,
     _flip_search,
+    _reduction,
     find_k23,
     is_k4_minor_free,
     is_unfriendly,
@@ -238,6 +239,9 @@ def test_reduction_traces_frozen():
     digest = hashlib.sha256()
     for g in graphs:
         digest.update(repr(is_k4_minor_free(g)[1]).encode() + b"\n")
+        # the call that records no steps ends in the same vertex mask and
+        # edge count as the call that does
+        assert _reduction(g) == _reduction(g, [])
     assert digest.hexdigest() == (
         "14f2d08036d80c9ba21055934fed34514d7670ad330e2509d39318abb1ad0504"
     )
