@@ -16,8 +16,8 @@ components than the new vertex may have neighbors.
 
 Most of the other children are skipped before they are built, tested or
 canonicalized, because an earlier parent already made their class.  In
-every leaf of the canonical search the isolated vertices come first:
-_refine splits the unit cell by degree into ascending pieces, and later
+every leaf of the canonical search the isolated vertices come first: the
+search splits the unit cell by degree into ascending pieces, and later
 splits stay in place.  So a graph on n vertices with exactly k isolated
 vertices has zero rows 0..k-1 in its code and a 1 in row k, and more
 isolated vertices means a strictly smaller key.  If deleting an old vertex
@@ -179,8 +179,9 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
     subcubic n = 7), and it depends on the cell order _refine produces.  It
     is still a complete invariant: refinement commutes with relabelling, so
     an isomorphism maps one graph's search leaves onto the other's codes.
-    The search individualizes vertices cell by cell inside an equitable
-    partition.  Two prunings keep symmetric graphs tractable, and neither
+    The search starts from the unit cell split by degree into ascending
+    pieces, which is the split refining the unit cell makes first, and
+    individualizes vertices cell by cell inside an equitable partition.  Two prunings keep symmetric graphs tractable, and neither
     changes the key.  A cell of pairwise twins (equal open or equal closed
     neighborhoods) is individualized whole, in ascending order: swapping two
     twins is an automorphism fixing everything individualized so far, so
@@ -374,16 +375,19 @@ def _level(
             if not sizes:
                 continue
             split = comp_masks if len(comp_masks) > 1 else ()
-            linked = sum(1 << w for w, m in enumerate(masks) if m)
-            isolated = (top - 1) ^ linked
-            # pendants[u]: the vertices whose only neighbor is u; lone: all of them
+            # linked: the vertices with a neighbor; pendants[1 << u]: those
+            # whose only neighbor is u; lone: all of the latter
+            linked = 0
             pendants: dict[int, int] = {}
             for w, m in enumerate(masks):
-                if m and not m & (m - 1):
-                    pendants[m] = pendants.get(m, 0) | 1 << w
+                if m:
+                    linked |= 1 << w
+                    if not m & (m - 1):
+                        pendants[m] = pendants.get(m, 0) | 1 << w
+            isolated = (top - 1) ^ linked
             lone = sum(pendants.values())
             # the parent's generators as bit tables: entry v is 1 << p[v]
-            tables = [(p, tuple(1 << w for w in p)) for p in gens]
+            tables = [(p, [1 << w for w in p]) for p in gens]
             seen: set[int] = set()
             ebits = [1 << v for v in eligible]
             for size in sizes:
