@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .graph_core import Graph, _bits, components, is_bipartite
+from .graph_core import Graph, components, is_bipartite
 from .structure import _reduction, find_k23
 
 HARD_CAP = 12
@@ -76,10 +76,7 @@ def _refine(masks: list[int], cmasks: list[int], stable: Iterable[int] = ()) -> 
     cmasks = list(cmasks)
     known = set(stable)
     # the vertices of non-singleton cells; once there are none, stop
-    loose = 0
-    for m in cmasks:
-        if m & (m - 1):
-            loose |= m
+    loose = sum(m for m in cmasks if m & (m - 1))
     i = 0
     while loose and i < len(cmasks):
         smask = cmasks[i]
@@ -116,27 +113,20 @@ def _refine(masks: list[int], cmasks: list[int], stable: Iterable[int] = ()) -> 
         while live:
             j -= 1
             cmask = cmasks[j]
-            hit = cmask & live
-            if not hit:
+            if not cmask & live:
                 continue
-            live ^= hit
-            if len(planes) == 1:
-                # counts are 0 or 1: the one side is the cell's neighbors
-                if hit == cmask:
+            live &= ~cmask
+            pmasks = None
+            for plane in planes:
+                one = cmask & plane
+                if not one or one == cmask:
                     continue
-                pmasks = [cmask ^ hit, hit]
-            else:
-                pmasks = None
-                for plane in planes:
-                    one = cmask & plane
-                    if not one or one == cmask:
-                        continue
-                    if pmasks is None:
-                        pmasks = [cmask ^ one, one]
-                    else:  # each piece splits into its zero side, then its one side
-                        pmasks = [p for m in pmasks for p in (m & ~plane, m & plane) if p]
                 if pmasks is None:
-                    continue
+                    pmasks = [cmask ^ one, one]
+                else:  # each piece splits into its zero side, then its one side
+                    pmasks = [p for m in pmasks for p in (m & ~plane, m & plane) if p]
+            if pmasks is None:
+                continue
             # the last piece of a cell the partition is equitable against
             # splits nothing by the time the scan reaches it: the pieces
             # before it are splitters by then, and the cell less them is it
@@ -181,8 +171,9 @@ def canonical_key(g: Graph, generators: list[tuple[int, ...]] | None = None) -> 
     an isomorphism maps one graph's search leaves onto the other's codes.
     The search starts from the unit cell split by degree into ascending
     pieces, which is the split refining the unit cell makes first, and
-    individualizes vertices cell by cell inside an equitable partition.  Two prunings keep symmetric graphs tractable, and neither
-    changes the key.  A cell of pairwise twins (equal open or equal closed
+    individualizes vertices cell by cell inside an equitable partition.
+    Two prunings keep symmetric graphs tractable, and neither changes the
+    key.  A cell of pairwise twins (equal open or equal closed
     neighborhoods) is individualized whole, in ascending order: swapping two
     twins is an automorphism fixing everything individualized so far, so
     every branch on the cell is the image of that one, leaves and codes
@@ -399,7 +390,7 @@ def _level(
                     # automorphisms permute components and keep both tests'
                     # verdicts, so a skipped subset's orbit-mates skip the
                     # same way and its orbit is never marked
-                    if split and not all(map(smask.__and__, split)):
+                    if split and not all(smask & c for c in split):
                         disconnected += 1
                         continue
                     # Is the child C = parent + v that of an earlier parent:
