@@ -401,7 +401,10 @@ def _level(
                     # vertices.  score[v] is -1 for an empty subset, else the
                     # number of isolated vertices v joins; an old u scores its
                     # pendants outside the subset, plus one if the subset is u
-                    # alone, less one if u stays isolated.
+                    # alone, less one if u stays isolated.  So when v joins no
+                    # isolated vertex, an empty subset loses to any vertex
+                    # with a neighbor, one vertex u loses to u, and a larger
+                    # subset loses iff it misses a pendant vertex.
                     joined = smask & isolated
                     if joined:
                         count = joined.bit_count()
