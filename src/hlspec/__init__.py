@@ -17,15 +17,14 @@ _EXPORTS = {
     "graph_core": (
         "Graph", "Graph6Error", "bipartition", "components", "cut_vertices",
         "induced_delete", "induced_subgraph", "is_bipartite", "is_connected", "parse_graph6",
-        "spanning_subgraph", "to_graph6",
+        "to_graph6",
     ),
     "spectra": (
         "SQRT2", "HLIndex", "InertiaCount", "RBoundCertificate", "Spectrum", "Sqrt2Rational",
         "certify_R_le", "count_at_threshold", "hl_index", "median_positions", "spectrum",
     ),
     "structure": (
-        "K23Embedding", "Partition", "SPReductionTrace", "find_k23", "is_k4_minor_free",
-        "is_unfriendly", "replay_reduction",
+        "K23Embedding", "SPReductionTrace", "find_k23", "is_k4_minor_free", "replay_reduction",
     ),
     "enumeration": ("HARD_CAP", "GenSpec", "canonical_key", "enumerate_graphs"),
     "proofs": (

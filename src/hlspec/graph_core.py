@@ -344,16 +344,6 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
     return induced_delete(g, (v for v in range(g.n) if v not in kset))
 
 
-def spanning_subgraph(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Same vertex set, edges restricted to the given pairs, each of which
-    must be an edge of g."""
-    pairs = list(pairs)
-    for u, v in pairs:
-        if not (0 <= u < g.n and g.has_edge(u, v)):
-            raise ValueError(f"({u},{v}) is not an edge of the host graph")
-    return Graph(g.n, pairs)
-
-
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     """A 2-coloring as (side0, side1), or None if an odd cycle exists.
 

@@ -32,19 +32,11 @@ from .graph_core import (
     cut_vertices,
     induced_delete,
     induced_subgraph,
-    is_bipartite,
     is_connected,
-    spanning_subgraph,
 )
 from . import spectra
 from .spectra import _bounds, _scaled, certify_R_le, count_at_threshold, median_positions
-from .structure import (
-    Partition,
-    find_k23,
-    is_unfriendly,
-    k4_minor_free,
-    _flip_search,
-)
+from .structure import find_k23, k4_minor_free, _first_violator, _flip_search
 
 PASS = "pass"
 FAIL = "fail"
@@ -138,9 +130,6 @@ def _subject_graph(g: Graph, spec: dict) -> Graph:
         build = induced_delete if kind == "delete" else induced_subgraph
         key = ("subject", kind, tuple(spec["vertices"]))
         return g.fact(key, lambda: build(g, spec["vertices"])[0])
-    if kind == "spanning":
-        pairs = tuple(tuple(e) for e in spec["edges"])
-        return g.fact(("subject", kind, pairs), lambda: spanning_subgraph(g, pairs))
     raise ValueError(f"unknown subject kind {kind!r}")
 
 
@@ -160,10 +149,6 @@ def _eval_degree_le(g: Graph, data: dict) -> bool:
     return _subject_graph(g, data["subject"]).max_degree() <= data["bound"]
 
 
-def _eval_bipartite(g: Graph, data: dict) -> bool:
-    return is_bipartite(_subject_graph(g, data["subject"]))
-
-
 def _eval_not_connected(g: Graph, data: dict) -> bool:
     sub = _subject_graph(g, data["subject"])
     return len(components(sub)) >= 2
@@ -175,16 +160,11 @@ def _eval_components_count(g: Graph, data: dict) -> bool:
 
 
 def _eval_size_parity(g: Graph, data: dict) -> bool:
-    want = data["parity"]
-    if "subject" in data:
-        size = _subject_graph(g, data["subject"]).n
-    else:
-        # subset claims: the set's accuracy is pinned by neighboring steps
-        vertices = _host_vertices(g, data["vertices"])
-        if len(set(vertices)) != len(vertices):
-            return False
-        size = len(vertices)
-    return size % 2 == (0 if want == "even" else 1)
+    # the set's accuracy is pinned by neighboring steps
+    vertices = _host_vertices(g, data["vertices"])
+    if len(set(vertices)) != len(vertices):
+        return False
+    return len(vertices) % 2 == (0 if data["parity"] == "even" else 1)
 
 
 def _eval_no_cross_edges(g: Graph, data: dict) -> bool:
@@ -206,32 +186,35 @@ def _eval_vertex_in_set(g: Graph, data: dict) -> bool:
     return vertex in others
 
 
-def _eval_same_neighborhood(g: Graph, data: dict) -> bool:
-    sub = _subject_graph(g, data["subject"])
-    u, v, *must = _host_vertices(sub, [data["u"], data["v"], *data["contains"]])
-    return u != v and sub.neighbors(u) == sub.neighbors(v) and set(must) <= sub.neighbors(u)
+def _side_mask(g: Graph, vertices: Iterable[int]) -> int:
+    """A step's vertex set as a mask of host vertices."""
+    return sum(1 << v for v in set(_host_vertices(g, vertices)))
 
 
 def _eval_unfriendly_shape(g: Graph, data: dict) -> bool:
-    side_a = frozenset(data["side_a"])
-    part = Partition.of(g, side_a)
-    if not is_unfriendly(g, part):
-        return False
-    same = data.get("same_side")
-    other = data.get("other_side")
-    if same is not None and not set(_host_vertices(g, same)) <= side_a:
-        return False
-    if other is not None and not set(_host_vertices(g, other)) <= part.side_b:
-        return False
-    return True
+    a = _side_mask(g, data["side_a"])
+    same, other = _side_mask(g, data["same_side"]), _side_mask(g, data["other_side"])
+    return _first_violator(g, a) is None and not same & ~a and not other & a
 
 
-def _tail(sub: Graph, threshold: str, which: str) -> int | None:
-    """The exact count of eigenvalues above or below a threshold; None for
-    any other which."""
-    if which not in ("above", "below"):
-        return None
-    return getattr(count_at_threshold(sub, threshold), which)
+def _eval_singular_crossing(g: Graph, data: dict) -> bool:
+    # G is the crossing graph C of side a and the rest plus the edges within
+    # the sides.  Those form a matching when no vertex has two neighbours on
+    # its own side, so their eigenvalues lie in [-1, 1].  C is bipartite, so
+    # its spectrum is symmetric, and singular for the reason named: n odd, or
+    # u != v with equal rows of C, so e_u - e_v is a null vector.  Then both
+    # median eigenvalues of C are 0, and Weyl's inequality puts those of G
+    # within [-1, 1]: R(G) <= 1.
+    a = _side_mask(g, data["side_a"])
+    cross = [m & ~a if a >> v & 1 else m & a for v, m in enumerate(g._mask)]
+    if any((m ^ c).bit_count() > 1 for m, c in zip(g._mask, cross)):
+        return False
+    if data["reason"] == "odd":
+        return g.n % 2 == 1
+    if data["reason"] == "twins":
+        u, v = _host_vertices(g, [data["u"], data["v"]])
+        return u != v and cross[u] == cross[v]
+    return False
 
 
 def _deletion(g: Graph, data: dict) -> Graph:
@@ -242,27 +225,10 @@ def _deletion(g: Graph, data: dict) -> Graph:
 def _eval_interlace_count(g: Graph, data: dict) -> bool:
     # Cauchy interlacing: deleting A moves a tail count by at most |A|, so
     # N(G) <= N(G - A) + |A|; |A| is read off the host, not the data
-    sub = _deletion(g, data)
-    tail = _tail(sub, data["threshold"], data["which"])
-    return tail is not None and tail + g.n - sub.n <= data["bound"]
-
-
-def _weyl_parts(g: Graph, data: dict) -> tuple[Graph, Graph]:
-    """A weyl-count step's edge split of g: the spanning subgraph on the
-    step's edges, and the one on the rest of the host's edges."""
-    part = {tuple(sorted(e)) for e in data["edges"]}
-    rest = [list(e) for e in g.edges() if e not in part]
-    return (_subject_graph(g, {"kind": "spanning", "edges": data["edges"]}),
-            _subject_graph(g, {"kind": "spanning", "edges": rest}))
-
-
-def _eval_weyl_count(g: Graph, data: dict) -> bool:
-    # Weyl: over an edge split G = G1 + G2, N>s+t(G) <= N>s(G1) + N>t(G2),
-    # and likewise below -(s+t); G2 is the rest of the host's edges
-    s, t = data["thresholds"]
-    one, rest = _weyl_parts(g, data)
-    tails = (_tail(one, s, data["which"]), _tail(rest, t, data["which"]))
-    return None not in tails and sum(tails) <= data["bound"]
+    which, sub = data["which"], _deletion(g, data)
+    if which not in ("above", "below"):
+        return False
+    return getattr(count_at_threshold(sub, data["threshold"]), which) + g.n - sub.n <= data["bound"]
 
 
 def _eval_is_cycle(g: Graph, data: dict) -> bool:
@@ -331,16 +297,14 @@ _EVALUATORS = {
     "count-le": (_eval_count_le, "exact"),
     "certify-r-le": (_eval_certify_r_le, "exact"),
     "degree-le": (_eval_degree_le, "combinatorial"),
-    "bipartite": (_eval_bipartite, "combinatorial"),
     "not-connected": (_eval_not_connected, "combinatorial"),
     "components-count": (_eval_components_count, "combinatorial"),
     "size-parity": (_eval_size_parity, "combinatorial"),
     "no-cross-edges": (_eval_no_cross_edges, "combinatorial"),
     "set-partition": (_eval_set_partition, "combinatorial"),
     "vertex-in-set": (_eval_vertex_in_set, "combinatorial"),
-    "same-neighborhood": (_eval_same_neighborhood, "combinatorial"),
     "unfriendly-shape": (_eval_unfriendly_shape, "combinatorial"),
-    "weyl-count": (_eval_weyl_count, "exact"),
+    "singular-crossing": (_eval_singular_crossing, "combinatorial"),
     "interlace-count": (_eval_interlace_count, "exact"),
     "is-cycle": (_eval_is_cycle, "combinatorial"),
     "cycle-in-graph": (_eval_cycle_in_graph, "combinatorial"),
@@ -359,7 +323,6 @@ _COUNTS = {
     "certify-r-le": lambda g, d: [(_subject_graph(g, d["subject"]), t)
                                   for t in _bounds(d["bound"])],
     "interlace-count": lambda g, d: [(_deletion(g, d), _scaled(d["threshold"]))],
-    "weyl-count": lambda g, d: list(zip(_weyl_parts(g, d), map(_scaled, d["thresholds"]))),
 }
 
 # what a malformed step raises: a missing data key, a vertex out of range,
@@ -530,8 +493,8 @@ def _held(trace: WitnessTrace) -> bool:
 def _concludes(g: Graph, trace: WitnessTrace) -> bool:
     """Whether a pass verdict follows from the trace: every step held, every
     child passed, and either the last step is the exact claim R <= 1 on the
-    whole graph, or the children are the same theorem on exactly the
-    components of g."""
+    whole graph or a singular crossing graph (which implies it), or the
+    children are the same theorem on exactly the components of g."""
     if not _held(trace):
         return False
     if trace.case == "components":
@@ -542,7 +505,7 @@ def _concludes(g: Graph, trace: WitnessTrace) -> bool:
     if not trace.steps:
         return False
     last = trace.steps[-1]
-    return (last.kind, last.data) == _R_LE_ONE
+    return (last.kind, last.data) == _R_LE_ONE or last.kind == "singular-crossing"
 
 
 def _sp_applies(g: Graph) -> bool:
@@ -590,13 +553,19 @@ def check_lemma_odd(g: Graph) -> WitnessTrace:
 
 
 def _odd_trace(g: Graph) -> WitnessTrace:
-    """check_lemma_odd's trace, its counts pending."""
+    """check_lemma_odd's trace: the sides of an unfriendly partition (a flip
+    search from the empty side) cross in a graph of odd order."""
     if not _odd_applies(g):
         return WitnessTrace("odd-order", "precondition", {}, (), NOT_APPLICABLE)
-    steps = (_degree_le_three(g),
-             _step(g, "vertex count is odd", "size-parity", {"subject": _FULL, "parity": "odd"}),
-             _certify_r_le_one())
+    steps = (_degree_le_three(g), _singular_crossing(g, _flip_search(g, 0), "odd"))
     return WitnessTrace("odd-order", "odd-order", {}, steps, None)
+
+
+def _singular_crossing(g: Graph, side: int, reason: str, **twins: int) -> TraceStep:
+    """The step that concludes R <= 1 from the sides of a partition of g
+    (side: side a's mask) and why their crossing graph is singular."""
+    return _step(g, f"the sides meet in a matching and cross in a singular graph ({reason})",
+                 "singular-crossing", {"side_a": list(_bits(side)), "reason": reason, **twins})
 
 
 # ---------------------------------------------------------------------------
@@ -609,68 +578,37 @@ def verify_theorem_k23(g: Graph) -> WitnessTrace:
 
     Steps: build an unfriendly partition separating the two degree-3 ends
     from the middle trio (a flip search from the ends' side, which never
-    moves the five), split the edges into the crossing (bipartite,
-    twin-bearing, hence median-zero) spanning subgraph and the within-side
-    leftover (max degree 1), bound both tails of the whole graph by Weyl's
-    addition inequality on the parts' exact counts, and certify the final
-    bound exactly.
+    moves the five).  Its edges within the sides form a matching, and the
+    two ends are twins in its crossing graph, which is therefore singular;
+    that step concludes R <= 1 (see _eval_singular_crossing), with no count.
     """
     return _deliver(g, _k23_trace(g))
 
 
 def _k23_trace(g: Graph) -> WitnessTrace:
-    """verify_theorem_k23's trace, its counts pending."""
+    """verify_theorem_k23's trace."""
     theorem = "k23-bound"
     emb = find_k23(g)
     if g.max_degree() > 3 or emb is None:
         return WitnessTrace(theorem, "precondition", {}, (), NOT_APPLICABLE)
-    ys = (emb.y1, emb.y2, emb.y3)
-    named: dict = {"x1": emb.x1, "x2": emb.x2, "ys": list(ys)}
+    x1, x2, ys = emb.x1, emb.x2, [emb.y1, emb.y2, emb.y3]
     # The flip search from side {x1, x2} ends in an unfriendly partition of
     # the argument's shape.  With max degree 3, each x has exactly the trio
     # as neighbours, and each y both xs and at most one more; so while the
     # xs share a side and the trio holds the other, none of the five has
     # more neighbours on its own side than across, and none ever flips.
-    part = Partition.of(g, _bits(_flip_search(g, (1 << emb.x1) | (1 << emb.x2))))
-    cross = sorted(
-        (min(u, v), max(u, v))
-        for u, v in g.edges()
-        if (u in part.side_a) != (v in part.side_a)
-    )
-    named["side_a"] = sorted(part.side_a)
-    named["side_b"] = sorted(part.side_b)
-    named["cross_edges"] = [list(e) for e in cross]
-    cross_set = set(cross)
-    cross_spec = {"kind": "spanning", "edges": [list(e) for e in cross]}
-    rest_spec = {"kind": "spanning",
-                 "edges": [list(e) for e in g.edges() if (e[0], e[1]) not in cross_set]}
-    steps = [
+    side = _flip_search(g, (1 << x1) | (1 << x2))
+    named = {"x1": x1, "x2": x2, "ys": ys, "side_a": list(_bits(side))}
+    steps = (
         _degree_le_three(g),
         _step(g, "the 2x3 complete bipartite subgraph is present", "k23-present",
-              {"x1": emb.x1, "x2": emb.x2, "ys": list(ys)}),
+              {"x1": x1, "x2": x2, "ys": ys}),
         _step(g, "unfriendly partition separates the degree-3 ends from the trio",
               "unfriendly-shape",
-              {"side_a": sorted(part.side_a), "same_side": [emb.x1, emb.x2],
-               "other_side": list(ys)}),
-        _step(g, "crossing-edge subgraph is bipartite", "bipartite", {"subject": cross_spec}),
-        _step(g, "the two ends are twins in the crossing subgraph, covering the trio",
-              "same-neighborhood",
-              {"subject": cross_spec, "u": emb.x1, "v": emb.x2, "contains": list(ys)}),
-        _exact("crossing subgraph has both median eigenvalues exactly zero", "certify-r-le",
-               {"subject": cross_spec, "bound": "0"}),
-        _step(g, "leftover subgraph has max degree at most 1", "degree-le",
-              {"subject": rest_spec, "bound": 1}),
-        *(_exact(f"leftover subgraph has no eigenvalue {which} {t} (exact)", "count-le",
-                 {"subject": rest_spec, "which": which, "threshold": t, "bound": 0})
-          for which, t in _TAILS),
-        *(_exact(f"addition bound: at most {bound} eigenvalues {which} {t} (exact part counts)",
-                 "weyl-count",
-                 {"edges": cross_spec["edges"], "thresholds": ["0", t], "which": which,
-                  "bound": bound})
-          for (which, t), bound in _tail_bounds(g.n)),
-        _certify_r_le_one(),
-    ]
-    return WitnessTrace(theorem, "k23", named, tuple(steps), None)
+              {"side_a": named["side_a"], "same_side": [x1, x2], "other_side": ys}),
+        _singular_crossing(g, side, "twins", u=x1, v=x2),
+    )
+    return WitnessTrace(theorem, "k23", named, steps, None)
 
 
 # ---------------------------------------------------------------------------

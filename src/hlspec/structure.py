@@ -1,6 +1,6 @@
-"""Combinatorial structure: unfriendly vertex bipartitions and their flip
-search (the k23 verifier builds its partition with it), K_{2,3} subgraphs
-and K4-minor recognition.
+"""Combinatorial structure: unfriendly vertex bipartitions, as side-a masks,
+and their flip search (the k23 and odd-order verifiers build their
+partitions with it), K_{2,3} subgraphs and K4-minor recognition.
 
 K4-minor-freeness has one decider, a reduction on neighbor bitmasks that
 can record its steps; tests check it against a brute-force contraction oracle
@@ -10,27 +10,13 @@ kept out of the package (tests/oracle.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .graph_core import Graph, _host_vertices
+from .graph_core import Graph
 
 
 # ---------------------------------------------------------------------------
 # vertex bipartitions and the "at least as many neighbors across" condition
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Partition:
-    """An unordered bipartition of the vertex set.  Either side may be empty."""
-
-    side_a: frozenset[int]
-    side_b: frozenset[int]
-
-    @classmethod
-    def of(cls, g: Graph, side_a: Iterable[int]) -> "Partition":
-        a = frozenset(_host_vertices(g, side_a))
-        return cls(side_a=a, side_b=frozenset(range(g.n)) - a)
-
 
 def _first_violator(g: Graph, a_mask: int) -> int | None:
     """Smallest vertex with more same-side than cross-side neighbors."""
@@ -43,12 +29,6 @@ def _first_violator(g: Graph, a_mask: int) -> int | None:
         if 2 * same > g.degree(v):
             return v
     return None
-
-
-def is_unfriendly(g: Graph, part: Partition) -> bool:
-    """Every vertex has at least as many neighbors across as on its own side."""
-    a_mask = sum(1 << v for v in part.side_a)
-    return _first_violator(g, a_mask) is None
 
 
 def _flip_search(g: Graph, a_mask: int) -> int:

@@ -4,8 +4,9 @@ matrix code with hlspec, Horner's Taylor shift, the reference for hlspec's
 shift-matrix products, a brute-force K4-minor search that shares nothing
 with either K4-minor recognizer, set-based unfriendly-partition checks
 that share no bitmask code with the flip and shaped-partition searches, a
-networkx check that a cycle is locally longest, one pair of its vertices
-at a time, and networkx's count of a graph's automorphisms."""
+sympy check of a singular-crossing step's claim, a networkx check that a
+cycle is locally longest, one pair of its vertices at a time, and
+networkx's count of a graph's automorphisms."""
 
 import itertools
 
@@ -141,6 +142,31 @@ def brute_force_shaped_unfriendly(g, xs, ys) -> bool:
         for k in range(len(free) + 1)
         for extra in itertools.combinations(free, k)
     )
+
+
+def singular_crossing_holds(g, data) -> bool:
+    """Whether a singular-crossing step's claim holds on g, from its side_a
+    and g's edge list with sympy matrices: the edges within the sides have
+    max degree at most 1, the crossing adjacency matrix C has rank below n,
+    and C is singular for the reason the step names, n odd or C's columns u
+    and v equal with u != v (so e_u - e_v is a null vector)."""
+    import sympy
+
+    side, n = set(data["side_a"]), g.n
+    within = [0] * n
+    cross = sympy.zeros(n, n)
+    for u, v in g.edges():
+        if (u in side) == (v in side):
+            within[u] += 1
+            within[v] += 1
+        else:
+            cross[u, v] = cross[v, u] = 1
+    if max(within, default=0) > 1 or cross.rank() == n:
+        return False
+    if data["reason"] == "odd":
+        return n % 2 == 1
+    u, v = data["u"], data["v"]
+    return data["reason"] == "twins" and u != v and cross[:, u] == cross[:, v]
 
 
 def is_locally_longest_cycle(g, cycle) -> bool:

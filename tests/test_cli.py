@@ -784,11 +784,11 @@ def test_verify_sp_stdout_pinned_on_the_k4mf_n10_corpus(flags):
 # on where that search starts; neither stdout ends in a fail
 GEN_N10_VERIFY_SHA256 = {
     "k23 --witness --gen n=10,contains-k23":
-        "3a9992c4b7d758f5ce0dfb939766335a6d705cc16d85f336cdaeac654bc06221",
+        "54462675bde0fe571d15c312bd4f6c4f48e94dcd34e44997e07f4c863d2dc34b",
     "k23 --gen n=10,contains-k23":
         "f62cc0a0be9455205c4d557712b98ca129df0b77ac9d14a8712a7465330d50ae",
     "sp --witness --gen n=10,k4-minor-free":
-        "ca252b7b7b7db6eb0df2c1ade9839bfe1701ac081046dedeb6ff6d31fd1f6446",
+        "9292f13c89b5d00b058cf0d76552a976b327d154d84dfb459dd1735d7aa4a2fd",
 }
 
 
@@ -860,7 +860,7 @@ def counted_kernel(monkeypatch):
 
 @pytest.mark.parametrize("theorem, spec, classes, graphs, budget", [
     ("sp", "n=10,k4-minor-free", 2353, 10502, 600),
-    ("k23", "n=10,contains-k23", 336, 1008, 100),
+    ("k23", "n=10,contains-k23", 336, 336, 100),
 ])
 def test_verify_gen_n10_meets_its_kernel_run_budget(
     theorem, spec, classes, graphs, budget, capsys, monkeypatch
@@ -890,6 +890,29 @@ def test_replay_of_the_k4mf_n10_witnesses_meets_its_kernel_run_budget(capsys, mo
     assert replayed == [True] * 1028
     assert calls["graphs"] == 4109
     assert calls["runs"] <= 450
+
+
+@pytest.mark.parametrize("theorem, spec, classes", [
+    ("k23", "n=10,contains-k23", 336),
+    ("lemma-odd", "n=9", 1165),
+])
+def test_replay_of_k23_and_odd_order_witnesses_runs_no_kernel(
+    theorem, spec, classes, capsys, monkeypatch
+):
+    # both traces conclude on a singular crossing graph, a step on neighbour
+    # masks: batched replay of every witness counts nothing
+    from hlspec.proofs import _replay_traces, trace_from_json_dict
+
+    code, out, _ = run_main(["verify", theorem, "--witness", "--gen", spec], capsys)
+    assert code == 0
+    items = [(parse_graph6(r["graph6"]), trace_from_json_dict(r["witness"])) for r in json_lines(out)]
+    assert len(items) == classes
+    calls = counted_kernel(monkeypatch)
+    replayed = []
+    for start in range(0, len(items), 64):
+        replayed += _replay_traces(items[start : start + 64])
+    assert replayed == [True] * classes
+    assert calls["runs"] == 0
 
 
 @pytest.fixture(scope="module")

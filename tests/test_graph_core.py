@@ -26,7 +26,6 @@ from hlspec.graph_core import (
     is_bipartite,
     is_connected,
     parse_graph6,
-    spanning_subgraph,
     to_graph6,
 )
 
@@ -474,21 +473,6 @@ def test_induced_subgraphs_reject_vertices_outside_the_graph():
         for build in (induced_delete, induced_subgraph):
             with pytest.raises(ValueError, match="out of range"):
                 build(g, [0, bad])
-
-
-def test_spanning_subgraph_preserves_vertex_count():
-    g = cycle_graph(5)
-    sub = spanning_subgraph(g, [(0, 1), (3, 2)])
-    assert sub.n == 5
-    assert sub.m == 2
-    assert sub.edges() == [(0, 1), (2, 3)]
-
-
-def test_spanning_subgraph_rejects_non_edges():
-    g = path_graph(3)
-    for pair in ((0, 2), (2, 0), (0, 3), (3, 0), (-1, 2)):
-        with pytest.raises(ValueError):
-            spanning_subgraph(g, [(0, 1), pair])
 
 
 # ---------------------------------------------------------------------------

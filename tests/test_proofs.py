@@ -51,7 +51,12 @@ from named_graphs import (
     prism_graph,
     star_graph,
 )
-from oracle import brute_force_shaped_unfriendly, is_locally_longest_cycle, is_unfriendly_side
+from oracle import (
+    brute_force_shaped_unfriendly,
+    is_locally_longest_cycle,
+    is_unfriendly_side,
+    singular_crossing_holds,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,23 +95,11 @@ def test_k23_theorem_on_k23_itself():
     trace = verify_theorem_k23(complete_bipartite(2, 3))
     assert trace.verdict == PASS
     assert all(s.ok for s in trace.steps)
-    kinds = [s.kind for s in trace.steps]
-    for expected in (
-        "degree-le",
-        "k23-present",
-        "unfriendly-shape",
-        "bipartite",
-        "same-neighborhood",
-        "certify-r-le",
-        "weyl-count",
-    ):
-        assert expected in kinds
-    weyl = [s for s in trace.steps if s.kind == "weyl-count"]
-    assert all(s.mode == "exact" for s in weyl)
-    # n = 5: h = l = 3, so at most h - 1 = 2 above 1 and n - l = 2 below -1
-    assert [(s.data["which"], s.data["thresholds"], s.data["bound"]) for s in weyl] == [
-        ("above", ["0", "1"], 2), ("below", ["0", "-1"], 2)
+    assert [s.kind for s in trace.steps] == [
+        "degree-le", "k23-present", "unfriendly-shape", "singular-crossing"
     ]
+    assert trace.named == {"x1": 0, "x2": 1, "ys": [2, 3, 4], "side_a": [0, 1]}
+    assert trace.steps[-1].data == {"side_a": [0, 1], "reason": "twins", "u": 0, "v": 1}
 
 
 def test_k23_theorem_not_applicable_without_subgraph():
@@ -129,11 +122,12 @@ def test_k23_theorem_sweep_n8():
 
 
 def test_k23_theorem_final_bound_is_exact():
-    trace = verify_theorem_k23(complete_bipartite(2, 3))
-    final = trace.steps[-1]
-    assert final.kind == "certify-r-le"
-    assert final.mode == "exact"
-    assert final.data["bound"] == "1"
+    # the last step concludes R <= 1 in integers, from a singular crossing
+    # graph with no count, and the exact certificate agrees
+    g = complete_bipartite(2, 3)
+    final = verify_theorem_k23(g).steps[-1]
+    assert (final.kind, final.mode, final.ok) == ("singular-crossing", "combinatorial", True)
+    assert certify_R_le(g, "1").holds
 
 
 def planted_k23_graph(n: int, seed: int) -> Graph:
@@ -378,7 +372,7 @@ def test_replay_rejects_wrong_graph():
     trace = verify_theorem_sp(cycle_graph(5))
     assert replay_trace(cycle_graph(5), trace) is True
     assert replay_trace(cycle_graph(6), trace) is False
-    # and a missing edge flips the exact certificate outcome
+    # and a missing edge flips the K2,3's presence
     k23_trace = verify_theorem_k23(complete_bipartite(2, 3))
     pruned = Graph(5, [e for e in complete_bipartite(2, 3).edges() if e != (0, 2)])
     assert replay_trace(pruned, k23_trace) is False
@@ -683,21 +677,24 @@ def replace_step(trace, idx, data):
     return dataclasses.replace(trace, steps=trace.steps[:idx] + (forged,) + trace.steps[idx + 1 :])
 
 
-def test_replay_rejects_weyl_step_naming_a_non_edge():
+def test_replay_rejects_a_singular_crossing_whose_sides_meet_in_more_than_a_matching():
+    # with trio vertex 2 on the ends' side, the ends are still twins in the
+    # crossing graph, but 2 has both ends as own-side neighbours
     g = complete_bipartite(2, 3)
     trace = verify_theorem_k23(g)
-    idx = next(i for i, s in enumerate(trace.steps) if s.kind == "weyl-count")
+    idx = next(i for i, s in enumerate(trace.steps) if s.kind == "singular-crossing")
     data = trace.steps[idx].data
-    assert not g.has_edge(0, 1)
-    tampered = replace_step(trace, idx, {**data, "edges": data["edges"] + [[0, 1]]})
-    assert replay_trace(g, tampered) is False
+    tampered = replace_step(trace, idx, {**data, "side_a": [0, 1, 2]})
+    assert replay_trace(g, trace) is True and replay_trace(g, tampered) is False
 
 
 def test_replay_rejects_step_missing_its_bound():
-    g = complete_bipartite(2, 3)
-    trace = verify_theorem_k23(g)
+    g = Graph(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)])
+    trace = verify_theorem_sp(g)
     bounded = [i for i, s in enumerate(trace.steps) if "bound" in s.data]
-    assert {trace.steps[i].kind for i in bounded} >= {"count-le", "weyl-count", "certify-r-le"}
+    assert {trace.steps[i].kind for i in bounded} == {
+        "degree-le", "count-le", "interlace-count", "certify-r-le"
+    }
     for idx in bounded:
         data = {k: v for k, v in trace.steps[idx].data.items() if k != "bound"}
         assert replay_trace(g, replace_step(trace, idx, data)) is False
@@ -736,9 +733,10 @@ def test_replay_rejects_steps_naming_vertices_the_host_lacks():
         forgeries.append((h, replace_step(two_connected, idx, data)))
     k = complete_bipartite(2, 3)
     k23 = verify_theorem_k23(k)
-    idx = next(i for i, s in enumerate(k23.steps) if s.kind == "same-neighborhood")
+    idx = next(i for i, s in enumerate(k23.steps) if s.kind == "singular-crossing")
     data = k23.steps[idx].data
-    forgeries.append((k, replace_step(k23, idx, {**data, "u": data["u"] - k.n})))
+    forgeries += [(k, replace_step(k23, idx, {**data, "u": data["u"] - k.n})),
+                  (k, replace_step(k23, idx, {**data, "side_a": data["side_a"] + [99]}))]
     g = Graph(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)])
     cut = verify_theorem_sp(g)
     assert cut.case == "cut-vertex"
@@ -762,7 +760,7 @@ def test_replay_rejects_degenerate_vertex_pairs():
     sp, k23 = verify_theorem_sp(h), verify_theorem_k23(k)
     assert (sp.case, k23.case) == ("two-connected", "k23")
     forgeries = []
-    for g, trace, kind in ((h, sp, "not-consecutive-on-cycle"), (k, k23, "same-neighborhood")):
+    for g, trace, kind in ((h, sp, "not-consecutive-on-cycle"), (k, k23, "singular-crossing")):
         assert trace.verdict == PASS and replay_trace(g, trace) is True
         idx = next(i for i, s in enumerate(trace.steps) if s.kind == kind)
         data = trace.steps[idx].data
@@ -775,6 +773,64 @@ def test_replay_rejects_degenerate_vertex_pairs():
                   (k, replace_step(k23, idx, {**data, "ys": [y1, y2, y1]}))]
     for g, forged in forgeries:
         assert replay_trace(g, forged) is False, forged.theorem
+
+
+def test_replay_rejects_forged_singular_crossing_steps():
+    # K2,3 with a pendant on a trio vertex (even order) and C5 (odd): each
+    # forgery makes the step's claim false or leaves it unreadable, and
+    # replay answers False without raising
+    k = Graph(6, [(x, y) for x in (0, 1) for y in (2, 3, 4)] + [(4, 5)])
+    c5 = cycle_graph(5)
+    k23, odd = verify_theorem_k23(k), check_lemma_odd(c5)
+    twins, parity = k23.steps[-1].data, odd.steps[-1].data
+    assert twins == {"side_a": [0, 1, 5], "reason": "twins", "u": 0, "v": 1}
+    assert parity["reason"] == "odd" and set(parity) == {"side_a", "reason"}
+    forgeries = [
+        (k, k23, {**twins, "side_a": [0, 1, 2]}),  # 2 has both ends on its side
+        (k, k23, {**twins, "reason": "odd"}),  # n = 6
+        (k, k23, {**twins, "v": 2}),  # the end and a trio vertex differ in C
+        (k, k23, {**twins, "v": 0}),  # u == v
+        (c5, odd, {**parity, "reason": "twins", "u": 0, "v": 0}),
+        *((k, k23, {**twins, "reason": reason}) for reason in ("split", "null-vector", None)),
+        *((k, k23, {key: value for key, value in twins.items() if key != drop}) for drop in twins),
+        *((c5, odd, {key: value for key, value in parity.items() if key != drop})
+          for drop in parity),
+    ]
+    assert replay_trace(k, k23) is True and replay_trace(c5, odd) is True
+    for g, trace, data in forgeries:
+        assert replay_trace(g, replace_step(trace, len(trace.steps) - 1, data)) is False, data
+
+
+def test_singular_crossing_agrees_with_the_sympy_oracle():
+    # every k23 and lemma-odd witness on at most 8 vertices, and seeded
+    # mutations of its singular-crossing step (reason odd at even order, v
+    # swapped for a trio vertex, a vertex of side a moved across), each kept
+    # recorded as holding: the independent checker and replay agree on all
+    rng = random.Random(34)
+    agreed = collections.Counter()
+    for n in range(1, 9):
+        for g in enumerate_graphs(GenSpec(n)):
+            for trace in (verify_theorem_k23(g), check_lemma_odd(g)):
+                if trace.verdict == NOT_APPLICABLE:
+                    continue
+                last = len(trace.steps) - 1
+                data = trace.steps[last].data
+                cases = [data]
+                if data["reason"] == "twins":
+                    cases.append({**data, "v": rng.choice(trace.named["ys"])})
+                    if n % 2 == 0:
+                        cases.append({**data, "reason": "odd"})
+                if data["side_a"]:
+                    moved = rng.choice(data["side_a"])
+                    cases.append({**data, "side_a": [v for v in data["side_a"] if v != moved]})
+                for case in cases:
+                    holds = singular_crossing_holds(g, case)
+                    assert replay_trace(g, replace_step(trace, last, case)) is holds, (
+                        to_graph6(g), case)
+                    agreed[trace.theorem, case is data, holds] += 1
+    assert agreed["k23-bound", True, True] == 62 and agreed["odd-order", True, True] > 0
+    assert not agreed["k23-bound", True, False] and not agreed["odd-order", True, False]
+    assert agreed["k23-bound", False, False] > 0 and agreed["odd-order", False, True] > 0
 
 
 def test_replay_ties_set_partition_to_the_deleted_pair():
@@ -821,10 +877,10 @@ def test_verify_emits_every_theorem_and_step_kind_replay_knows():
 
 
 def test_count_steps_check_their_inequalities_exactly():
-    # each count step holds exactly up to the sum of counts it names, worked
-    # out here from induced_delete / spanning_subgraph and the exact kernel:
-    # a bound at the sum passes, one below it fails
-    from hlspec.graph_core import induced_delete, spanning_subgraph
+    # each interlace-count step holds exactly up to the count it names plus
+    # the deleted vertices, worked out here from induced_delete and the exact
+    # kernel: a bound at the sum passes, one below it fails
+    from hlspec.graph_core import induced_delete
     from hlspec.proofs import _EVALUATORS
 
     def tail(sub, threshold, which):
@@ -833,27 +889,19 @@ def test_count_steps_check_their_inequalities_exactly():
     seen = collections.Counter()
     for n in range(5, 9):
         for g in enumerate_graphs(GenSpec(n, connected=True)):
-            for trace in (verify_theorem_sp(g), verify_theorem_k23(g)):
-                for step in trace.steps:
-                    data, which = step.data, step.data.get("which")
-                    if step.kind == "interlace-count":
-                        sub, _ = induced_delete(g, data["deleted"])
-                        total = tail(sub, data["threshold"], which) + len(data["deleted"])
-                    elif step.kind == "weyl-count":
-                        cross = [tuple(e) for e in data["edges"]]
-                        rest = [e for e in g.edges() if e not in cross]
-                        s, t = data["thresholds"]
-                        total = (tail(spanning_subgraph(g, cross), s, which)
-                                 + tail(spanning_subgraph(g, rest), t, which))
-                    else:
-                        continue
-                    check = _EVALUATORS[step.kind][0]
-                    assert total <= data["bound"] and step.ok
-                    assert check(g, {**data, "bound": total})
-                    assert not check(g, {**data, "bound": total - 1})
-                    assert not check(g, {**data, "which": "at", "bound": g.n})
-                    seen[step.kind] += 1
-    assert seen["interlace-count"] > 0 and seen["weyl-count"] > 0
+            for step in verify_theorem_sp(g).steps:
+                if step.kind != "interlace-count":
+                    continue
+                data = step.data
+                sub, _ = induced_delete(g, data["deleted"])
+                total = tail(sub, data["threshold"], data["which"]) + len(data["deleted"])
+                check = _EVALUATORS[step.kind][0]
+                assert total <= data["bound"] and step.ok
+                assert check(g, {**data, "bound": total})
+                assert not check(g, {**data, "bound": total - 1})
+                assert not check(g, {**data, "which": "at", "bound": g.n})
+                seen[step.kind] += 1
+    assert seen["interlace-count"] > 0
 
 
 def test_verifiers_and_replay_compute_no_float_spectrum(monkeypatch):
@@ -903,7 +951,7 @@ def test_reading_a_pending_step_raises():
                         exact["verdict"] += 1
                 _settle([(g, trace)])
                 assert trace == verify(g), to_graph6(g)
-    assert set(exact) == {"count-le", "certify-r-le", "interlace-count", "weyl-count", "verdict"}
+    assert set(exact) == {"count-le", "certify-r-le", "interlace-count", "verdict"}
 
 
 def test_k23_traces_equal_the_cli_chunk_witnesses():

@@ -34,7 +34,7 @@ from hlspec.spectra import (
     spectrum,
     threshold_token,
 )
-from hlspec.graph_core import induced_delete, spanning_subgraph
+from hlspec.graph_core import induced_delete
 
 from named_graphs import (
     complete_bipartite,
@@ -362,7 +362,7 @@ def test_certificate_consistent_with_floating_r(seed):
 
 # ---------------------------------------------------------------------------
 # the count forms of interlacing and of Weyl's inequality, which the
-# interlace-count and weyl-count proof steps rest on
+# interlace-count and singular-crossing proof steps rest on
 # ---------------------------------------------------------------------------
 
 def tails(g: Graph, t) -> tuple[int, int]:
@@ -406,8 +406,8 @@ def test_edge_partition_bounds_random(seed):
     if not edges:
         return
     chosen = [e for e in edges if rng.random() < 0.5]
-    g1 = spanning_subgraph(g, chosen)
-    g2 = spanning_subgraph(g, [e for e in edges if e not in chosen])
+    g1 = Graph(g.n, chosen)
+    g2 = Graph(g.n, [e for e in edges if e not in chosen])
     for s in (-1, 0, 1):
         for t in (-1, 0, 1):
             whole = tails(g, s + t)

@@ -1,4 +1,4 @@
-"""Partitions, subgraph search, minor recognition.
+"""Unfriendly partitions, subgraph search, minor recognition.
 
 Dual routes stay separate throughout: the K4-minor reduction is checked
 against the contraction-search oracle in tests/oracle.py and its steps
@@ -6,6 +6,7 @@ against a full rescan of an edge-multiset model, the flip search against a
 set-based neighbor recount.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -17,13 +18,13 @@ import pytest
 
 from hlspec.enumeration import GenSpec, enumerate_graphs
 from hlspec.graph_core import Graph
+from hlspec.proofs import replay_trace, verify_theorem_k23
 from hlspec.structure import (
-    Partition,
+    _first_violator,
     _flip_search,
     _reduction,
     find_k23,
     is_k4_minor_free,
-    is_unfriendly,
     k4_minor_free,
     replay_reduction,
 )
@@ -67,19 +68,23 @@ def test_unfriendly_partition_random(seed):
     # verifier's shaped-partition search runs first
     g = random_graph(random.Random(seed).randint(1, 11), 0.4, seed=seed + 50)
     a_mask = _flip_search(g, 0)
-    part = Partition.of(g, [v for v in range(g.n) if (a_mask >> v) & 1])
-    assert is_unfriendly_side(g, set(part.side_a))
-    assert is_unfriendly(g, part)
+    assert _first_violator(g, a_mask) is None
+    assert is_unfriendly_side(g, {v for v in range(g.n) if (a_mask >> v) & 1})
 
 
-def test_partition_of_splits_sides_and_checks_range():
-    g = cycle_graph(4)
-    part = Partition.of(g, {0, 1})
-    assert part.side_a == {0, 1} and part.side_b == {2, 3}
-    assert Partition.of(g, []).side_b == {0, 1, 2, 3}
-    for bad in (4, -1):
-        with pytest.raises(ValueError, match="out of range"):
-            Partition.of(g, {0, bad})
+def test_unfriendly_shape_replay_rejects_a_side_naming_no_vertex():
+    # a side naming a label past the host, a negative one or a value that
+    # only looks like a vertex replays False rather than raising or reading
+    # the label as some other vertex
+    g = complete_bipartite(2, 3)
+    trace = verify_theorem_k23(g)
+    idx = next(i for i, s in enumerate(trace.steps) if s.kind == "unfriendly-shape")
+    step = trace.steps[idx]
+    assert replay_trace(g, trace) is True and step.data["side_a"] == [0, 1]
+    for bad in (g.n, -1, 1.0, "1", None):
+        forged = dataclasses.replace(step, data={**step.data, "side_a": [0, bad]})
+        steps = trace.steps[:idx] + (forged,) + trace.steps[idx + 1 :]
+        assert replay_trace(g, dataclasses.replace(trace, steps=steps)) is False, bad
 
 
 # ---------------------------------------------------------------------------
