@@ -784,11 +784,11 @@ def test_verify_sp_stdout_pinned_on_the_k4mf_n10_corpus(flags):
 # on where that search starts; neither stdout ends in a fail
 GEN_N10_VERIFY_SHA256 = {
     "k23 --witness --gen n=10,contains-k23":
-        "54462675bde0fe571d15c312bd4f6c4f48e94dcd34e44997e07f4c863d2dc34b",
+        "117360c4c3125a97e9e34dc51f0b8af47832271ec288410104fa75e7d24e9e0a",
     "k23 --gen n=10,contains-k23":
         "f62cc0a0be9455205c4d557712b98ca129df0b77ac9d14a8712a7465330d50ae",
     "sp --witness --gen n=10,k4-minor-free":
-        "9292f13c89b5d00b058cf0d76552a976b327d154d84dfb459dd1735d7aa4a2fd",
+        "432bbdcb1fbcc1fa1e6d0eba3a8117bce01473c28ddfb4f979809f4c27832463",
 }
 
 
